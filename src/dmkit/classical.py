@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DmkitError, InputError, NominalInstabilityError, PoleOnAxisError
-from .lti import _as_model, eval_freq, is_stable, scalar_close
+from .lti import _as_model, eval_freq, freq_response, is_stable, scalar_close
 from .specnorm import default_grid
 
 __all__ = ["ClassicalMargins", "gain_margins", "phase_margin", "classical_margins"]
@@ -57,14 +57,9 @@ def _require_siso_normalized(L):
 
 
 def _response_samples(L, grid):
-    ws, vals = [], []
-    for w in grid:
-        try:
-            vals.append(eval_freq(L, w))
-            ws.append(w)
-        except PoleOnAxisError:
-            continue
-    return np.asarray(ws), np.asarray(vals)
+    ws = np.asarray(grid)
+    vals, ok = freq_response(L, ws)
+    return ws[ok], vals[ok]
 
 
 def _refine_root(f, a, b):

@@ -42,7 +42,7 @@ from .disk import (
     worst_perturbation_lti,
 )
 from .errors import ConstructionError, DmkitError, DomainError, InputError, NumericalError
-from .lti import LtiModel, StateSpace, TransferFunction, eval_freq
+from .lti import LtiModel, StateSpace, TransferFunction, eval_freq, freq_response
 from .multiloop import (
     _io_loop,
     _normalized_pair,
@@ -254,26 +254,21 @@ def _min_dist_to_critical(L):
     """min over frequency of |1 + L(jw)|, grid plus local refinement."""
     from scipy.optimize import minimize_scalar
 
-    pts = [w for w in default_grid(L, 2000).points if 0.0 < w < math.inf]
-    best_w, best_v = None, math.inf
-    for w in [0.0] + pts + [math.inf]:
-        try:
-            v = abs(1.0 + eval_freq(L, w))
-        except DmkitError:
-            continue
-        if v < best_v:
-            best_w, best_v = w, v
-    if best_w is not None and 0.0 < best_w < math.inf:
-        i = pts.index(best_w) if best_w in pts else None
-        if i is not None and 0 < i < len(pts) - 1:
-            res = minimize_scalar(
-                lambda w: abs(1.0 + eval_freq(L, w)),
-                bounds=(pts[i - 1], pts[i + 1]),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            if res.fun < best_v:
-                best_v = float(res.fun)
+    ws = np.asarray(default_grid(L, 2000).points)
+    vals, ok = freq_response(L, ws)
+    dist = np.where(ok, np.abs(1.0 + vals), math.inf)
+    i = int(np.argmin(dist))
+    best_v = float(dist[i])
+    # refine only between two finite positive neighbours
+    if 1 < i < ws.size - 2 and math.isfinite(best_v):
+        res = minimize_scalar(
+            lambda w: abs(1.0 + eval_freq(L, w)),
+            bounds=(ws[i - 1], ws[i + 1]),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        if res.fun < best_v:
+            best_v = float(res.fun)
     return best_v
 
 
@@ -480,6 +475,10 @@ def cmd_mimo(args):
         diagnostics.append(
             "mu bracket gap exceeds 10 percent; the margin location is inconclusive"
         )
+    if not res.converged:
+        diagnostics.append(
+            "mu lower-bound search at omega_crit did not converge; alpha_upper may be loose"
+        )
     _emit(_document("mimo", path, digest, {"points": args.points, "skew": _jnum(args.skew)}, results, diagnostics), args.out)
     return 0
 
@@ -503,13 +502,9 @@ def cmd_exclusion(args):
         diagnostics.append("f0 is infinite; no finite tangency point")
     else:
         results["tangency"] = _jcomplex(-1.0 / d.f0)
-    samples = []
-    for w in default_grid(L, 1024).finite:
-        try:
-            lv = eval_freq(L, w)
-        except DmkitError:
-            continue
-        samples.append((w, lv.real, lv.imag))
+    ws = np.asarray(default_grid(L, 1024).finite)
+    vals, ok = freq_response(L, ws)
+    samples = list(zip(ws[ok].tolist(), vals[ok].real.tolist(), vals[ok].imag.tolist()))
     if args.skew == 1.0 and samples:
         min_dist = min(abs(complex(re, im) + 1.0) for _, re, im in samples)
         results["sensitivity_consistency"] = {

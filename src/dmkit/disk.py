@@ -31,7 +31,6 @@ from .errors import (
     ConstructionError,
     InputError,
     NominalInstabilityError,
-    PoleOnAxisError,
     UnsupportedCaseError,
     WellPosednessError,
 )
@@ -42,6 +41,7 @@ from .lti import (
     TransferFunction,
     _as_model,
     eval_freq,
+    freq_response,
     is_stable,
     poles,
     scalar_close,
@@ -438,12 +438,11 @@ def freq_margin_trace(L, sigma=0.0, grid=None, n=400):
         grid = default_grid(L, n)
     elif not isinstance(grid, FrequencyGrid):
         grid = FrequencyGrid(tuple(grid))
-    alphas, gms, pms, flagged = [], [], [], []
-    for i, w in enumerate(grid.points):
-        try:
-            g = abs(eval_freq(shifted, w))
-        except PoleOnAxisError:
-            flagged.append(i)
+    vals, ok = freq_response(shifted, grid.points)
+    gains = np.abs(vals)
+    alphas, gms, pms = [], [], []
+    for g, good in zip(gains.tolist(), ok.tolist()):
+        if not good:
             alphas.append(math.nan)
             gms.append((math.nan, math.nan))
             pms.append(math.nan)
@@ -453,6 +452,7 @@ def freq_margin_trace(L, sigma=0.0, grid=None, n=400):
         alphas.append(alpha)
         gms.append(gm)
         pms.append(pm)
+    flagged = np.flatnonzero(~ok).tolist()
     return MarginTrace(
         grid=grid,
         alpha_of_omega=tuple(alphas),

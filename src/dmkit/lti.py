@@ -20,6 +20,9 @@ from .errors import (
     WellPosednessError,
 )
 
+# working-set budget, in bytes, of one stacked solve in freq_response
+_CHUNK_BYTES = 1 << 20
+
 __all__ = [
     "Polynomial",
     "TransferFunction",
@@ -32,6 +35,7 @@ __all__ = [
     "poles",
     "is_stable",
     "eval_freq",
+    "freq_response",
     "sensitivity_pair",
     "tf_to_ss",
     "ss_to_tf",
@@ -499,6 +503,90 @@ def eval_freq(m, w):
     if out.shape == (1, 1):
         return complex(out[0, 0])
     return out
+
+
+def _response_tf(r, ws):
+    vals = np.empty(ws.shape, dtype=complex)
+    ok = np.ones(ws.shape, dtype=bool)
+    inf = np.isinf(ws)
+    if r.is_strictly_proper:
+        vals[inf] = 0.0
+    elif r.is_proper:
+        vals[inf] = r.num.coeffs[0] / r.den.coeffs[0]
+    else:
+        vals[inf] = np.nan
+        ok[inf] = False
+    w = ws[~inf]
+    s = 1j * w
+    dv = r.den(s)
+    hit = np.abs(dv) <= 1e-12 * (np.polyval(np.abs(r.den.coeffs), np.abs(w)) + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals[~inf] = np.where(hit, np.nan, r.num(s) / dv)
+    ok[~inf] = ~hit
+    return vals, ok
+
+
+def _response_ss(r, ws):
+    p, m, n = r.noutputs, r.ninputs, r.nstates
+    vals = np.empty((ws.size, p, m), dtype=complex)
+    vals[...] = r.D
+    fin = np.flatnonzero(np.isfinite(ws))
+    if n == 0 or fin.size == 0:
+        return vals, np.ones(ws.size, dtype=bool)
+    eye = np.eye(n)
+    # points per stacked solve: the pencils, LAPACK's copy of them and the
+    # solutions, all complex, within the working-set budget
+    step = max(1, _CHUNK_BYTES // (16 * n * (2 * n + m)))
+    for k in range(0, fin.size, step):
+        idx = fin[k : k + step]
+        M = (1j * ws[idx])[:, None, None] * eye - r.A
+        try:
+            X = np.linalg.solve(M, r.B)
+        except np.linalg.LinAlgError:
+            # some pencil in the chunk is exactly singular; find which
+            X = np.full((idx.size, n, m), np.nan + 0j)
+            for i in range(idx.size):
+                try:
+                    X[i] = np.linalg.solve(M[i], r.B)
+                except np.linalg.LinAlgError:
+                    pass
+        vals[idx] = r.C @ X + r.D
+    ok = np.all(np.isfinite(vals), axis=(1, 2))
+    vals[~ok] = np.nan
+    return vals, ok
+
+
+def freq_response(m, ws):
+    """Frequency response over a whole grid at once.
+
+    Parameters
+    ----------
+    m : LtiModel or representation
+    ws : sequence of real frequencies in rad/s, as for eval_freq
+        (0, negative values and math.inf included).
+
+    Returns
+    -------
+    (values, ok)
+        values is a complex (N,) array for SISO models and (N, p, m)
+        otherwise; each value is bitwise equal to eval_freq at that
+        frequency.  ok is a boolean (N,) array, False where jw is a pole
+        of the model: where eval_freq raises PoleOnAxisError, and at
+        w = inf for an improper transfer function.  values hold nan
+        there.
+
+    State-space grids are solved in stacks of at most _CHUNK_BYTES of
+    working set, so memory stays flat in the grid length.
+    """
+    m = _as_model(m)
+    ws = np.asarray(ws, dtype=float).reshape(-1)
+    r = m.representation
+    if isinstance(r, TransferFunction):
+        return _response_tf(r, ws)
+    vals, ok = _response_ss(r, ws)
+    if vals.shape[1:] == (1, 1):
+        return vals[:, 0, 0], ok
+    return vals, ok
 
 
 def tf_to_ss(t):

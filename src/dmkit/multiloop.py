@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from .disk import DiskSpec, _allpass, disk_geometry, disk_margin, worst_perturbation_lti
 from .classical import classical_margins
@@ -24,7 +24,6 @@ from .errors import (
     ConstructionError,
     InputError,
     NominalInstabilityError,
-    PoleOnAxisError,
     WellPosednessError,
 )
 from .lti import (
@@ -34,6 +33,7 @@ from .lti import (
     _as_model,
     _blkdiag,
     eval_freq,
+    freq_response,
     is_stable,
     poles,
     scalar_close,
@@ -86,7 +86,8 @@ class MultiLoopResult:
     alpha_lower is guaranteed (from the mu upper bound peak); alpha_upper
     comes with a certificate perturbation delta_worst at omega_crit.
     geometry describes the disk of radius alpha_lower.  inconclusive_gap
-    is set when the bracket is wider than 10 percent."""
+    is set when the bracket is wider than 10 percent.  converged is False
+    when the mu lower-bound search behind alpha_upper stagnated."""
 
     alpha_lower: float
     alpha_upper: float
@@ -94,6 +95,7 @@ class MultiLoopResult:
     delta_worst: object
     geometry: object
     inconclusive_gap: bool
+    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -246,63 +248,80 @@ def build_m(P, K, points="input", sigma=0.0):
     return MDeltaSystem(M=Msys, n=n, sigma=sigma)
 
 
-def _scaled_sv(M0, t):
-    d = np.exp(np.concatenate(([0.0], t)))
-    scaled = (d[:, None] * M0) / d[None, :]
-    return float(np.linalg.svd(scaled, compute_uv=False)[0])
-
-
-def _osborne_start(M0):
-    n = M0.shape[0]
-    d = np.ones(n)
-    absM = np.abs(M0)
-    for _ in range(10):
+def _osborne_balance(absM, sweeps=10):
+    """Log diagonal scalings that balance the off-diagonal row and column
+    norms of each |M| in an (N, n, n) stack."""
+    N, n, _ = absM.shape
+    d = np.ones((N, n))
+    for _ in range(sweeps):
         for i in range(n):
-            row = absM[i, :] * d[i] / d
-            col = absM[:, i] * d / d[i]
-            r = np.linalg.norm(np.delete(row, i))
-            c = np.linalg.norm(np.delete(col, i))
-            if r > 0 and c > 0:
-                d[i] *= math.sqrt(c / r)
-    t = np.log(d[1:] / d[0])
-    return t
+            off = np.arange(n) != i
+            r = np.linalg.norm(absM[:, i, off] * d[:, i:i + 1] / d[:, off], axis=1)
+            c = np.linalg.norm(absM[:, off, i] * d[:, off] / d[:, i:i + 1], axis=1)
+            upd = (r > 0) & (c > 0)
+            d[upd, i] *= np.sqrt(c[upd] / r[upd])
+    return np.log(d)
 
 
-def _mu_upper(M0, rel_tol=1e-7, max_cycles=60, t0=None):
+def _sv_and_gradient(Ms, x):
+    """sigma_max(D M D^-1) with D = diag(exp(x)), and its gradient in x
+    divided by sigma: |u_i|^2 - |v_i|^2 for the top singular pair."""
+    U, s, Vh = np.linalg.svd(Ms * np.exp(x[:, :, None] - x[:, None, :]))
+    return s[:, 0], np.abs(U[:, :, 0]) ** 2 - np.abs(Vh[:, 0, :]) ** 2
+
+
+def _mu_upper(Ms, rel_tol=1e-12, grad_tol=1e-9, max_iter=300, log_bound=50.0):
     """inf over positive diagonal D of the largest singular value of
-    D M D^-1, by Osborne balancing plus cyclic line searches.
+    D M D^-1, for every matrix of an (N, n, n) stack at once.
 
-    Returns (value, t) so sweeps can warm-start the scaling of the next
-    frequency point with the optimum of the previous one.
+    Starts from Osborne balancing, then runs projected gradient descent
+    on log sigma_max over log D, inside the box |log d_i| <= log_bound
+    (where the infimum is only approached as D degenerates, the box
+    keeps D M D^-1 finite).  It uses the analytic gradient
+    d log sigma / d log d_i = |u_i|^2 - |v_i|^2 (Packard & Doyle 1993),
+    Barzilai-Borwein step lengths and Armijo backtracking.  A matrix
+    leaves the active set once its gradient vanishes, its value stops
+    falling by more than rel_tol, or no step length decreases it (a
+    repeated largest singular value).  Every iterate is a valid bound,
+    so the result is an upper bound on mu whatever the exit.  Returns
+    an (N,) array.
     """
-    n = M0.shape[0]
+    N, n, _ = Ms.shape
     if n == 1:
-        return abs(M0[0, 0]), np.zeros(0)
-    t = _osborne_start(M0)
-    best = _scaled_sv(M0, t)
-    if t0 is not None and np.shape(t0) == (n - 1,):
-        alt = _scaled_sv(M0, np.asarray(t0, dtype=float))
-        if alt < best:
-            t = np.array(t0, dtype=float)
-            best = alt
-    for _ in range(max_cycles):
-        prev = best
-        for i in range(n - 1):
-            def f(x, i=i):
-                tt = t.copy()
-                tt[i] = x
-                return _scaled_sv(M0, tt)
-
-            res = minimize_scalar(
-                f, bounds=(t[i] - 2.0, t[i] + 2.0), method="bounded",
-                options={"xatol": 1e-9},
-            )
-            if res.fun < best:
-                t[i] = res.x
-                best = res.fun
-        if prev - best <= rel_tol * max(best, 1e-300):
+        return np.abs(Ms[:, 0, 0])
+    x = _osborne_balance(np.abs(Ms))
+    x = np.clip(x - x.mean(axis=1, keepdims=True), -log_bound, log_bound)
+    f, g = _sv_and_gradient(Ms, x)
+    step = np.ones(N)
+    active = np.flatnonzero((f > 0) & (np.max(np.abs(g), axis=1) > grad_tol))
+    for _ in range(max_iter):
+        if active.size == 0:
             break
-    return best, t
+        # Armijo backtracking on the active set, halving rejected steps
+        trial = np.arange(active.size)
+        moved = np.zeros(active.size, dtype=bool)
+        xn, fn, gn = x[active].copy(), f[active].copy(), g[active].copy()
+        for _ in range(40):
+            k = active[trial]
+            xt = np.clip(x[k] - step[k, None] * g[k], -log_bound, log_bound)
+            ft, gt = _sv_and_gradient(Ms[k], xt)
+            good = ft <= f[k] * np.exp(-1e-4 * np.sum(g[k] * (x[k] - xt), axis=1))
+            acc = trial[good]
+            xn[acc], fn[acc], gn[acc] = xt[good], ft[good], gt[good]
+            moved[acc] = True
+            trial = trial[~good]
+            if trial.size == 0:
+                break
+            step[active[trial]] *= 0.5
+        # Barzilai-Borwein length for the next step of each accepted one
+        sx = xn - x[active]
+        sy = np.sum(sx * (gn - g[active]), axis=1)
+        bb = np.where(sy > 0, np.sum(sx * sx, axis=1) / np.where(sy > 0, sy, 1.0), 2.0 * step[active])
+        done = ~moved | (f[active] - fn <= rel_tol * f[active]) | (np.max(np.abs(gn), axis=1) <= grad_tol)
+        x[active], f[active], g[active] = xn, fn, gn
+        step[active] = np.clip(bb, 1e-6, 1e6)
+        active = active[~done]
+    return f
 
 
 def _rho(M0, theta_tail):
@@ -381,8 +400,12 @@ def mu_diag(M0, seed=0, restarts=5):
     MuResult
         upper >= mu >= lower.  delta_worst is diagonal with entries of
         modulus 1/lower and satisfies det(I - M0 delta_worst) = 0 (None
-        when M0 is zero).  The upper bound is exact for n <= 3 up to the
-        optimizer tolerance.
+        when M0 is zero).  The upper bound is the D-scaled largest
+        singular value from the same batched routine the frequency sweep
+        of multiloop_margin uses, run on a stack of one; it equals mu for
+        n <= 3 up to the optimizer tolerance, except where the optimal
+        scaling leaves the largest singular value repeated and the
+        descent stops short of it.
     """
     M0 = np.atleast_2d(np.asarray(M0, dtype=complex))
     n = M0.shape[0]
@@ -392,7 +415,7 @@ def mu_diag(M0, seed=0, restarts=5):
         raise InputError("mu_diag needs finite entries")
     if np.all(M0 == 0):
         return MuResult(upper=0.0, lower=0.0, delta_worst=None, converged=True)
-    upper, _ = _mu_upper(M0)
+    upper = float(_mu_upper(M0[None])[0])
     lower, theta_tail, conv = _mu_lower(M0, seed=seed, restarts=restarts)
     lower = min(lower, upper)  # fp guard; the bounds sandwich mu
     u = np.exp(1j * np.concatenate(([0.0], theta_tail)))
@@ -402,25 +425,30 @@ def mu_diag(M0, seed=0, restarts=5):
     return MuResult(upper=upper, lower=lower, delta_worst=delta, converged=conv)
 
 
-def _golden_max(fun, a, b, iters=40):
-    """Golden-section maximizer on log-spaced frequencies in [a, b]."""
-    la, lb = math.log(a), math.log(b)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = lb - invphi * (lb - la)
-    x2 = la + invphi * (lb - la)
-    f1, f2 = fun(math.exp(x1)), fun(math.exp(x2))
-    for _ in range(iters):
-        if f1 < f2:
-            la, x1, f1 = x1, x2, f2
-            x2 = la + invphi * (lb - la)
-            f2 = fun(math.exp(x2))
-        else:
-            lb, x2, f2 = x2, x1, f1
-            x1 = lb - invphi * (lb - la)
-            f1 = fun(math.exp(x1))
-    if f1 >= f2:
-        return math.exp(x1), f1
-    return math.exp(x2), f2
+def _upper_on(sys, ws):
+    """mu upper bound of M(jw) at each frequency; -inf where jw is a pole."""
+    vals, ok = freq_response(sys.M, ws)
+    out = np.full(len(ws), -math.inf)
+    if ok.any():
+        out[ok] = _mu_upper(vals[ok].reshape(-1, sys.n, sys.n))
+    return out
+
+
+def _zoom_peaks(sys, brackets, points=9, rounds=12):
+    """Refine local peaks of the upper bound: each round samples every
+    log-spaced bracket at `points` frequencies in one batch, then narrows
+    each bracket to the two spacings around its best sample.  Returns
+    the best (frequency, value) of every bracket."""
+    lo, hi = np.log(np.asarray(brackets, dtype=float)).T
+    rows = np.arange(lo.size)
+    for _ in range(rounds):
+        ws = np.exp(np.linspace(lo, hi, points, axis=1))
+        vals = _upper_on(sys, ws.ravel()).reshape(ws.shape)
+        j = np.argmax(vals, axis=1)
+        best_w, best_v = ws[rows, j], vals[rows, j]
+        half = (hi - lo) / (points - 1)
+        lo, hi = np.log(best_w) - half, np.log(best_w) + half
+    return list(zip(best_w.tolist(), best_v.tolist()))
 
 
 def multiloop_margin(sys, grid=None, seed=0):
@@ -436,51 +464,40 @@ def multiloop_margin(sys, grid=None, seed=0):
     -------
     MultiLoopResult
         alpha_lower = 1/peak(mu upper) is guaranteed; alpha_upper =
-        1/(mu lower at the peak) has the certificate delta_worst.  The
-        peak search refines around the three largest grid samples by
-        golden section, so a peak far narrower than the grid spacing can
-        in principle still be missed.
+        1/(mu lower at the peak) has the certificate delta_worst, and the
+        bracket alpha_lower <= alpha_upper holds exactly.  The whole grid
+        goes through one batched frequency response and one batched upper
+        bound; the peak is then refined by a batched local zoom between
+        the grid neighbours of the three largest samples, so a peak far
+        narrower than the grid spacing can in principle still be missed.
     """
     if grid is None:
         grid = default_grid(sys.M, 400)
     elif not isinstance(grid, FrequencyGrid):
         grid = FrequencyGrid(tuple(grid))
-    pts = list(grid.points)
+    pts = np.asarray(grid.points)
 
-    warm = {"t": None}
+    vals = _upper_on(sys, pts)
+    order = np.argsort(vals)[::-1][:3]
+    cand = [(float(pts[i]), float(vals[i])) for i in order if vals[i] > -math.inf]
 
-    def ub_at(w):
-        try:
-            M0 = np.atleast_2d(eval_freq(sys.M, w))
-        except PoleOnAxisError:
-            return -math.inf
-        # mu(jw) varies smoothly, so the previous point's scaling is a good
-        # start; _mu_upper falls back to Osborne whenever it is not
-        val, warm["t"] = _mu_upper(M0, t0=warm["t"])
-        return val
-
-    vals = [ub_at(w) for w in pts]
-    order = np.argsort(vals)[::-1]
-    cand = [(pts[i], vals[i]) for i in order[:3] if vals[i] > -math.inf]
-
-    for idx in order[:3]:
-        w = pts[idx]
-        if not (0.0 < w < math.inf):
-            continue
-        i = pts.index(w)
-        lo = next((pts[j] for j in range(i - 1, -1, -1) if 0.0 < pts[j] < math.inf), None)
-        hi = next((pts[j] for j in range(i + 1, len(pts)) if 0.0 < pts[j] < math.inf), None)
-        if lo is None or hi is None:
-            continue
-        wbest, vbest = _golden_max(ub_at, lo, hi)
-        cand.append((wbest, vbest))
+    inner = np.flatnonzero((pts > 0.0) & np.isfinite(pts))
+    brackets = []
+    for i in order:
+        k = np.searchsorted(inner, i)
+        if k < inner.size and inner[k] == i and 0 < k < inner.size - 1:
+            brackets.append((pts[inner[k - 1]], pts[inner[k + 1]]))
+    if brackets:
+        cand.extend(_zoom_peaks(sys, brackets))
 
     peak_ub = max(v for _, v in cand)
     omega_crit = min(w for w, v in cand if v >= peak_ub * (1.0 - 1e-9))
 
     M0 = np.atleast_2d(eval_freq(sys.M, omega_crit))
     mu = mu_diag(M0, seed=seed)
-    peak_lb = mu.lower
+    # mu lower <= mu <= every D-scaled bound; clamping against the sweep's
+    # own peak keeps the bracket ordered through rounding
+    peak_lb = min(mu.lower, peak_ub)
     alpha_lower = 1.0 / peak_ub if peak_ub > 0 else math.inf
     alpha_upper = 1.0 / peak_lb if peak_lb > 0 else math.inf
     gap = (
@@ -495,6 +512,7 @@ def multiloop_margin(sys, grid=None, seed=0):
         delta_worst=mu.delta_worst,
         geometry=geometry,
         inconclusive_gap=bool(gap),
+        converged=mu.converged,
     )
 
 

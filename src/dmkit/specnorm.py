@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ImproperModelError, InputError, NumericalError
-from .lti import LtiModel, StateSpace, TransferFunction, _as_model, eval_freq, is_stable, poles, tf_to_ss
+from .errors import DomainError, ImproperModelError, InputError, NumericalError, PoleOnAxisError
+from .lti import TransferFunction, _as_model, freq_response, is_stable, poles, tf_to_ss
 
 __all__ = ["PeakGain", "FrequencyGrid", "default_grid", "hinf_norm"]
 
@@ -77,11 +77,14 @@ def default_grid(m, n=400):
     return FrequencyGrid((0.0,) + tuple(float(p) for p in pts) + (math.inf,))
 
 
-def _gain_at(m, w):
-    g = eval_freq(m, w)
-    if np.isscalar(g) or np.asarray(g).ndim == 0:
-        return abs(g)
-    return float(np.linalg.svd(np.atleast_2d(g), compute_uv=False)[0])
+def _gains(m, ws):
+    """Largest singular value of the response at each frequency of ws."""
+    vals, ok = freq_response(m, ws)
+    if not ok.all():
+        raise PoleOnAxisError("evaluation at w = {} hits a pole".format(ws[int(np.argmin(ok))]))
+    if vals.ndim == 1:
+        return np.abs(vals)
+    return np.linalg.svd(vals, compute_uv=False)[:, 0]
 
 
 def _realization(m):
@@ -148,7 +151,7 @@ def hinf_norm(m, tol=1e-6, grid_n=128):
     A, B, C, D = r.A, r.B, r.C, r.D
 
     seed = default_grid(m, grid_n)
-    cand = [(w, _gain_at(m, w)) for w in seed.points]
+    cand = list(zip(seed.points, _gains(m, seed.points).tolist()))
     best_val = max(g for _, g in cand)
     if best_val == 0.0:
         return PeakGain(0.0, 0.0)
@@ -186,9 +189,10 @@ def hinf_norm(m, tol=1e-6, grid_n=128):
 
     # evaluate at the crossing frequencies and between them; the gain
     # peaks between paired crossings of the last level that still cut it
-    extra = list(last_freqs)
-    extra.extend(0.5 * (a + b) for a, b in zip(last_freqs, last_freqs[1:]))
-    cand.extend((float(w), _gain_at(m, float(w))) for w in extra)
+    extra = [float(w) for w in last_freqs]
+    extra += [0.5 * (a + b) for a, b in zip(extra, extra[1:])]
+    if extra:
+        cand.extend(zip(extra, _gains(m, extra).tolist()))
     best_val = max(g for _, g in cand)
     return PeakGain(best_val, _pick_lowest(cand, best_val))
 

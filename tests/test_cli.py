@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import os
 
 import pytest
 
+import dmkit.cli
 from dmkit.cli import main
 
 
@@ -144,6 +146,21 @@ def test_mimo_satellite_io(capsys):
         assert row["alpha_max"] == pytest.approx(2.0, rel=1e-6)
     assert len(r["delta_worst"]) == 4
     assert r["certificate"]["det_residual"] < 1e-6
+
+
+def test_mimo_reports_unconverged_lower_bound(capsys, monkeypatch):
+    code, doc = run_json(capsys, ["mimo", "satellite.json"])
+    assert code == 0
+    assert doc["diagnostics"] == []
+    assert "converged" not in doc["results"]
+    real = dmkit.cli.multiloop_margin
+    monkeypatch.setattr(dmkit.cli, "multiloop_margin",
+                        lambda *a, **k: dataclasses.replace(real(*a, **k), converged=False))
+    code, stalled = run_json(capsys, ["mimo", "satellite.json"])
+    assert code == 0
+    assert len(stalled["diagnostics"]) == 1
+    assert "did not converge" in stalled["diagnostics"][0]
+    assert stalled["results"] == doc["results"]
 
 
 def test_mimo_channel_list(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dmkit import (
@@ -16,6 +18,7 @@ from dmkit import (
     TransferFunction,
     WellPosednessError,
     eval_freq,
+    freq_response,
     is_stable,
     poles,
     poly_roots,
@@ -27,7 +30,7 @@ from dmkit import (
     tf_to_ss,
     tfm,
 )
-from dmkit.lti import _minreal
+from dmkit.lti import _CHUNK_BYTES, _minreal
 
 
 def test_polynomial_basic():
@@ -165,6 +168,73 @@ def test_eval_freq_conjugate_symmetry():
     m = ss([[-1, 2], [0, -3]], [[1], [1]], [[1, 0]], [[0.5]])
     for w in rng.uniform(0.01, 50.0, size=25):
         assert_allclose(eval_freq(m, -w), np.conj(eval_freq(m, w)), rtol=1e-12)
+
+
+coef = st.floats(-10.0, 10.0, allow_nan=False)
+freqs = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=120)
+
+
+@st.composite
+def model_and_grid(draw):
+    """A TF or SS model, SISO or MIMO, and a grid holding 0, inf and, when
+    drawn, the frequency of a pole placed exactly on the axis and a point
+    just beside it."""
+    ws = [0.0, math.inf] + draw(freqs)
+    w0 = draw(st.sampled_from([None, 0.0, 1.0, 2.0, ws[-1]]))
+    if w0 is not None:
+        ws += [w0, w0 * (1.0 + 1e-13)]
+    if draw(st.booleans()):
+        den = np.atleast_1d(np.poly(draw(st.lists(st.floats(-5.0, -0.05), max_size=6))))
+        num = draw(st.lists(coef, min_size=1, max_size=den.size + 1))
+        if w0 is not None:
+            den = np.polymul(den, [1.0, 0.0, w0 * w0])
+        if not any(num):
+            num = [1.0]
+        return tf(num, den), ws
+    n = draw(st.integers(0, 30))
+    p, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, n)) - 3.0 * np.eye(n)
+    if w0 is not None:
+        # block-diagonal, so jw0 I - A is exactly singular
+        A = np.block([[A, np.zeros((n, 2))],
+                      [np.zeros((2, n)), np.array([[0.0, w0], [-w0, 0.0]])]])
+        n += 2
+    return ss(A, rng.standard_normal((n, m)), rng.standard_normal((p, n)),
+              rng.standard_normal((p, m))), ws
+
+
+@settings(max_examples=80, deadline=None)
+@given(model_and_grid())
+def test_freq_response_equals_eval_freq(case):
+    m, ws = case
+    vals, ok = freq_response(m, ws)
+    assert vals.shape[0] == ok.shape[0] == len(ws)
+    for i, w in enumerate(ws):
+        try:
+            want = eval_freq(m, w)
+        except (PoleOnAxisError, ImproperModelError):
+            assert not ok[i]
+            assert np.all(np.isnan(vals[i]))
+            continue
+        assert ok[i]
+        assert np.array_equal(vals[i], want)
+
+
+def test_freq_response_spans_chunks():
+    # 40 states: one stacked solve holds a few dozen points, so this grid
+    # takes several chunks, one of them holding an exactly singular pencil
+    rng = np.random.default_rng(3)
+    n = 40
+    A = np.diag(-rng.uniform(0.1, 10.0, n))
+    A[-2:, -2:] = [[0.0, 1.0], [-1.0, 0.0]]
+    m = ss(A, rng.standard_normal((n, 2)), rng.standard_normal((2, n)), np.zeros((2, 2)))
+    ws = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 400), [1.0, math.inf]))
+    assert ws.size > 4 * _CHUNK_BYTES // (16 * n * (2 * n + 2))
+    vals, ok = freq_response(m, ws)
+    assert np.flatnonzero(~ok).tolist() == [ws.size - 2]
+    for w, v in zip(ws[ok], vals[ok]):
+        assert np.array_equal(v, eval_freq(m, w))
 
 
 def test_sensitivity_pair_integrator():

@@ -25,11 +25,12 @@ from dmkit import (
     mu_diag,
     multiloop_margin,
     scalar_close,
+    ss,
     tf,
     tfm,
     verify_multiloop_destabilizing,
 )
-from dmkit.multiloop import MDeltaSystem
+from dmkit.multiloop import MDeltaSystem, _mu_upper
 
 
 def satellite():
@@ -165,6 +166,8 @@ def test_satellite_io_margin():
     res = multiloop_margin(build_m(P, K, "io", 0.0), seed=0)
     assert_allclose(res.alpha_upper, 0.0498446426, rtol=1e-5)
     assert res.alpha_upper - res.alpha_lower <= 0.01 * res.alpha_upper
+    # no wider than the bracket of the scalar cyclic line-search sweep
+    assert 0.0 <= res.alpha_upper - res.alpha_lower <= 1.53e-7
     assert_allclose(res.geometry.gamma_min, 0.9513674, rtol=1e-5)
     assert_allclose(res.geometry.gamma_max, 1.0511186, rtol=1e-5)
 
@@ -268,3 +271,43 @@ def test_mdelta_system_fields():
     assert isinstance(sysm, MDeltaSystem)
     assert sysm.sigma == 0.25
     assert sysm.n == 2
+
+
+def _three_channel_pair(seed):
+    """Stable 6-state 3x3 plant under a static gain near its inverse DC gain,
+    with a random coupling."""
+    rng = np.random.default_rng(seed)
+    A = np.diag(-rng.uniform(0.2, 5.0, 6))
+    B = rng.standard_normal((6, 3))
+    C = rng.standard_normal((3, 6))
+    G0 = C @ np.linalg.solve(-A, B)
+    K = np.linalg.pinv(G0) * rng.uniform(0.3, 1.0)
+    K = K + 0.2 * np.abs(K).max() * rng.standard_normal((3, 3))
+    return (ss(A, B, C, np.zeros((3, 3))),
+            ss(np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((3, 0)), K))
+
+
+@pytest.mark.parametrize("seed", [46, 53, 69])
+def test_three_channel_bracket_is_ordered(seed):
+    # these loops have mu lower equal to the peak upper bound up to
+    # rounding; the bracket must stay ordered with no tolerance at all
+    P, K = _three_channel_pair(seed)
+    res = multiloop_margin(build_m(P, K, "input", 0.0), seed=0)
+    assert res.alpha_lower <= res.alpha_upper
+    assert res.converged
+
+
+def test_batched_upper_bound_brackets_mu():
+    rng = np.random.default_rng(2024)
+    for n in (2, 3, 4):
+        Ms = rng.standard_normal((12, n, n)) + 1j * rng.standard_normal((12, n, n))
+        upper = _mu_upper(Ms)
+        for M, ub in zip(Ms, upper):
+            res = mu_diag(M)
+            assert ub >= res.lower
+            # a stack of one runs the same iteration as the whole stack
+            assert res.upper == ub
+            if n == 2:
+                # the bound equals mu for two channels, so it meets the
+                # brute-force search to rounding: allow a few ulps
+                assert ub >= mu_brute_2x2(M) * (1 - 1e-14)
