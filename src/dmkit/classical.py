@@ -7,19 +7,27 @@ rotation in either direction.  Candidate boundaries are the gains and
 phases at which the perturbed loop acquires an imaginary-axis pole:
 real-axis crossings of the Nyquist plot for gain, unit-modulus
 crossings for phase, plus the w = 0 and w = inf endpoints for gain.
+
+The crossings are exact.  With L = N/D (state space through ss_to_tf)
+they are the positive real roots of two real polynomials in w:
+Im(N(jw) conj D(jw)) for real-axis crossings and |N(jw)|^2 - |D(jw)|^2
+for unit-modulus ones.  Each root is Newton-polished, then verified on
+the model with eval_freq.  One call computes them, and the closure, once.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DmkitError, InputError, NominalInstabilityError, PoleOnAxisError
-from .lti import _as_model, eval_freq, freq_response, is_stable, scalar_close
-from .specnorm import default_grid
+from .lti import (TransferFunction, _as_model, eval_freq, freq_response, is_stable,
+                  scalar_close, ss_to_tf)
 
 __all__ = ["ClassicalMargins", "gain_margins", "phase_margin", "classical_margins"]
+
+# j^k for k = 0, 1, 2, 3: exact, unlike a complex power
+_J_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
 @dataclass(frozen=True)
@@ -46,72 +54,101 @@ class ClassicalMargins:
     extra_stable_gain_intervals: tuple = ()
 
 
-def _require_siso_normalized(L):
+def _on_axis(coeffs):
+    """Coefficients in w (descending) of p(jw), p given descending in s."""
+    c = np.asarray(coeffs)
+    return c * _J_POWERS[np.arange(c.size - 1, -1, -1) % 4]
+
+
+def _abs2(c):
+    """|p(jw)|^2 as a real polynomial in w, from _on_axis coefficients."""
+    return np.polymul(c, c.conj()).real
+
+
+def _positive_roots(p, residual):
+    """Positive real roots of the real polynomial p (descending in w),
+    ascending, with roots within 1e-9 relative of each other returned
+    once.  Each is polished by Newton steps residual(w) / p'(w), where
+    residual evaluates p at w."""
+    p = np.trim_zeros(np.asarray(p, dtype=float), "f")
+    if p.size < 2:
+        return []
+    dp = np.polyder(p)
+    out = []
+    for r in np.roots(p):
+        if r.real <= 0.0 or abs(r.imag) > 1e-6 * abs(r):
+            continue
+        w = float(r.real)
+        for _ in range(8):
+            d = np.polyval(dp, w)
+            step = residual(w) / d if d else 0.0
+            # stop at convergence, and never jump to a neighbouring root
+            if not 1e-16 * w < abs(step) < 1e-3 * w:
+                break
+            w -= step
+        out.append(float(w))
+    out.sort()
+    return [w for i, w in enumerate(out) if i == 0 or w - out[i - 1] > 1e-9 * w]
+
+
+def _transfer_function(L):
+    r = L.representation
+    return r if isinstance(r, TransferFunction) else ss_to_tf(r)
+
+
+def _crossings(L):
+    """Normalize and check L once, then find every candidate boundary:
+    L normalized, the (g, w) pairs at which closing with gain g puts a
+    pole at jw, and the (phi, w) pairs at unit-modulus crossings, sorted.
+    """
     L = _as_model(L).normalized()
     if not L.is_siso:
         raise InputError("classical margins are defined for SISO loops")
-    closed = scalar_close(L, 1.0)
-    if not is_stable(closed):
+    if not is_stable(scalar_close(L, 1.0)):
         raise NominalInstabilityError("nominal closed loop is unstable")
-    return L
+    t = _transfer_function(L)
+    n, d = _on_axis(t.num.coeffs), _on_axis(t.den.coeffs)
 
+    def roots(p, form):
+        # Newton residuals from N(jw) and D(jw) escape the cancellation
+        # in p's expanded coefficients
+        return _positive_roots(p, lambda w: form(t.num(1j * w), t.den(1j * w)))
 
-def _response_samples(L, grid):
-    ws = np.asarray(grid)
-    vals, ok = freq_response(L, ws)
-    return ws[ok], vals[ok]
+    def verified(ws):
+        # t also flags axis poles that rounding hides from a state-space pencil
+        ws = np.asarray(ws, dtype=float)
+        for w in ws[freq_response(t, ws)[1]]:
+            try:
+                yield float(w), eval_freq(L, w)
+            except PoleOnAxisError:
+                continue
 
-
-def _refine_root(f, a, b):
-    return brentq(f, a, b, xtol=1e-13, rtol=1e-14, maxiter=200)
-
-
-def _phase_crossover_candidates(L, n_grid=2000):
-    """Gains g > 0 at which the closure acquires an axis pole:
-    (gain, frequency) pairs at the real-axis crossings with Re L < 0,
-    plus the w = 0 and w = inf endpoints when L is negative there."""
-    grid = [w for w in default_grid(L, n_grid).points if 0.0 < w < math.inf]
-    ws, vals = _response_samples(L, grid)
-    cands = []
-
-    def im_at(w):
-        return eval_freq(L, w).imag
-
-    for i in range(len(ws) - 1):
-        a, b = vals[i].imag, vals[i + 1].imag
-        if a == 0.0 or a * b >= 0.0:
-            continue
-        wc = _refine_root(im_at, ws[i], ws[i + 1])
-        lc = eval_freq(L, wc)
-        # reject pseudo-roots produced by a pole inside the bracket
-        if abs(lc.imag) > 1e-6 * (1.0 + abs(lc)):
-            continue
-        if lc.real < 0.0:
-            cands.append((-1.0 / lc.real, float(wc)))
-
-    for w in (0.0, math.inf):
-        try:
-            lv = eval_freq(L, w)
-        except PoleOnAxisError:
-            continue
+    gains = []
+    real_axis = roots(np.polymul(n, d.conj()).imag, lambda nv, dv: (nv * dv.conjugate()).imag)
+    for w, lc in verified(real_axis):
+        if abs(lc.imag) <= 1e-6 * (1.0 + abs(lc)) and lc.real < 0.0:
+            gains.append((-1.0 / lc.real, w))
+    for w, lv in verified((0.0, math.inf)):
         if abs(lv.imag) <= 1e-12 * (1.0 + abs(lv)) and lv.real < 0.0:
-            cands.append((-1.0 / lv.real, w))
+            gains.append((-1.0 / lv.real, w))
 
-    cands.sort()
-    # merge near-duplicates (same gain found from both sides of a bracket)
-    merged = []
-    for g, w in cands:
-        if merged and abs(g - merged[-1][0]) <= 1e-6 * merged[-1][0] and (
-            w == merged[-1][1] or (math.isfinite(w) and math.isfinite(merged[-1][1])
-                                   and abs(w - merged[-1][1]) <= 1e-6 * max(1.0, merged[-1][1]))
-        ):
-            continue
-        merged.append((g, w))
-    return merged
+    phases = []
+    unit_circle = roots(np.polysub(_abs2(n), _abs2(d)), lambda nv, dv: abs(nv) ** 2 - abs(dv) ** 2)
+    for w, lc in verified(unit_circle):
+        phi = abs(np.angle(-lc))
+        # phi = 0 would mean L = -1 exactly, excluded by the nominal
+        # stability precondition
+        if abs(abs(lc) - 1.0) <= 1e-8 and phi > 1e-12:
+            phases.append((float(phi), w))
+    return L, sorted(gains), sorted(phases)
 
 
-def _stable_at_gain(L, g):
-    return is_stable(scalar_close(L, g))
+def _gain_interval(gains):
+    below = [(g, w) for g, w in gains if g < 1.0 - 1e-9]
+    above = [(g, w) for g, w in gains if g > 1.0 + 1e-9]
+    g_lower, w_lower = max(below) if below else (0.0, None)
+    g_upper, w_upper = min(above) if above else (math.inf, None)
+    return g_lower, g_upper, (w_lower, w_upper)
 
 
 def gain_margins(L):
@@ -129,45 +166,8 @@ def gain_margins(L):
     NominalInstabilityError
         If the unperturbed closed loop is already unstable.
     """
-    L = _require_siso_normalized(L)
-    cands = _phase_crossover_candidates(L)
-    below = [(g, w) for g, w in cands if g < 1.0 - 1e-9]
-    above = [(g, w) for g, w in cands if g > 1.0 + 1e-9]
-    if below:
-        g_lower, w_lower = max(below)
-    else:
-        g_lower, w_lower = 0.0, None
-    if above:
-        g_upper, w_upper = min(above)
-    else:
-        g_upper, w_upper = math.inf, None
-    return g_lower, g_upper, (w_lower, w_upper)
-
-
-def _gain_crossover_candidates(L, n_grid=2000):
-    grid = [w for w in default_grid(L, n_grid).points if 0.0 < w < math.inf]
-    ws, vals = _response_samples(L, grid)
-    mags = np.abs(vals) - 1.0
-    cands = []
-
-    def mag_at(w):
-        return abs(eval_freq(L, w)) - 1.0
-
-    for i in range(len(ws) - 1):
-        a, b = mags[i], mags[i + 1]
-        if a == 0.0 or a * b >= 0.0:
-            continue
-        wc = _refine_root(mag_at, ws[i], ws[i + 1])
-        lc = eval_freq(L, wc)
-        if abs(abs(lc) - 1.0) > 1e-8:
-            continue
-        phi = abs(np.angle(-lc))
-        if phi > 1e-12:
-            # phi = 0 would mean L = -1 exactly, excluded by the nominal
-            # stability precondition
-            cands.append((float(phi), float(wc)))
-    cands.sort()
-    return cands
+    _, gains, _ = _crossings(L)
+    return _gain_interval(gains)
 
 
 def phase_margin(L):
@@ -176,22 +176,15 @@ def phase_margin(L):
     Returns (phi_upper, critical_frequency); (math.inf, None) when the
     loop gain never crosses unity.
     """
-    L = _require_siso_normalized(L)
-    cands = _gain_crossover_candidates(L)
-    if not cands:
-        return math.inf, None
-    phi, w = cands[0]
-    return phi, w
+    _, _, phases = _crossings(L)
+    return phases[0] if phases else (math.inf, None)
 
 
 def classical_margins(L):
     """Both margins plus crossover bookkeeping in one result."""
-    L = _require_siso_normalized(L)
-    g_lower, g_upper, (w_lo, w_up) = gain_margins(L)
-    phi_upper, w_phi = phase_margin(L)
-    phase_cross = tuple(w for _, w in _phase_crossover_candidates(L))
-    gain_cands = _gain_crossover_candidates(L)
-    gain_cross = tuple(sorted(w for _, w in gain_cands))
+    L, gains, phases = _crossings(L)
+    g_lower, g_upper, (w_lo, w_up) = _gain_interval(gains)
+    phi_upper, w_phi = phases[0] if phases else (math.inf, None)
 
     # binding gain frequency: the side nearer to 1 on a log scale
     if g_lower > 0.0 and math.isfinite(g_upper):
@@ -203,25 +196,21 @@ def classical_margins(L):
     else:
         crit_g = None
 
-    extra = _extra_stable_intervals(L)
     return ClassicalMargins(
         g_lower=g_lower,
         g_upper=g_upper,
         phi_upper=phi_upper,
-        gain_crossover_freqs=gain_cross,
-        phase_crossover_freqs=phase_cross,
+        gain_crossover_freqs=tuple(sorted(w for _, w in phases)),
+        phase_crossover_freqs=tuple(w for _, w in gains),
         critical_gain_freq=crit_g,
         critical_phase_freq=w_phi,
-        extra_stable_gain_intervals=extra,
+        extra_stable_gain_intervals=_extra_stable_intervals(L, gains),
     )
 
 
-def _extra_stable_intervals(L):
+def _extra_stable_intervals(L, gains):
     """Stable gain intervals disconnected from the one containing g = 1."""
-    cands = _phase_crossover_candidates(L)
-    if not cands:
-        return ()
-    bounds = [0.0] + [g for g, _ in cands] + [math.inf]
+    bounds = [0.0] + [g for g, _ in gains] + [math.inf]
     extra = []
     for a, b in zip(bounds, bounds[1:]):
         if a < 1.0 < b:
@@ -233,8 +222,23 @@ def _extra_stable_intervals(L):
         else:
             test = math.sqrt(a * b)
         try:
-            if _stable_at_gain(L, test):
+            if is_stable(scalar_close(L, test)):
                 extra.append((a, b))
         except DmkitError:
             continue
     return tuple(extra)
+
+
+def critical_distance(L):
+    """min over w >= 0 of |1 + L(jw)|; for a stable closure, 1/||S||_inf,
+    the sigma = +1 disk margin.  Exact: it sits at w = 0, w = inf or a
+    positive stationary point of |N(jw) + D(jw)|^2 / |D(jw)|^2, each
+    evaluated on the model."""
+    L = _as_model(L).normalized()
+    t = _transfer_function(L)
+    p = _abs2(_on_axis(np.polyadd(t.num.coeffs, t.den.coeffs)))
+    q = _abs2(_on_axis(t.den.coeffs))
+    stationary = np.polysub(np.polymul(np.polyder(p), q), np.polymul(p, np.polyder(q)))
+    candidates = _positive_roots(stationary, lambda w: np.polyval(stationary, w))
+    vals, ok = freq_response(L, [0.0, math.inf] + candidates)
+    return float(np.min(np.abs(1.0 + vals[ok]), initial=math.inf))

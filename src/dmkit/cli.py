@@ -20,6 +20,7 @@ used by the mimo lower bound.
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -32,7 +33,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .classical import classical_margins
+from .classical import classical_margins, critical_distance
 from .disk import (
     DiskSpec,
     disk_margin,
@@ -250,28 +251,6 @@ def cmd_classical(args):
     return 0
 
 
-def _min_dist_to_critical(L):
-    """min over frequency of |1 + L(jw)|, grid plus local refinement."""
-    from scipy.optimize import minimize_scalar
-
-    ws = np.asarray(default_grid(L, 2000).points)
-    vals, ok = freq_response(L, ws)
-    dist = np.where(ok, np.abs(1.0 + vals), math.inf)
-    i = int(np.argmin(dist))
-    best_v = float(dist[i])
-    # refine only between two finite positive neighbours
-    if 1 < i < ws.size - 2 and math.isfinite(best_v):
-        res = minimize_scalar(
-            lambda w: abs(1.0 + eval_freq(L, w)),
-            bounds=(ws[i - 1], ws[i + 1]),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        if res.fun < best_v:
-            best_v = float(res.fun)
-    return best_v
-
-
 def cmd_diskmargin(args):
     P, K, path, digest = _load_model_file(args.model)
     L = _siso_loop(P, K)
@@ -291,7 +270,7 @@ def cmd_diskmargin(args):
     }
     diagnostics = []
     if args.skew == 1.0:
-        dist = _min_dist_to_critical(L)
+        dist = critical_distance(L)
         rel = abs(dist - d.spec.alpha) / max(d.spec.alpha, 1e-300)
         results["sensitivity_consistency"] = {
             "min_dist_to_critical": _jnum(dist),
@@ -502,16 +481,15 @@ def cmd_exclusion(args):
         diagnostics.append("f0 is infinite; no finite tangency point")
     else:
         results["tangency"] = _jcomplex(-1.0 / d.f0)
-    ws = np.asarray(default_grid(L, 1024).finite)
-    vals, ok = freq_response(L, ws)
-    samples = list(zip(ws[ok].tolist(), vals[ok].real.tolist(), vals[ok].imag.tolist()))
-    if args.skew == 1.0 and samples:
-        min_dist = min(abs(complex(re, im) + 1.0) for _, re, im in samples)
+    if args.skew == 1.0:
         results["sensitivity_consistency"] = {
-            "min_dist_to_critical": _jnum(min_dist),
+            "min_dist_to_critical": _jnum(critical_distance(L)),
             "radius": _jnum(ex.radius),
         }
     if args.out:
+        ws = np.asarray(default_grid(L, 1024).finite)
+        vals, ok = freq_response(L, ws)
+        samples = zip(ws[ok].tolist(), vals[ok].real.tolist(), vals[ok].imag.tolist())
         with open(args.out, "w", encoding="utf-8") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(("omega", "re_L", "im_L"))
@@ -522,6 +500,7 @@ def cmd_exclusion(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="dmkit",

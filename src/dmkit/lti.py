@@ -634,7 +634,10 @@ def ss_to_tf(s):
     """Transfer function of a SISO state-space model.
 
     Uses det(sI - A + B C) = det(sI - A) (1 + C (sI - A)^-1 B), so the
-    numerator comes out of two characteristic polynomials.
+    numerator comes out of two characteristic polynomials.  Leading
+    numerator coefficients below the rounding level of those polynomials
+    are set to zero: left in, they are spurious zeros far out on the
+    frequency axis (a relative degree of 2 read as 1 in a rotated basis).
     """
     if isinstance(s, LtiModel):
         s = s.representation
@@ -644,9 +647,18 @@ def ss_to_tf(s):
         raise InputError("ss_to_tf is defined for SISO models only")
     if s.nstates == 0:
         return TransferFunction([s.D[0, 0]], [1.0])
-    den = np.poly(s.A)
-    pert = np.poly(s.A - s.B @ s.C)
-    num_sp = np.polysub(pert, den)
+    # B C is rank one, so det(sI - A + g B C) - det(sI - A) = g C adj(sI - A) B;
+    # g lifts B C to the size of A, so the numerator is not lost in rounding
+    bc = s.B @ s.C
+    g = max(1.0, np.linalg.norm(s.A) / np.linalg.norm(bc)) if bc.any() else 1.0
+    eigs = np.linalg.eigvals(s.A), np.linalg.eigvals(s.A - g * bc)
+    den, pert = (np.poly(e) for e in eigs)
+    num_sp = np.polysub(pert, den) / g
+    # coefficient k rounds at the level of the sum of products of k eigenvalue
+    # magnitudes (a matrix norm would swamp real numerators of companion forms)
+    scale = np.maximum(*(np.abs(np.poly(-np.abs(e))) for e in eigs))
+    above = np.abs(num_sp) > 64 * s.nstates * np.finfo(float).eps * scale / g
+    num_sp[: int(above.argmax()) if above.any() else s.nstates + 1] = 0.0
     num = np.polyadd(num_sp, s.D[0, 0] * den)
     return TransferFunction(num, den)
 
@@ -797,8 +809,11 @@ def scalar_close(L, f):
             ln = fc * r.num
             ld = r.den
         cl = np.polyadd(ld.coeffs, ln.coeffs)
-        scale = max(np.max(np.abs(ld.coeffs)), np.max(np.abs(ln.coeffs)))
-        if len(cl) == max(len(ld.coeffs), len(ln.coeffs)) and abs(cl[0]) <= 1e-12 * scale:
+        # the degree drops only if the leading terms cancel; measure
+        # against them, not against the whole (scale-dependent) polynomial
+        top = max(ld.degree, ln.degree)
+        scale = max(abs(p.coeffs[0]) for p in (ld, ln) if p.degree == top)
+        if abs(cl[0]) <= 1e-12 * scale:
             raise WellPosednessError("1 + f L(inf) = 0, closure is not well posed")
         clp = Polynomial(cl)
         if clp.is_zero:

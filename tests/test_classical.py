@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dmkit import (
@@ -13,7 +15,10 @@ from dmkit import (
     poles,
     scalar_close,
     is_stable,
+    ss,
+    ss_to_tf,
     tf,
+    tf_to_ss,
     tfm,
 )
 
@@ -130,3 +135,232 @@ def test_multiple_phase_crossings_loop():
     assert is_stable(scalar_close(tf(num, den), gl * 1.02))
     assert is_stable(scalar_close(tf(num, den), gu * 0.98))
     assert not is_stable(scalar_close(tf(num, den), gu * 1.02))
+
+
+# ---- exact crossings against an independent numpy oracle -------------------
+
+def _crossing_oracle(num, den):
+    """Positive real roots of Im L(jw) = 0 and |L(jw)| = 1, from
+    numpy.polynomial composition with s = jw and numpy.roots."""
+    jw = np.polynomial.Polynomial([0, 1j])
+    n = np.polynomial.Polynomial(np.asarray(num, float)[::-1])(jw)
+    d = np.polynomial.Polynomial(np.asarray(den, float)[::-1])(jw)
+
+    def conj(p):
+        return np.polynomial.Polynomial(p.coef.conj())
+
+    def positive(c):
+        r = np.roots(c[::-1])
+        return np.sort([x.real for x in r if x.real > 0 and abs(x.imag) < 1e-7 * abs(x)])
+
+    return positive((n * conj(d)).coef.imag), positive((n * conj(n) - d * conj(d)).coef.real)
+
+
+def _L(num, den, w):
+    return np.polyval(num, 1j * w) / np.polyval(den, 1j * w)
+
+
+# a resonant peak grazing |L| = 1 gives two gain crossovers 0.3% apart
+NEAR_DOUBLE = (
+    [4.4232253772301634e-05, 0.0012931931559487218, 0.009553488533227274,
+     0.00671520758453747],
+    [1.0, 1.1609672834881273, 2.3281113151536763, 1.3330075916528912,
+     1.3439992319928205],
+)
+
+# a low-gain integrator loop crosses |L| = 1 far below its poles and zeros
+LOW_CROSSOVER = (
+    [0.0016495912063889198, 0.09921376223659804, 1.4935835026678173,
+     -11.370163144992059, -453.079427024504, -3887.672919107605,
+     -13912.478213148748, -19170.265082950486, 1863.9245684843936,
+     18221.821034665936],
+    [1.0, 24.660163911747077, 483.2781694663471, 5269.108450475484,
+     38542.65704869341, 162919.625456283, 584809.4033078025,
+     1382330.9443815053, 2731095.475151958, 2920044.86123279,
+     2702758.460499364, 0.0],
+)
+
+
+@pytest.mark.parametrize("num, den", [NEAR_DOUBLE, LOW_CROSSOVER],
+                         ids=["near-double-crossover", "crossover-below-grid"])
+def test_crossings_match_numpy_roots(num, den):
+    cm = classical_margins(tf(num, den))
+    real_axis, unit_circle = _crossing_oracle(num, den)
+    assert_allclose(cm.gain_crossover_freqs, unit_circle, rtol=1e-9)
+    phis = [abs(np.angle(-_L(num, den, w))) for w in unit_circle]
+    assert_allclose(cm.phi_upper, min(phis), rtol=1e-9)
+    gains = sorted((-1.0 / _L(num, den, w).real, w) for w in real_axis
+                   if _L(num, den, w).real < 0)
+    assert_allclose(cm.phase_crossover_freqs, [w for _, w in gains], rtol=1e-9)
+    assert cm.g_lower == 0.0
+    assert_allclose(cm.g_upper, min(g for g, _ in gains if g > 1), rtol=1e-9)
+
+
+def test_near_double_crossover_phase_margin():
+    cm = classical_margins(tf(*NEAR_DOUBLE))
+    assert len(cm.gain_crossover_freqs) == 2
+    w1, w2 = cm.gain_crossover_freqs
+    assert 1.002 < w2 / w1 < 1.004
+    assert_allclose(math.degrees(cm.phi_upper), 44.2654061, rtol=1e-8)
+
+
+def test_crossover_below_pole_zero_span():
+    cm = classical_margins(tf(*LOW_CROSSOVER))
+    assert len(cm.gain_crossover_freqs) == 1
+    assert_allclose(cm.gain_crossover_freqs[0], 0.00674238957, rtol=1e-8)
+
+
+def _series(first, second):
+    """State-space realization of second(s) first(s), SISO."""
+    a1, b1, c1, d1 = first.A, first.B, first.C, first.D
+    a2, b2, c2, d2 = second.A, second.B, second.C, second.D
+    n1, n2 = a1.shape[0], a2.shape[0]
+    A = np.block([[a1, np.zeros((n1, n2))], [b2 @ c1, a2]])
+    return ss(A, np.vstack([b1, b2 @ d1]), np.hstack([d2 @ c1, c2]), d2 @ d1)
+
+
+def _assert_same_margins(a, b, rtol):
+    assert b.g_lower == a.g_lower or math.isclose(b.g_lower, a.g_lower, rel_tol=rtol)
+    assert b.g_upper == a.g_upper or math.isclose(b.g_upper, a.g_upper, rel_tol=rtol)
+    assert b.phi_upper == a.phi_upper or math.isclose(b.phi_upper, a.phi_upper, rel_tol=rtol)
+    assert len(b.phase_crossover_freqs) == len(a.phase_crossover_freqs)
+    assert_allclose(b.phase_crossover_freqs, a.phase_crossover_freqs, rtol=rtol)
+    assert len(b.gain_crossover_freqs) == len(a.gain_crossover_freqs)
+    assert_allclose(b.gain_crossover_freqs, a.gain_crossover_freqs, rtol=rtol)
+
+
+def test_rotated_state_space_loop_matches_its_transfer_function():
+    # relative degree 2 realized in a rotated modal basis: C B is zero only
+    # to rounding, which must not read as a real-axis crossing far out
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        n = int(rng.integers(2, 8))
+        p = -np.exp(rng.uniform(np.log(0.1), np.log(50.0), n))
+        r = rng.normal(size=n) * 10.0
+        r[-1] = -r[:-1].sum()
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        L = ss(Q @ np.diag(p) @ Q.T, Q @ np.ones((n, 1)), r[None, :] @ Q.T, [[0.0]])
+        num = np.trim_zeros(sum(r[i] * np.poly(np.delete(p, i)) for i in range(n)), "f")
+        if not is_stable(scalar_close(tf(num, np.poly(p)), 1.0)):
+            continue
+        assert ss_to_tf(L).num.degree <= n - 2
+        _assert_same_margins(classical_margins(tf(num, np.poly(p))), classical_margins(L), 1e-7)
+
+
+def test_wide_span_companion_loop_matches_its_transfer_function():
+    # denominator coefficients up to 3e10 against a numerator near 1e-2:
+    # det(sI - A + B C) - det(sI - A) loses the numerator to rounding
+    # unless B C is scaled up first
+    num = [0.00042483842977397436, 0.010540246307463598]
+    den = [1.0, 65.99276893151401, 5608.356187566589, 283999.21286879305,
+           9680532.045184752, 296373569.32658815, 5164711365.077173,
+           29433210586.574528]
+    r = tf_to_ss(tf(num, den))
+    assert_allclose(ss_to_tf(r).num.coeffs, num, rtol=1e-9)
+    _assert_same_margins(classical_margins(tf(num, den)),
+                         classical_margins(ss(r.A, r.B, r.C, r.D)), 1e-9)
+
+
+def test_state_space_integrator_sets_no_lower_gain_limit():
+    # rounding leaves this realization's pencil solvable at w = 0, where it
+    # gives L(0) ~ -1.4e11: the integrator must still keep w = 0 from
+    # reading as a gain boundary near 7e-12
+    den = [1.0, 19.075554739261555, 618.6474831773871, 4124.121511383766,
+           63397.69129814346, 59874.14171519782, 0.0]
+    L = _series(tf_to_ss(tf([1.0, 2.0, 1.0], den)), tf_to_ss(tf([1.0, 1.0], [1.0, 1.0])))
+    a = classical_margins(tf(np.polymul([1.0, 2.0, 1.0], [1.0, 1.0]), np.polymul(den, [1.0, 1.0])))
+    b = classical_margins(L)
+    assert b.g_lower == 0.0
+    _assert_same_margins(a, b, 1e-9)
+
+
+# ---- property test: margins against closure and dense-grid oracles ---------
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def stable_loops(draw):
+    """Random stable strictly proper loops: lightly damped pairs, real
+    poles, an optional integrator, left- and right-half-plane zeros.
+    Returns (num, den, model): the model is the transfer function, its
+    companion-form realization, or a companion-form plant in series with
+    a lead-lag controller, as the CLI folds plant and controller."""
+    pairs = draw(st.lists(st.tuples(_log_uniform(0.1, 100.0), _log_uniform(1e-3, 0.7)),
+                          max_size=2))
+    reals = draw(st.lists(_log_uniform(0.1, 100.0), max_size=3))
+    integrator = draw(st.booleans())
+    den = np.array([1.0])
+    for wn, zeta in pairs:
+        den = np.polymul(den, [1.0, 2.0 * zeta * wn, wn * wn])
+    for a in reals:
+        den = np.polymul(den, [1.0, a])
+    if integrator:
+        den = np.polymul(den, [1.0, 0.0])
+    order = len(den) - 1
+    assume(order >= 1)
+    zeros = draw(st.lists(st.tuples(_log_uniform(0.1, 100.0), st.booleans()),
+                          max_size=order - 1))
+    num = np.array([1.0])
+    for z, rhp in zeros:
+        num = np.polymul(num, [1.0, -z if rhp else z])
+    # positive gain at s = 0 keeps small loop gains stable
+    dc = np.polyval(num, 0.0) / (1.0 if integrator else np.polyval(den, 0.0))
+    num = num * np.sign(dc) * draw(_log_uniform(1e-2, 1e2))
+    realization = draw(st.sampled_from(["tf", "ss", "series"]))
+    if realization == "series":
+        zero, pole = draw(_log_uniform(0.1, 100.0)), draw(_log_uniform(0.1, 100.0))
+        lead_lag = [pole / zero, pole], [1.0, pole]
+        model = _series(tf_to_ss(tf(num, den)), tf_to_ss(tf(*lead_lag)))
+        num, den = np.polymul(num, lead_lag[0]), np.polymul(den, lead_lag[1])
+    elif realization == "ss":
+        r = tf_to_ss(tf(num, den))
+        model = ss(r.A, r.B, r.C, r.D)
+    else:
+        model = tf(num, den)
+    # nominal poles clearly off the axis: a loop stable only to rounding
+    # (drawn with an exact pole-zero cancellation) has no margins to check
+    p = _closed_loop_poles(num, den, 1.0)
+    assume(np.all(p.real < -1e-6 * np.abs(p)))
+    return num, den, model
+
+
+def _closed_loop_poles(num, den, f):
+    return np.roots(np.polyadd(den, f * num))
+
+
+def _stable(num, den, f):
+    return bool(np.all(_closed_loop_poles(num, den, f).real < 0))
+
+
+def _sign_changes(y):
+    return np.flatnonzero(np.sign(y[:-1]) * np.sign(y[1:]) < 0)
+
+
+def _near(ws, lo, hi):
+    return any(lo * (1 - 1e-9) <= w <= hi * (1 + 1e-9) for w in ws)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stable_loops())
+def test_classical_margins_against_oracles(loop):
+    num, den, model = loop
+    cm = classical_margins(model)
+    for g, inside in ((cm.g_upper, 1 - 1e-3), (cm.g_lower, 1 + 1e-3)):
+        if 0.0 < g < math.inf:
+            assert _stable(num, den, g * inside)
+            assert not _stable(num, den, g * (2.0 - inside))
+    if math.isfinite(cm.phi_upper):
+        for sign in (1, -1):
+            assert _stable(num, den, np.exp(sign * 1j * cm.phi_upper * (1 - 1e-3)))
+        # beyond pi a rotation one way is a smaller rotation the other way
+        assert cm.phi_upper * (1 + 1e-3) > math.pi or not (_stable(num, den, np.exp(1j * cm.phi_upper * (1 + 1e-3)))
+                    and _stable(num, den, np.exp(-1j * cm.phi_upper * (1 + 1e-3))))
+    ws = np.geomspace(1e-5, 1e5, 200001)
+    L = _L(num, den, ws)
+    for i in _sign_changes(L.imag):
+        if L[i].real < 0 and L[i + 1].real < 0:
+            assert _near(cm.phase_crossover_freqs, ws[i], ws[i + 1])
+    for i in _sign_changes(np.abs(L) - 1.0):
+        assert _near(cm.gain_crossover_freqs, ws[i], ws[i + 1])

@@ -57,6 +57,29 @@ def test_classical_no_crossover_phase_inf(capsys, tmp_path):
     assert doc["results"]["critical_phase_freq"] is None
 
 
+def test_classical_folded_controller_matches_loop(capsys, tmp_path):
+    # the fold realizes the plant in companion form: A holds the
+    # coefficients of (s + 10)^4, up to 1e4, next to poles of size 10
+    den = [1.0, 40.0, 600.0, 4000.0, 10000.0]
+    folded = write_model(tmp_path, "folded.json", {
+        "model": {"tf": {"num": [1.0], "den": den}},
+        "controller": {"tf": {"num": [50.0], "den": [1.0]}}})
+    loop = write_model(tmp_path, "loop.json", {"model": {"tf": {"num": [50.0], "den": den}}})
+    code, a = run_json(capsys, ["classical", folded])
+    assert code == 0
+    code, b = run_json(capsys, ["classical", loop])
+    assert code == 0
+    a, b = a["results"], b["results"]
+    # L(j10) = 50 / (10 + 10j)^4 = -1/800
+    assert a["g_upper"]["abs"] == pytest.approx(800.0, rel=1e-9)
+    assert a["critical_gain_freq"] == pytest.approx(10.0, rel=1e-9)
+    assert a["phase_crossover_freqs"] == pytest.approx(b["phase_crossover_freqs"], rel=1e-9)
+    assert a["g_upper"] == pytest.approx(b["g_upper"], rel=1e-9)
+    assert a["g_lower"] == b["g_lower"]
+    assert a["phi_upper"] == b["phi_upper"]
+    assert a["gain_crossover_freqs"] == b["gain_crossover_freqs"] == []
+
+
 def test_diskmargin_with_worst_case(capsys):
     code, doc = run_json(capsys, ["diskmargin", "ex1_loop.json", "--worst-case"])
     assert code == 0
@@ -81,6 +104,28 @@ def test_diskmargin_skew_one_consistency(capsys):
     c = doc["results"]["sensitivity_consistency"]
     assert c["rel_diff"] < 1e-6
     assert doc["results"]["alpha_max"] == pytest.approx(1 / 2.4866599136, rel=1e-6)
+
+
+def test_skew_one_consistency_finds_a_narrow_dip(capsys, tmp_path):
+    # |1 + L| dips to its minimum 0.4729 in a lightly damped notch
+    # narrower than the spacing of a 2000-point grid over the loop's span
+    doc = {"model": {"tf": {
+        "num": [-0.0009980103723698298, -0.018372197687157008, 0.22912135298140657,
+                4.8521349397163105, 8.92755159250468, -47.31634055207391,
+                -117.15565063594894, -34.48711744184019],
+        "den": [1.0, 6.612278510863157, 63.6135111202128, 316.5177614749331,
+                1022.4008015778973, 2521.2246809341864, 2290.051565498855,
+                584.447755192936, 78.3990852508075]}}}
+    p = write_model(tmp_path, "notch.json", doc)
+    code, out = run_json(capsys, ["diskmargin", p, "--skew", "1"])
+    assert code == 0
+    c = out["results"]["sensitivity_consistency"]
+    assert c["alpha_max"] == pytest.approx(0.47293171, rel=1e-6)
+    assert c["rel_diff"] < 1e-6
+    code, out = run_json(capsys, ["exclusion", p, "--skew", "1"])
+    assert code == 0
+    c = out["results"]["sensitivity_consistency"]
+    assert c["min_dist_to_critical"] == pytest.approx(c["radius"], rel=1e-6)
 
 
 def test_trace_csv_explicit_grid(capsys):
