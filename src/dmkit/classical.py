@@ -126,7 +126,7 @@ def _crossings(L):
     gains = []
     real_axis = roots(np.polymul(n, d.conj()).imag, lambda nv, dv: (nv * dv.conjugate()).imag)
     for w, lc in verified(real_axis):
-        if abs(lc.imag) <= 1e-6 * (1.0 + abs(lc)) and lc.real < 0.0:
+        if abs(lc.imag) <= 1e-6 * abs(lc) and lc.real < 0.0:
             gains.append((-1.0 / lc.real, w))
     for w, lv in verified((0.0, math.inf)):
         if abs(lv.imag) <= 1e-12 * (1.0 + abs(lv)) and lv.real < 0.0:

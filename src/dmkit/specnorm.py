@@ -1,11 +1,22 @@
 """Peak gain (H-infinity norm) and frequency grids.
 
-The norm is computed by bisection on a Hamiltonian eigenvalue test: for
-a stable real realization (A, B, C, D) and gamma > max singular value of
-D, the associated Hamiltonian matrix has imaginary-axis eigenvalues
-exactly when gamma is below the peak gain, and those eigenvalues sit at
-the frequencies where the gain crosses gamma.  A coarse grid seeds the
-bisection and supplies the lower bound.
+The norm comes from the level-set iteration of Bruinsma & Steinbuch
+(Systems & Control Letters 14(4), 1990; Boyd & Balakrishnan, 1990).  For
+a stable real realization (A, B, C, D) and a level gamma above the
+largest singular value of D, the associated Hamiltonian matrix has
+imaginary-axis eigenvalues exactly at the frequencies where the gain
+crosses gamma.  The start is the best gain on a coarse grid and at each
+pole's damped frequency, where a resonance too narrow for the grid
+peaks.  Each step takes the crossings of the current best gain (raised
+by half the tolerance) and evaluates the gain at them and between
+consecutive ones; the gain peaks between paired crossings, so the best
+of those is the next level.  The iteration converges quadratically.  It
+stops when a level has no crossings, which certifies it as an upper
+bound, or when no evaluated gain rises above it: just above a peak the
+eigenvalue test can report a near-double crossing that is not one.  A
+last polish takes the crossings of a level just below the best gain,
+which are real and well separated, and evaluates between them to land
+on the peak itself.
 """
 
 import math
@@ -14,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ImproperModelError, InputError, NumericalError, PoleOnAxisError
-from .lti import TransferFunction, _as_model, freq_response, is_stable, poles, tf_to_ss
+from .lti import TransferFunction, _as_model, freq_response, poles, tf_to_ss
 
 __all__ = ["PeakGain", "FrequencyGrid", "default_grid", "hinf_norm"]
 
@@ -48,12 +59,20 @@ class FrequencyGrid:
         return tuple(p for p in self.points if math.isfinite(p))
 
 
-def _feature_magnitudes(m):
-    mags = [abs(p) for p in poles(m)]
-    r = m.representation
-    if isinstance(r, TransferFunction):
-        mags.extend(abs(z) for z in r.zeros())
-    return [x for x in mags if x > 1e-12]
+def _log_grid(m, n, pole_set):
+    """default_grid for a model whose poles are already known."""
+    if n < 2:
+        raise InputError("grid needs at least 2 points")
+    mags = [abs(p) for p in pole_set]
+    if isinstance(m.representation, TransferFunction):
+        mags.extend(abs(z) for z in m.representation.zeros())
+    mags = [x for x in mags if x > 1e-12]
+    if mags:
+        lo, hi = min(mags) / 100.0, max(mags) * 100.0
+    else:
+        lo, hi = 1e-2, 1e2
+    pts = np.geomspace(lo, hi, int(n))
+    return FrequencyGrid((0.0,) + tuple(float(p) for p in pts) + (math.inf,))
 
 
 def default_grid(m, n=400):
@@ -66,15 +85,7 @@ def default_grid(m, n=400):
     endpoints.
     """
     m = _as_model(m)
-    if n < 2:
-        raise InputError("grid needs at least 2 points")
-    mags = _feature_magnitudes(m)
-    if mags:
-        lo, hi = min(mags) / 100.0, max(mags) * 100.0
-    else:
-        lo, hi = 1e-2, 1e2
-    pts = np.geomspace(lo, hi, int(n))
-    return FrequencyGrid((0.0,) + tuple(float(p) for p in pts) + (math.inf,))
+    return _log_grid(m, n, poles(m))
 
 
 def _gains(m, ws):
@@ -96,6 +107,7 @@ def _realization(m):
     if np.iscomplexobj(r.A) or np.iscomplexobj(r.B) or np.iscomplexobj(r.C) or np.iscomplexobj(r.D):
         raise InputError("hinf_norm expects real-coefficient models")
     return r
+
 
 def _axis_crossings(A, B, C, D, gamma):
     """Frequencies where the gain equals gamma, or None if gamma is not
@@ -119,8 +131,24 @@ def _axis_crossings(A, B, C, D, gamma):
     return w
 
 
+# level-set steps before hinf_norm gives up; each step gains at least a
+# factor 1 + tol/2 and the iteration converges quadratically, so a
+# handful suffices
+_MAX_LEVELS = 50
+
+
 def hinf_norm(m, tol=1e-6, grid_n=128):
     """Peak gain over frequency of a stable proper model.
+
+    Level-set iteration on the Hamiltonian crossing test, seeded by the
+    best gain on a grid_n-point grid (w = 0 and w = inf included) and at
+    the imaginary part of each pole.  Each step finds the frequencies
+    where the gain crosses the current best value times (1 + tol/2),
+    evaluates the gain there and midway between consecutive crossings,
+    and takes the largest as the next best value.  It stops when that
+    level has no crossings (the level bounds the peak from above) or when
+    no evaluated gain exceeds the level.  A final step evaluates midway
+    between the crossings of the best value times (1 - tol/2).
 
     Parameters
     ----------
@@ -143,58 +171,53 @@ def hinf_norm(m, tol=1e-6, grid_n=128):
         would not be the H-infinity norm).
     ImproperModelError
         For improper transfer functions.
+    NumericalError
+        If an eigenvalue solve fails or the iteration does not settle
+        within _MAX_LEVELS steps.
     """
     m = _as_model(m)
-    if not is_stable(m):
+    pole_set = poles(m)
+    if not np.all(pole_set.real < 0.0):
         raise DomainError("peak gain is only defined for stable models")
     r = _realization(m)
     A, B, C, D = r.A, r.B, r.C, r.D
 
-    seed = default_grid(m, grid_n)
-    cand = list(zip(seed.points, _gains(m, seed.points).tolist()))
-    best_val = max(g for _, g in cand)
-    if best_val == 0.0:
+    # a lightly damped resonance too narrow for the grid peaks near the
+    # imaginary part of its pole
+    seed = _log_grid(m, grid_n, pole_set).points + tuple(pole_set.imag[pole_set.imag > 0.0])
+    cand = list(zip(seed, _gains(m, seed).tolist()))
+    lo = max(g for _, g in cand)
+    if lo == 0.0:
         return PeakGain(0.0, 0.0)
 
     if r.nstates == 0:
-        w0 = _pick_lowest(cand, best_val)
-        return PeakGain(best_val, 0.0 if w0 == math.inf else w0)
+        w0 = _pick_lowest(cand, lo)
+        return PeakGain(lo, 0.0 if w0 == math.inf else w0)
 
-    lo = best_val
-    probe = lo * (1.0 + 0.5 * tol)
-    freqs = _axis_crossings(A, B, C, D, probe)
-    if freqs is not None and freqs.size == 0:
-        # grid already found the peak to within tol
-        return PeakGain(lo, _pick_lowest(cand, lo))
+    def peak_between(freqs):
+        # the gain peaks between paired crossings of a level it exceeds
+        ws = [] if freqs is None else [float(w) for w in freqs]
+        ws += [0.5 * (a + b) for a, b in zip(ws, ws[1:])]
+        if ws:
+            cand.extend(zip(ws, _gains(m, ws).tolist()))
+        return max(g for _, g in cand)
 
-    hi = lo * 2.0
-    for _ in range(80):
-        f = _axis_crossings(A, B, C, D, hi)
-        if f is not None and f.size == 0:
+    for _ in range(_MAX_LEVELS):
+        level = lo * (1.0 + 0.5 * tol)
+        best = peak_between(_axis_crossings(A, B, C, D, level))
+        # no crossings certify the level as an upper bound; crossings
+        # whose gains stay below the level are a near-double crossing
+        # the eigenvalue test reports next to the peak
+        if best <= level:
             break
-        hi *= 2.0
+        lo = best
     else:
-        raise NumericalError("peak-gain upper bracket did not close")
+        raise NumericalError("peak-gain level set did not settle")
 
-    last_freqs = freqs if freqs is not None else np.zeros(0)
-    while hi - lo > 0.25 * tol * lo:
-        mid = 0.5 * (lo + hi)
-        f = _axis_crossings(A, B, C, D, mid)
-        if f is None or f.size:
-            lo = mid
-            if f is not None:
-                last_freqs = f
-        else:
-            hi = mid
-
-    # evaluate at the crossing frequencies and between them; the gain
-    # peaks between paired crossings of the last level that still cut it
-    extra = [float(w) for w in last_freqs]
-    extra += [0.5 * (a + b) for a, b in zip(extra, extra[1:])]
-    if extra:
-        cand.extend(zip(extra, _gains(m, extra).tolist()))
-    best_val = max(g for _, g in cand)
-    return PeakGain(best_val, _pick_lowest(cand, best_val))
+    # just below an attained gain the crossings are real and well
+    # separated, and midway between them sits the peak itself
+    best = peak_between(_axis_crossings(A, B, C, D, lo * (1.0 - 0.5 * tol)))
+    return PeakGain(best, _pick_lowest(cand, best))
 
 
 def _pick_lowest(cand, best):

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dmkit import classical
 from dmkit import (
     InputError,
     NominalInstabilityError,
@@ -272,6 +273,24 @@ def test_state_space_integrator_sets_no_lower_gain_limit():
     b = classical_margins(L)
     assert b.g_lower == 0.0
     _assert_same_margins(a, b, 1e-9)
+
+
+def test_small_gain_loop_keeps_its_real_axis_crossing():
+    # (1 + j sqrt(3))^3 = -8, so L(j sqrt(3)) = -1e-8 exactly
+    cm = classical_margins(tf([8e-8], [1, 3, 3, 1]))
+    assert_allclose(cm.g_upper, 1e8, rtol=1e-9)
+    assert_allclose(cm.critical_gain_freq, math.sqrt(3), rtol=1e-9)
+
+
+def test_spurious_small_gain_root_is_not_a_boundary(monkeypatch):
+    # at w = 1, L = -2e-8 (1 + j): tiny, but 45 degrees off the real axis;
+    # an absolute 1e-6 test on Im L would read g = 5e7 there
+    real_roots = classical._positive_roots
+    monkeypatch.setattr(classical, "_positive_roots",
+                        lambda p, residual: sorted(real_roots(p, residual) + [1.0]))
+    cm = classical_margins(tf([8e-8], [1, 3, 3, 1]))
+    assert 1.0 not in cm.phase_crossover_freqs
+    assert_allclose(cm.g_upper, 1e8, rtol=1e-9)
 
 
 # ---- property test: margins against closure and dense-grid oracles ---------
