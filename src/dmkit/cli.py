@@ -36,22 +36,17 @@ from . import __version__
 from .classical import classical_margins, critical_distance
 from .disk import (
     DiskSpec,
+    disk_map,
     disk_margin,
     freq_margin_trace,
+    guaranteed_gm_pm,
     nyquist_exclusion,
     verify_destabilizing,
     worst_perturbation_lti,
 )
 from .errors import ConstructionError, DmkitError, DomainError, InputError, NumericalError
 from .lti import LtiModel, StateSpace, TransferFunction, eval_freq, freq_response
-from .multiloop import (
-    _io_loop,
-    _normalized_pair,
-    _partial_close,
-    build_m,
-    loop_at_a_time,
-    multiloop_margin,
-)
+from .multiloop import build_m, loop_at_a_time, multiloop_margin, resolve_points, siso_loop
 from .specnorm import FrequencyGrid, default_grid
 
 SCHEMA_VERSION = 1
@@ -184,19 +179,6 @@ def _load_model_file(path):
     return P, K, path, digest
 
 
-def _siso_loop(P, K):
-    """The SISO loop transfer function of the model file, controller folded in."""
-    if K is None:
-        if not P.is_siso:
-            raise InputError("this command needs a SISO loop; use the mimo command")
-        return P
-    Pss, Kss = _normalized_pair(P, K)
-    if Pss.ninputs != 1 or Pss.noutputs != 1:
-        raise InputError("plant with controller is not SISO; use the mimo command")
-    loop = _partial_close(_io_loop(Pss, Kss), [0])
-    return LtiModel(loop)
-
-
 def _document(command, path, digest, options, results, diagnostics):
     return {
         "schema_version": SCHEMA_VERSION,
@@ -229,7 +211,7 @@ def _seed():
 
 def cmd_classical(args):
     P, K, path, digest = _load_model_file(args.model)
-    L = _siso_loop(P, K)
+    L = siso_loop(P, K)
     cm = classical_margins(L)
     results = {
         "g_lower": _gain_field(cm.g_lower),
@@ -253,7 +235,7 @@ def cmd_classical(args):
 
 def cmd_diskmargin(args):
     P, K, path, digest = _load_model_file(args.model)
-    L = _siso_loop(P, K)
+    L = siso_loop(P, K)
     d = disk_margin(L, args.skew)
     gm_lo, gm_hi = d.guaranteed_gm
     results = {
@@ -346,7 +328,7 @@ def _trace_rows(tr):
 
 def cmd_trace(args):
     P, K, path, digest = _load_model_file(args.model)
-    L = _siso_loop(P, K)
+    L = siso_loop(P, K)
     grid = _parse_grid(args.grid, L)
     tr = freq_margin_trace(L, args.skew, grid)
     rows = _trace_rows(tr)
@@ -377,13 +359,6 @@ def cmd_trace(args):
     return 0
 
 
-def _mobius_f(delta, sigma):
-    den = 2.0 - (1.0 + sigma) * delta
-    if abs(den) <= 1e-9 * (2.0 + abs((1.0 + sigma) * delta)):
-        return math.inf
-    return (2.0 + (1.0 - sigma) * delta) / den
-
-
 def _points_argument(raw):
     if raw in ("input", "output", "io"):
         return raw
@@ -400,13 +375,11 @@ def cmd_mimo(args):
     points = _points_argument(args.points)
     sys_md = build_m(P, K, points, args.skew)
     res = multiloop_margin(sys_md, seed=_seed())
-    from .disk import _reported_gm_pm
-
-    gm, pm = _reported_gm_pm(res.alpha_lower, args.skew)
+    gm, pm = guaranteed_gm_pm(DiskSpec(res.alpha_lower, args.skew))
     deltas = []
     if res.delta_worst is not None:
         for d in np.diag(res.delta_worst):
-            deltas.append({"delta": _jcomplex(d), "f": _jcomplex(_mobius_f(complex(d), args.skew))})
+            deltas.append({"delta": _jcomplex(d), "f": _jcomplex(disk_map(complex(d), args.skew))})
     results = {
         "points": args.points,
         "skew": _jnum(args.skew),
@@ -426,17 +399,9 @@ def cmd_mimo(args):
             "delta_norm": _jnum(float(np.max(np.abs(np.diag(res.delta_worst))))),
         }
     table = []
-    Pss, Kss = _normalized_pair(P, K)
-    m, p = Pss.ninputs, Pss.noutputs
-    if points == "input":
-        wanted = [("input", i) for i in range(m)]
-    elif points == "output":
-        wanted = [("output", i) for i in range(p)]
-    elif points == "io":
-        wanted = [("input", i) for i in range(m)] + [("output", i) for i in range(p)]
-    else:
-        wanted = [("input", i) if i < m else ("output", i - m) for i in points]
-    for loc, ch in wanted:
+    m = P.ninputs
+    for i in resolve_points(points, m, P.noutputs):
+        loc, ch = ("input", i) if i < m else ("output", i - m)
         cm, dm = loop_at_a_time(P, K, ch, loc, args.skew)
         table.append({
             "location": loc,
@@ -464,7 +429,7 @@ def cmd_mimo(args):
 
 def cmd_exclusion(args):
     P, K, path, digest = _load_model_file(args.model)
-    L = _siso_loop(P, K)
+    L = siso_loop(P, K)
     d = disk_margin(L, args.skew)
     ex = nyquist_exclusion(d.spec)
     results = {

@@ -1,9 +1,8 @@
 """Disk margins of SISO loops.
 
-A disk perturbation multiplies the loop by f = (2 + (1 - sigma) d) /
-(2 - (1 + sigma) d) with |d| < alpha.  For fixed skew sigma this sweeps
-a disk (or half plane, or disk exterior) of gain/phase perturbations
-anchored at f = 1.  The largest alpha the loop tolerates is the
+A disk perturbation multiplies the loop by f = disk_map(d, sigma) with
+|d| < alpha.  For fixed skew sigma this sweeps a disk (or half plane, or
+disk exterior) of gain/phase perturbations anchored at f = 1.  The largest alpha the loop tolerates is the
 reciprocal of the peak gain of S + (sigma - 1)/2, where S is the
 sensitivity; the peak frequency supplies a critical perturbation d0 on
 the disk boundary, and d0 lifts to an all-pass first-order perturbation
@@ -11,9 +10,9 @@ that provably destabilizes.
 
 Conventions used throughout:
 
-- gamma_min/gamma_max are the real-axis intercepts (2 -+ alpha (1 -
-  sigma)) / (2 +- alpha (1 + sigma)) taken verbatim, so for exterior
-  disks they are intercepts of the excluded region and may be negative.
+- gamma_min/gamma_max are the real-axis intercepts disk_map(-+alpha,
+  sigma) taken verbatim, so for exterior disks they are intercepts of
+  the excluded region and may be negative.
 - Reported guaranteed gain ranges are clipped to physical gains: lower
   end at least 0, upper end math.inf when unbounded.
 - Guaranteed phase comes from cos(phi) = (1 + gamma_min gamma_max) /
@@ -29,6 +28,7 @@ import numpy as np
 
 from .errors import (
     ConstructionError,
+    DomainError,
     InputError,
     NominalInstabilityError,
     UnsupportedCaseError,
@@ -61,6 +61,8 @@ __all__ = [
     "HALF_PLANE",
     "EXTERIOR_DISK",
     "disk_geometry",
+    "disk_map",
+    "disk_map_inv",
     "disk_margin",
     "guaranteed_gm_pm",
     "gain_phase_tradeoff",
@@ -172,9 +174,35 @@ class VerificationReport:
     messages: tuple = ()
 
 
+def _disk_map_terms(d, sigma, one=1.0):
+    """Numerator and denominator of the disk map at d / one (numbers or Polynomials)."""
+    return 2.0 * one + (1.0 - sigma) * d, 2.0 * one - (1.0 + sigma) * d
+
+
+def disk_map(d, sigma):
+    """Loop factor f = (2 + (1 - sigma) d) / (2 - (1 + sigma) d) of a disk
+    point d; math.inf at the pole d = 2/(1 + sigma), where the denominator
+    is within 1e-9 of the terms that form it (no pole at sigma = -1)."""
+    num, den = _disk_map_terms(d, sigma)
+    if abs(den) <= 1e-9 * (2.0 + abs((1.0 + sigma) * d)):
+        return math.inf
+    return num / den
+
+
+def disk_map_inv(f, sigma):
+    """The d with disk_map(d, sigma) = f; math.inf maps back to 2/(1 + sigma), and the
+    f no finite d reaches, -(1 - sigma)/(1 + sigma), gives math.inf (same 1e-9 test)."""
+    if abs(f) == math.inf:
+        return math.inf if sigma == -1.0 else 2.0 / (1.0 + sigma)
+    den = (1.0 + sigma) * f + (1.0 - sigma)
+    if abs(den) <= 1e-9 * (abs((1.0 + sigma) * f) + abs(1.0 - sigma)):
+        return math.inf
+    return 2.0 * (f - 1.0) / den
+
+
 def _raw_intercepts(alpha, sigma):
-    """Intercepts straight from the boundary map, plus the region kind."""
-    a = alpha * (1.0 - sigma)
+    """Intercepts straight from the boundary map, plus the region kind; off the 1e-12
+    knife edge but inside disk_map's 1e-9 pole test a disk has a huge finite intercept."""
     b = alpha * (1.0 + sigma)
     if abs(abs(b) - 2.0) <= 1e-12 * 2.0:
         # classification asserts the knife edge |b| = 2, so evaluate the
@@ -183,10 +211,9 @@ def _raw_intercepts(alpha, sigma):
         if b > 0:
             return (2.0 - a_star) / 4.0, math.inf, HALF_PLANE
         return -math.inf, (2.0 + a_star) / 4.0, HALF_PLANE
-    gmin = (2.0 - a) / (2.0 + b)
-    gmax = (2.0 + a) / (2.0 - b)
+    (n1, d1), (n2, d2) = _disk_map_terms(-alpha, sigma), _disk_map_terms(alpha, sigma)
     kind = INTERIOR_DISK if abs(b) < 2.0 else EXTERIOR_DISK
-    return gmin, gmax, kind
+    return n1 / d1, n2 / d2, kind
 
 
 def disk_geometry(spec):
@@ -292,9 +319,10 @@ def disk_margin(L, sigma=0.0):
     if not L.is_siso:
         raise InputError("disk_margin takes a SISO loop; use multiloop_margin for MIMO")
     shifted = _shifted_sensitivity(L, sigma)
-    if not is_stable(shifted):
-        raise NominalInstabilityError("nominal closed loop is unstable")
-    pk = hinf_norm(shifted)
+    try:
+        pk = hinf_norm(shifted)
+    except DomainError as e:
+        raise NominalInstabilityError("nominal closed loop is unstable") from e
     if pk.value == 0.0:
         # loop response is identically the trivial point; margin unbounded
         spec = DiskSpec(math.inf, sigma)
@@ -303,11 +331,7 @@ def disk_margin(L, sigma=0.0):
     w0 = pk.frequency
     g0 = eval_freq(shifted, w0)
     delta0 = 1.0 / g0
-    den = 2.0 - (1.0 + sigma) * delta0
-    if abs(den) <= 1e-9 * (2.0 + abs((1.0 + sigma) * delta0)):
-        f0 = math.inf
-    else:
-        f0 = (2.0 + (1.0 - sigma) * delta0) / den
+    f0 = disk_map(delta0, sigma)
     spec = DiskSpec(alpha, sigma)
     gm, pm = _reported_gm_pm(alpha, sigma)
     return DiskMarginResult(
@@ -369,20 +393,18 @@ def gain_phase_tradeoff(x, gain=None, phase=None):
 def safe_region_curve(spec, n=361):
     """Boundary of the perturbation region as (gain_dB, phase_deg) pairs.
 
-    Walks f((alpha, theta)) for theta in [0, pi].  A zero denominator
-    (half-plane boundary) yields an infinite-gain sentinel row
+    Walks disk_map(alpha e^(j theta)) for theta in [0, pi].  The map's
+    pole (half-plane boundary) yields an infinite-gain sentinel row
     (math.inf, math.nan).
     """
     if n < 2:
         raise InputError("curve needs at least 2 samples")
     out = []
     for theta in np.linspace(0.0, math.pi, int(n)):
-        d = spec.alpha * cmath.exp(1j * theta)
-        den = 2.0 - (1.0 + spec.sigma) * d
-        if abs(den) <= 1e-12 * (2.0 + abs((1.0 + spec.sigma) * d)):
+        f = disk_map(spec.alpha * cmath.exp(1j * theta), spec.sigma)
+        if f == math.inf:
             out.append((math.inf, math.nan))
             continue
-        f = (2.0 + (1.0 - spec.sigma) * d) / den
         mag = abs(f)
         db = -math.inf if mag == 0.0 else 20.0 * math.log10(mag)
         out.append((db, math.degrees(cmath.phase(f))))
@@ -502,8 +524,7 @@ def worst_perturbation_lti(delta0, omega0, sigma):
     -------
     PerturbationLti
         delta_hat is all-pass with |delta_hat(jw)| = |delta0| for all w;
-        f_hat = (2 + (1 - sigma) delta_hat)/(2 - (1 + sigma) delta_hat)
-        with monic denominator.
+        f_hat = disk_map(delta_hat, sigma) with monic denominator.
 
     Raises
     ------
@@ -522,14 +543,12 @@ def worst_perturbation_lti(delta0, omega0, sigma):
                 abs(1.0 + sigma) * c
             )
         )
-    two = Polynomial([2.0])
-    fnum = two * dhat.den + (1.0 - sigma) * dhat.num
-    fden = two * dhat.den - (1.0 + sigma) * dhat.num
-    lead = fden.coeffs[0]
-    if abs(lead) <= 1e-12 * (2.0 + abs(1.0 + sigma) * c):
+    if disk_map(delta0, sigma) == math.inf:
         raise ConstructionError(
             "f_hat is infinite: delta0 equals the trivial point 2/(1 + sigma)"
         )
+    fnum, fden = _disk_map_terms(dhat.num, sigma, dhat.den)
+    lead = fden.coeffs[0]
     f_hat = TransferFunction(fnum.coeffs / lead, fden.coeffs / lead)
     return PerturbationLti(delta_hat=dhat, f_hat=f_hat, beta=beta)
 

@@ -689,20 +689,51 @@ def _ss_series(first, second):
     return StateSpace(A, B, C, D)
 
 
-def _ss_unity_feedback(g):
-    # T = g (I + g)^-1 under negative unity feedback
-    p = g.noutputs
-    if g.ninputs != p:
-        raise InputError("feedback closure needs a square loop")
-    M = np.eye(p) + g.D
-    if abs(np.linalg.det(M)) <= 1e-12 * max(1.0, np.linalg.norm(M, np.inf) ** p):
+def _osborne_balance(absM, sweeps=10):
+    """Log diagonal scalings that balance the off-diagonal row and column
+    norms of each |M| in an (N, n, n) stack."""
+    N, n, _ = absM.shape
+    d = np.ones((N, n))
+    for _ in range(sweeps if n > 1 else 0):
+        for i in range(n):
+            off = np.arange(n) != i
+            r = np.linalg.norm(absM[:, i, off] * d[:, i:i + 1] / d[:, off], axis=1)
+            c = np.linalg.norm(absM[:, off, i] * d[:, off] / d[:, i:i + 1], axis=1)
+            upd = (r > 0) & (c > 0)
+            d[upd, i] *= np.sqrt(c[upd] / r[upd])
+    return np.log(d)
+
+
+def _close(sys, keep):
+    """Negative unity feedback around the channels of a square state-space
+    loop not in keep: the loop seen from the kept break points, in order.
+
+    WellPosednessError when sigma_min(I + D) <= 1e-12 (1 + ||D||_F) over
+    the closed channels, with D balanced by a diagonal similarity first,
+    so neither the channel count nor a channel's units decide the answer.
+    """
+    keep = list(keep)
+    other = [i for i in range(sys.noutputs) if i not in keep]
+    if not other:
+        return StateSpace(sys.A, sys.B[:, keep], sys.C[keep, :], sys.D[np.ix_(keep, keep)])
+    Doo, eye = sys.D[np.ix_(other, other)], np.eye(len(other))
+    # a rough balance suffices at 1e-12; the eps^2 floor balances one-way couplings
+    absD = np.abs(Doo) + 1e-32 * np.max(np.abs(Doo)) * (1.0 - eye)
+    x = _osborne_balance(absD[None], sweeps=3)[0]
+    Db = Doo * np.exp(x[:, None] - x[None, :])
+    # a non-finite D passes on to fail in the pole computations, as before
+    if np.isfinite(Db).all() and (np.linalg.svd(eye + Db, compute_uv=False)[-1]
+                                  <= 1e-12 * (1.0 + np.linalg.norm(Db))):
         raise WellPosednessError("I + D is singular, closed loop is not well posed")
-    Mi = np.linalg.inv(M)
-    A = g.A - g.B @ Mi @ g.C
-    B = g.B @ Mi
-    C = Mi @ g.C
-    D = np.eye(p) - Mi
-    return StateSpace(A, B, C, D)
+    Mi = np.linalg.inv(eye + Doo)
+    Bo, Co = sys.B[:, other], sys.C[other, :]
+    Dso, Dos = sys.D[np.ix_(keep, other)], sys.D[np.ix_(other, keep)]
+    return StateSpace(
+        sys.A - Bo @ Mi @ Co,
+        sys.B[:, keep] - Bo @ Mi @ Dos,
+        sys.C[keep, :] - Dso @ Mi @ Co,
+        sys.D[np.ix_(keep, keep)] - Dso @ Mi @ Dos,
+    )
 
 
 def sensitivity_pair(L):
@@ -724,9 +755,10 @@ def sensitivity_pair(L):
     Raises
     ------
     AlgebraicLoopError
-        If det(I + L) vanishes identically.
+        If 1 + L vanishes identically (transfer functions).
     WellPosednessError
-        If the closure drops degree (1 + L(inf) = 0).
+        If the closure drops degree (1 + L(inf) = 0), or I + D is
+        singular in state space (see _close).
     """
     L = _as_model(L).normalized()
     r = L.representation
@@ -742,14 +774,14 @@ def sensitivity_pair(L):
     if r.noutputs != r.ninputs:
         raise InputError("sensitivity needs a square loop")
     p = r.noutputs
-    M = np.eye(p) + r.D
-    if abs(np.linalg.det(M)) <= 1e-12:
-        raise AlgebraicLoopError("I + L(inf) is singular, loop equations are ill posed")
-    Mi = np.linalg.inv(M)
-    A = r.A - r.B @ Mi @ r.C
-    B = r.B @ Mi
-    S = StateSpace(A, B, -Mi @ r.C, Mi)
-    T = StateSpace(A, B, Mi @ r.C, np.eye(p) - Mi)
+    # S maps v, injected at the break points, to the error e = v - L e: a
+    # second, kept set of break points injects v and reads e while L's own
+    # channels close around e
+    Z, eye = np.zeros_like, np.eye(p)
+    G = StateSpace(r.A, np.hstack([Z(r.B), r.B]), np.vstack([Z(r.C), r.C]),
+                   np.vstack([np.hstack([Z(r.D), eye]), np.hstack([-eye, r.D])]))
+    S = _close(G, range(p))
+    T = StateSpace(S.A, S.B, -S.C, eye - S.D)
     return LtiModel(S), LtiModel(T)
 
 
@@ -815,12 +847,7 @@ def scalar_close(L, f):
         scale = max(abs(p.coeffs[0]) for p in (ld, ln) if p.degree == top)
         if abs(cl[0]) <= 1e-12 * scale:
             raise WellPosednessError("1 + f L(inf) = 0, closure is not well posed")
-        clp = Polynomial(cl)
-        if clp.is_zero:
-            raise AlgebraicLoopError("1 + f L is identically zero")
-        if clp.degree < max(ld.degree, ln.degree):
-            raise WellPosednessError("closed loop drops degree, closure is not well posed")
-        return LtiModel(TransferFunction(ln, clp))
+        return LtiModel(TransferFunction(ln, Polynomial(cl)))
     # state-space path
     if isinstance(r, TransferFunction):
         r = tf_to_ss(r)
@@ -842,4 +869,4 @@ def scalar_close(L, f):
         _blkdiag([b.D for b in F], dtype),
     )
     loop = _ss_series(r, Fss)  # F(s) L(s)
-    return LtiModel(_ss_unity_feedback(loop))
+    return sensitivity_pair(LtiModel(loop))[1]

@@ -1,11 +1,11 @@
 """Simultaneous multi-loop disk margins via the structured singular value.
 
 Perturbing several loop-break points at once with independent disk
-perturbations f_i = (2 + (1 - sigma) d_i)/(2 - (1 + sigma) d_i) turns
-the stability question into a mu problem for the diagonally structured
-uncertainty d = diag(d_i) acting on M = (I + L)^-1 + (sigma - 1)/2 I,
-where L is the open loop seen from the chosen break points.  The
-largest simultaneous radius is 1 over the peak of mu(M(jw)).
+perturbations f_i = disk.disk_map(d_i, sigma) turns the stability
+question into a mu problem for the diagonally structured uncertainty
+d = diag(d_i) acting on M = (I + L)^-1 + (sigma - 1)/2 I, where L is the
+open loop seen from the chosen break points.  The largest simultaneous
+radius is 1 over the peak of mu(M(jw)).
 
 mu itself is only bracketed: a diagonally scaled largest singular value
 from above, a diagonal-phase spectral radius search from below.  The
@@ -18,27 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .disk import DiskSpec, _allpass, disk_geometry, disk_margin, worst_perturbation_lti
+from .disk import (DiskSpec, _allpass, _shifted_sensitivity, disk_geometry, disk_margin,
+                   disk_map_inv, worst_perturbation_lti)
 from .classical import classical_margins
-from .errors import (
-    ConstructionError,
-    InputError,
-    NominalInstabilityError,
-    WellPosednessError,
-)
-from .lti import (
-    LtiModel,
-    StateSpace,
-    TransferFunction,
-    _as_model,
-    _blkdiag,
-    eval_freq,
-    freq_response,
-    is_stable,
-    poles,
-    scalar_close,
-    tf_to_ss,
-)
+from .errors import ConstructionError, InputError, NominalInstabilityError, WellPosednessError
+from .lti import (LtiModel, StateSpace, TransferFunction, _as_model, _blkdiag, _close,
+                  _osborne_balance, eval_freq, freq_response, is_stable, poles, scalar_close,
+                  tf_to_ss)
 from .specnorm import FrequencyGrid, default_grid
 
 __all__ = [
@@ -50,6 +36,8 @@ __all__ = [
     "mu_diag",
     "multiloop_margin",
     "loop_at_a_time",
+    "resolve_points",
+    "siso_loop",
     "verify_multiloop_destabilizing",
 ]
 
@@ -142,6 +130,23 @@ def _normalized_pair(P, K):
     return Pss, Kss
 
 
+def siso_loop(P, K=None):
+    """The SISO loop of a plant and an optional controller.
+
+    Without a controller it is P itself, returned as given (a transfer
+    function stays one).  With one, it is the loop broken at the plant
+    input, signs folded as in build_m.  InputError for a non-SISO plant.
+    """
+    P = _as_model(P)
+    if K is None:
+        if not P.is_siso:
+            raise InputError("this command needs a SISO loop; use the mimo command")
+        return P
+    if not P.is_siso:
+        raise InputError("plant with controller is not SISO; use the mimo command")
+    return LtiModel(_broken_loop(P, K, [0])[0])
+
+
 def _io_loop(Pss, Kss):
     """Open loop seen from stacked break points [plant inputs; plant outputs]:
     L = [[0, Kt], [-P, 0]] for the normalized pair."""
@@ -161,33 +166,9 @@ def _io_loop(Pss, Kss):
     return StateSpace(A, B, C, D)
 
 
-def _partial_close(ssys, keep):
-    """Close all channels except `keep` under negative unity feedback."""
-    nch = ssys.noutputs
-    keep = list(keep)
-    other = [i for i in range(nch) if i not in keep]
-    if not other:
-        return ssys
-    A, B, C, D = ssys.A, ssys.B, ssys.C, ssys.D
-    Bo, Bs = B[:, other], B[:, keep]
-    Co, Cs = C[other, :], C[keep, :]
-    Doo = D[np.ix_(other, other)]
-    Dos = D[np.ix_(other, keep)]
-    Dso = D[np.ix_(keep, other)]
-    Dss = D[np.ix_(keep, keep)]
-    M = np.eye(len(other)) + Doo
-    if abs(np.linalg.det(M)) <= 1e-12:
-        raise WellPosednessError("closing the unperturbed channels is not well posed")
-    Mi = np.linalg.inv(M)
-    return StateSpace(
-        A - Bo @ Mi @ Co,
-        Bs - Bo @ Mi @ Dos,
-        Cs - Dso @ Mi @ Co,
-        Dss - Dso @ Mi @ Dos,
-    )
-
-
-def _resolve_points(points, m, p):
+def resolve_points(points, m, p):
+    """Indices into the stacked break points [plant inputs (m); plant
+    outputs (p)] for "input", "output", "io" or an explicit channel list."""
     if points == "input":
         return list(range(m))
     if points == "output":
@@ -205,6 +186,14 @@ def _resolve_points(points, m, p):
             "channel indices must lie in [0, {}) (inputs first, then outputs)".format(m + p)
         )
     return sel
+
+
+def _broken_loop(P, K, points):
+    """The open loop seen from the resolved break points, every other
+    break point closed, and the resolved point list."""
+    Pss, Kss = _normalized_pair(P, K)
+    sel = resolve_points(points, Pss.ninputs, Pss.noutputs)
+    return _close(_io_loop(Pss, Kss), sel), sel
 
 
 def build_m(P, K, points="input", sigma=0.0):
@@ -231,36 +220,11 @@ def build_m(P, K, points="input", sigma=0.0):
     NominalInstabilityError
         If the nominal closed loop is unstable (M would be unstable).
     """
-    Pss, Kss = _normalized_pair(P, K)
-    m, p = Pss.ninputs, Pss.noutputs
-    sel = _resolve_points(points, m, p)
-    loop = _partial_close(_io_loop(Pss, Kss), sel)
-    n = len(sel)
-    Mmat = np.eye(n) + loop.D
-    if abs(np.linalg.det(Mmat)) <= 1e-12:
-        raise WellPosednessError("I + L(inf) is singular at the selected break points")
-    Mi = np.linalg.inv(Mmat)
-    k = (sigma - 1.0) / 2.0
-    S = StateSpace(loop.A - loop.B @ Mi @ loop.C, loop.B @ Mi, -Mi @ loop.C, Mi + k * np.eye(n))
-    Msys = LtiModel(S)
+    loop, sel = _broken_loop(P, K, points)
+    Msys = _shifted_sensitivity(LtiModel(loop), sigma)
     if not is_stable(Msys):
         raise NominalInstabilityError("nominal closed loop is unstable")
-    return MDeltaSystem(M=Msys, n=n, sigma=sigma)
-
-
-def _osborne_balance(absM, sweeps=10):
-    """Log diagonal scalings that balance the off-diagonal row and column
-    norms of each |M| in an (N, n, n) stack."""
-    N, n, _ = absM.shape
-    d = np.ones((N, n))
-    for _ in range(sweeps):
-        for i in range(n):
-            off = np.arange(n) != i
-            r = np.linalg.norm(absM[:, i, off] * d[:, i:i + 1] / d[:, off], axis=1)
-            c = np.linalg.norm(absM[:, off, i] * d[:, off] / d[:, i:i + 1], axis=1)
-            upd = (r > 0) & (c > 0)
-            d[upd, i] *= np.sqrt(c[upd] / r[upd])
-    return np.log(d)
+    return MDeltaSystem(M=Msys, n=len(sel), sigma=sigma)
 
 
 def _sv_and_gradient(Ms, x):
@@ -530,8 +494,8 @@ def loop_at_a_time(P, K, channel, location="input", sigma=0.0):
     (ClassicalMargins, DiskMarginResult) of the SISO loop seen from that
     single break point.
     """
-    Pss, Kss = _normalized_pair(P, K)
-    m, p = Pss.ninputs, Pss.noutputs
+    P = _as_model(P)
+    m, p = P.ninputs, P.noutputs
     if location == "input":
         size, offset = m, 0
     elif location == "output":
@@ -540,8 +504,7 @@ def loop_at_a_time(P, K, channel, location="input", sigma=0.0):
         raise InputError("location must be 'input' or 'output'")
     if not 0 <= int(channel) < size:
         raise InputError("channel must lie in [0, {})".format(size))
-    loop = _partial_close(_io_loop(Pss, Kss), [offset + int(channel)])
-    L = LtiModel(loop)
+    L = LtiModel(_broken_loop(P, K, [offset + int(channel)])[0])
     return classical_margins(L), disk_margin(L, sigma)
 
 
@@ -549,19 +512,16 @@ def _realize_f(f, omega, sigma):
     fc = complex(f)
     if abs(fc.imag) <= 1e-12 * max(1.0, abs(fc)):
         return TransferFunction([fc.real], [1.0])
-    if omega is None or not (0.0 < float(omega) < math.inf):
-        raise InputError("complex perturbations need a finite positive frequency")
-    den = (1.0 + sigma) * fc + (1.0 - sigma)
-    if abs(den) > 1e-9 * (1.0 + abs(fc)):
-        d = 2.0 * (fc - 1.0) / den
+    d = disk_map_inv(fc, sigma)
+    if d != math.inf:
         try:
-            return worst_perturbation_lti(d, float(omega), sigma).f_hat
+            return worst_perturbation_lti(d, omega, sigma).f_hat
         except (ConstructionError, InputError):
             pass
     # fall back to an all-pass through f itself; only the value at omega
-    # matters for the pole check
-    fhat, _beta = _allpass(fc, float(omega), "perturbation")
-    return fhat
+    # matters for the pole check (it raises InputError without a finite
+    # positive omega)
+    return _allpass(fc, omega, "perturbation")[0]
 
 
 def verify_multiloop_destabilizing(P, K, points, f_list, omega=None, sigma=0.0):
@@ -584,9 +544,7 @@ def verify_multiloop_destabilizing(P, K, points, f_list, omega=None, sigma=0.0):
         to the axis, and when omega was given the distance from j omega
         to the nearest pole.
     """
-    Pss, Kss = _normalized_pair(P, K)
-    sel = _resolve_points(points, Pss.ninputs, Pss.noutputs)
-    loop = _partial_close(_io_loop(Pss, Kss), sel)
+    loop, sel = _broken_loop(P, K, points)
     if len(f_list) != len(sel):
         raise InputError("expected {} perturbations, got {}".format(len(sel), len(f_list)))
     factors = [_realize_f(f, omega, sigma) for f in f_list]

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -313,3 +314,21 @@ def test_model_with_controller_folds_to_siso(capsys, tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_cli_imports_no_private_dmkit_names():
+    # function-local imports included; dunders such as __version__ are public
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    found = []
+    for node in ast.walk(ast.parse(open(dmkit.cli.__file__, encoding="utf-8").read())):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("dmkit")):
+            parts = (node.module or "").split(".")
+            found += [p for p in parts if private(p)]
+            found += [a.name for a in node.names if private(a.name)]
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "dmkit":
+                    found += [p for p in a.name.split(".") if private(p)]
+    assert found == []

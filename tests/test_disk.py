@@ -20,6 +20,8 @@ from dmkit import (
     UnsupportedCaseError,
     classical_margins,
     disk_geometry,
+    disk_map,
+    disk_map_inv,
     disk_margin,
     eval_freq,
     freq_margin_trace,
@@ -325,3 +327,45 @@ def test_nyquist_exclusion_shapes():
 def test_nyquist_exclusion_requires_interior_disk():
     with pytest.raises(UnsupportedCaseError):
         nyquist_exclusion(DiskSpec(2.5, 0.0))
+
+
+def test_disk_map_inverse_roundtrip():
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        sigma = rng.uniform(-1.0, 1.0)
+        d = complex(*rng.uniform(-3.0, 3.0, size=2))
+        if abs(2.0 - (1.0 + sigma) * d) < 1e-3:
+            continue
+        assert_allclose(disk_map_inv(disk_map(d, sigma), sigma), d, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [-0.5, 0.0, 0.3, 1.0, 2.0])
+def test_disk_map_pole(sigma):
+    pole = 2.0 / (1.0 + sigma)
+    assert disk_map(pole, sigma) == math.inf
+    assert disk_map(pole * (1.0 + 1e-10), sigma) == math.inf
+    assert math.isfinite(abs(disk_map(pole * (1.0 + 1e-7), sigma)))
+    assert disk_map_inv(math.inf, sigma) == pole
+
+
+def test_disk_map_has_no_pole_at_sigma_minus_one():
+    for d in (0.5, 2.0, 1e6, -1e6, 3.0 + 4.0j):
+        assert disk_map(d, -1.0) == 1.0 + d
+    assert disk_map_inv(math.inf, -1.0) == math.inf
+
+
+def test_intercepts_are_the_disk_map():
+    for alpha in (0.1, 0.458, 1.0, 1.7, 2.5, 7.0):
+        for sigma in (-1.0, -0.4, 0.0, 0.6, 1.0):
+            g = disk_geometry(DiskSpec(alpha, sigma))
+            if g.kind == "half-plane":
+                continue
+            assert g.gamma_min == disk_map(-alpha, sigma)
+            assert g.gamma_max == disk_map(alpha, sigma)
+
+
+def test_safe_region_curve_half_plane_sentinel_uses_map_pole():
+    # 2 - alpha = 1e-9 is inside the map's 1e-9 pole test (the old
+    # 1e-12 test drew a finite point at 192 dB)
+    first = safe_region_curve(DiskSpec(2.0 - 1e-9, 0.0), n=3)[0]
+    assert first[0] == math.inf and math.isnan(first[1])

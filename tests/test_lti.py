@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -30,7 +30,7 @@ from dmkit import (
     tf_to_ss,
     tfm,
 )
-from dmkit.lti import _CHUNK_BYTES, _minreal
+from dmkit.lti import _CHUNK_BYTES, _close, _minreal
 
 
 def test_polynomial_basic():
@@ -386,3 +386,107 @@ def test_zero_state_model():
     m = ss(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[2.0]])
     assert_allclose(eval_freq(m, 0.3), 2.0)
     assert is_stable(m)
+
+
+def static_loop(D):
+    D = np.atleast_2d(np.asarray(D, dtype=float))
+    p = D.shape[0]
+    return StateSpace(np.zeros((0, 0)), np.zeros((0, p)), np.zeros((p, 0)), D)
+
+
+# (D, exact (I + D)^-1): det(I + D) is 1.25e-13 for the first, the
+# second is [[0, 1], [1, 1e-4]] in other units, and the third is a
+# one-way coupling, [[0, 1], [0, 0]] in other units
+WELL_POSED = [
+    (-(1 - 5e-5) * np.eye(3), np.eye(3) / 5e-5),
+    (np.array([[0.0, 1e8], [1e-8, 1e-4]]), np.array([[1.0 + 1e-4, -1e8], [-1e-8, 1.0]]) / 1e-4),
+    (np.array([[0.0, 1e8], [0.0, 0.0]]), np.array([[1.0, -1e8], [0.0, 1.0]])),
+]
+# I + D singular to rounding: [[1, 1e8], [1e-8, 1 + 1e-14]], its balanced
+# twin, one channel, and 1e6 (rank one) + 1e-8 I, whose smallest singular
+# value is far from 0 but not relative to the 2e6 it is formed from
+ILL_POSED = [
+    np.array([[0.0, 1e8], [1e-8, 1e-14]]),
+    np.array([[0.0, 1.0], [1.0, 1e-14]]),
+    np.array([[-1.0 + 1e-13]]),
+    1e6 * np.ones((2, 2)) + (1e-8 - 1.0) * np.eye(2),
+]
+
+
+def with_kept_channel(D):
+    """D behind one extra channel that stays open."""
+    D = np.atleast_2d(D)
+    return static_loop(np.block([[np.full((1, 1), 0.5), np.full((1, len(D)), 0.1)],
+                                 [np.full((len(D), 1), 0.1), D]]))
+
+
+@pytest.mark.parametrize("D, inv", WELL_POSED)
+def test_closures_accept_small_or_badly_scaled_i_plus_d(D, inv):
+    n = len(D)
+    S, T = sensitivity_pair(static_loop(D))
+    assert_allclose(S.representation.D, inv, rtol=1e-9)
+    assert_allclose(T.representation.D, np.eye(n) - inv, rtol=1e-9)
+    closed = scalar_close(LtiModel(static_loop(D)), 1.0)
+    assert_allclose(closed.representation.D, np.eye(n) - inv, rtol=1e-9)
+    assert _close(with_kept_channel(D), [0]).D.shape == (1, 1)
+
+
+@pytest.mark.parametrize("D", ILL_POSED)
+def test_closures_reject_singular_i_plus_d(D):
+    with pytest.raises(WellPosednessError):
+        sensitivity_pair(static_loop(D))
+    with pytest.raises(WellPosednessError):
+        scalar_close(LtiModel(static_loop(D)), 1.0)
+    with pytest.raises(WellPosednessError):
+        _close(with_kept_channel(D), [0])
+    if D.shape == (1, 1):
+        with pytest.raises(WellPosednessError):
+            scalar_close(tf([D[0, 0]], [1.0]), 1.0)
+
+
+@st.composite
+def loop_and_keep(draw):
+    """Stable state-space loop of up to 4 channels, an ordered subset of
+    channels kept open, and 5 frequencies."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((n, n))
+    if n:
+        A -= (np.max(np.linalg.eigvals(A).real) + rng.uniform(0.1, 2.0)) * np.eye(n)
+    sys = StateSpace(A, rng.standard_normal((n, p)), rng.standard_normal((p, n)),
+                     0.5 * rng.standard_normal((p, p)))
+    keep = draw(st.permutations(range(p)))[: draw(st.integers(1, p))]
+    ws = 10.0 ** rng.uniform(-2.0, 2.0, size=5)
+    return sys, keep, ws
+
+
+def response(sys, ws):
+    vals, ok = freq_response(sys, ws)
+    assert ok.all()
+    return np.reshape(vals, (len(ws), sys.noutputs, sys.ninputs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(loop_and_keep())
+def test_close_matches_lft_of_open_loop(case):
+    sys, keep, ws = case
+    other = [i for i in range(sys.noutputs) if i not in keep]
+    L = response(sys, ws)
+    for Lw, got in zip(L, response(_close(sys, keep), ws)):
+        want = Lw[np.ix_(keep, keep)]
+        if other:
+            closed = np.eye(len(other)) + Lw[np.ix_(other, other)]
+            # keep the oracle's own rounding below the tolerance
+            assume(np.linalg.cond(closed) < 1e4)
+            want = want - Lw[np.ix_(keep, other)] @ np.linalg.solve(closed, Lw[np.ix_(other, keep)])
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want) + 1e-300
+
+    S, T = (response(m.representation, ws) for m in sensitivity_pair(LtiModel(sys)))
+    eye = np.eye(sys.noutputs)
+    for Lw, Sw, Tw in zip(L, S, T):
+        assume(np.linalg.cond(eye + Lw) < 1e4)
+        inv = np.linalg.inv(eye + Lw)
+        assert np.linalg.norm(Sw - inv) <= 1e-9 * np.linalg.norm(inv)
+        assert np.linalg.norm(Tw - Lw @ inv) <= 1e-9 * np.linalg.norm(Lw @ inv) + 1e-300
+        assert np.linalg.norm(Sw + Tw - eye) <= 1e-9 * np.linalg.norm(eye)

@@ -17,6 +17,8 @@ from scipy.optimize import minimize_scalar
 
 from dmkit import (
     InputError,
+    LtiModel,
+    WellPosednessError,
     build_m,
     disk_margin,
     eval_freq,
@@ -25,6 +27,7 @@ from dmkit import (
     mu_diag,
     multiloop_margin,
     scalar_close,
+    siso_loop,
     ss,
     tf,
     tfm,
@@ -311,3 +314,45 @@ def test_batched_upper_bound_brackets_mu():
                 # the bound equals mu for two channels, so it meets the
                 # brute-force search to rounding: allow a few ulps
                 assert ub >= mu_brute_2x2(M) * (1 - 1e-14)
+
+
+def static_plant(D):
+    D = np.atleast_2d(D)
+    p = len(D)
+    return ss(np.zeros((0, 0)), np.zeros((0, p)), np.zeros((p, 0)), D)
+
+
+@pytest.mark.parametrize("D, inv", [
+    (-(1 - 5e-5) * np.eye(3), np.eye(3) / 5e-5),
+    (np.array([[0.0, 1e8], [1e-8, 1e-4]]), np.array([[1.0 + 1e-4, -1e8], [-1e-8, 1.0]]) / 1e-4),
+])
+def test_build_m_accepts_small_or_badly_scaled_i_plus_d(D, inv):
+    # sigma = 1 leaves M = (I + D)^-1 unshifted
+    sys = build_m(static_plant(D), None, "input", 1.0)
+    assert_allclose(sys.M.representation.D, inv, rtol=1e-9)
+
+
+@pytest.mark.parametrize("D", [
+    np.array([[0.0, 1e8], [1e-8, 1e-14]]),
+    np.array([[0.0, 1.0], [1.0, 1e-14]]),
+    np.array([[-1.0 + 1e-13]]),
+])
+def test_build_m_rejects_singular_i_plus_d(D):
+    with pytest.raises(WellPosednessError):
+        build_m(static_plant(D), None, "input", 0.0)
+
+
+def test_siso_loop_entry_point():
+    L = tf([25], [1, 10, 10, 10])
+    assert siso_loop(L) is L
+    P, K = tf([1], [1, 1]), tf([2, 1], [1, 4])
+    loop = siso_loop(P, K)
+    w = 0.9
+    assert_allclose(eval_freq(loop, w), eval_freq(P, w) * eval_freq(K, w), rtol=1e-12)
+    # the same loop as loop_at_a_time's single input channel
+    cm, dm = loop_at_a_time(P, K, 0, "input")
+    assert dm.spec.alpha == disk_margin(loop).spec.alpha
+    with pytest.raises(InputError):
+        siso_loop(satellite()[0])
+    with pytest.raises(InputError):
+        siso_loop(*satellite())
