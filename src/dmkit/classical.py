@@ -12,7 +12,9 @@ The crossings are exact.  With L = N/D (state space through ss_to_tf)
 they are the positive real roots of two real polynomials in w:
 Im(N(jw) conj D(jw)) for real-axis crossings and |N(jw)|^2 - |D(jw)|^2
 for unit-modulus ones.  Each root is Newton-polished, then verified on
-the model with eval_freq.  One call computes them, and the closure, once.
+the model with one freq_response call over all the roots, masked by
+the poles that the transfer function flags.  One call computes them,
+and the closure, once.
 """
 
 import math
@@ -20,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DmkitError, InputError, NominalInstabilityError, PoleOnAxisError
-from .lti import (TransferFunction, _as_model, eval_freq, freq_response, is_stable,
-                  scalar_close, ss_to_tf)
+from .errors import DmkitError, InputError, NominalInstabilityError
+from .lti import TransferFunction, _as_model, freq_response, is_stable, scalar_close, ss_to_tf
 
 __all__ = ["ClassicalMargins", "gain_margins", "phase_margin", "classical_margins"]
 
@@ -117,11 +118,9 @@ def _crossings(L):
     def verified(ws):
         # t also flags axis poles that rounding hides from a state-space pencil
         ws = np.asarray(ws, dtype=float)
-        for w in ws[freq_response(t, ws)[1]]:
-            try:
-                yield float(w), eval_freq(L, w)
-            except PoleOnAxisError:
-                continue
+        vals, ok = freq_response(L, ws)
+        ok &= freq_response(t, ws)[1]
+        return zip(ws[ok].tolist(), vals[ok].tolist())
 
     gains = []
     real_axis = roots(np.polymul(n, d.conj()).imag, lambda nv, dv: (nv * dv.conjugate()).imag)

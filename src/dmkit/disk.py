@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AlgebraicLoopError,
     ConstructionError,
     DomainError,
     InputError,
@@ -569,7 +570,8 @@ def verify_destabilizing(L, f, omega0, sigma=0.0):
     VerificationReport
         verdict "pass" when some closed-loop pole lies within
         1e-4 * max(1, omega0) of j omega0; "ill-posed" when the closure
-        has no proper solution (the w = inf form of destabilization);
+        has no proper solution, or none at all (the w = inf form of
+        destabilization);
         "fail" otherwise, with a note when the closure is in fact stable.
     """
     L = _as_model(L).normalized()
@@ -585,7 +587,7 @@ def verify_destabilizing(L, f, omega0, sigma=0.0):
             fsys, _ = _allpass(fc, omega0, "perturbation")
     try:
         closed = scalar_close(L, fsys)
-    except WellPosednessError as e:
+    except (AlgebraicLoopError, WellPosednessError) as e:
         return VerificationReport("ill-posed", None, math.nan, (str(e),))
     p = poles(closed)
     if math.isinf(omega0):

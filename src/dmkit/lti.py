@@ -6,6 +6,12 @@ coefficient arrays in descending powers of s.  SISO models keep their
 transfer-function form so that sensitivity algebra stays exact at the
 coefficient level; matrix models are realized to state space once, at
 ingestion, and stay there.
+
+Each primitive exists once.  freq_response evaluates every model on the
+imaginary axis, and eval_freq is its one-point form.  A closure is well
+posed by one rule, 1 + L(inf) (I + D in state space) nonsingular beyond
+rounding: _close applies it to state space, sensitivity_pair to
+transfer functions, and scalar_close goes through the two.
 """
 
 import numpy as np
@@ -440,71 +446,6 @@ def is_stable(m, eps_stab=0.0):
     return bool(np.all(p.real < -eps_stab))
 
 
-def _eval_tf(r, w):
-    if np.isinf(w):
-        # asymptotic value; properness decides between 0 and the
-        # leading-coefficient ratio
-        if not r.is_proper:
-            raise ImproperModelError("improper transfer function has no value at infinite frequency")
-        if r.is_strictly_proper:
-            return complex(0.0)
-        return complex(r.num.coeffs[0] / r.den.coeffs[0])
-    s = 1j * w
-    dv = r.den(s)
-    scale = np.polyval(np.abs(r.den.coeffs), abs(w)) + 1.0
-    if abs(dv) <= 1e-12 * scale:
-        raise PoleOnAxisError("evaluation at w = {} hits a pole".format(w))
-    return complex(r.num(s) / dv)
-
-
-def _eval_ss(r, w):
-    if r.nstates == 0:
-        return r.D.astype(complex).copy()
-    if np.isinf(w):
-        return r.D.astype(complex).copy()
-    n = r.nstates
-    M = 1j * w * np.eye(n) - r.A
-    try:
-        X = np.linalg.solve(M, r.B)
-    except np.linalg.LinAlgError as e:
-        raise PoleOnAxisError("evaluation at w = {} hits a pole".format(w)) from e
-    out = r.C @ X + r.D
-    if not np.all(np.isfinite(out)):
-        raise PoleOnAxisError("evaluation at w = {} hits a pole".format(w))
-    return out
-
-
-def eval_freq(m, w):
-    """Frequency response at s = jw.
-
-    Parameters
-    ----------
-    m : LtiModel or representation
-    w : real frequency in rad/s.  math.inf is accepted and returns the
-        feedthrough (state space) or asymptotic value (transfer
-        function).  Negative w is allowed; responses of real-coefficient
-        models satisfy eval_freq(m, -w) == conj(eval_freq(m, w)).
-
-    Returns
-    -------
-    complex scalar for SISO models, complex ndarray otherwise.
-
-    Raises
-    ------
-    PoleOnAxisError
-        If jw is (numerically) a pole of the model.
-    """
-    m = _as_model(m)
-    w = float(w)
-    r = m.representation
-    if isinstance(r, TransferFunction):
-        return _eval_tf(r, w)
-    out = _eval_ss(r, w)
-    if out.shape == (1, 1):
-        return complex(out[0, 0])
-    return out
-
-
 def _response_tf(r, ws):
     vals = np.empty(ws.shape, dtype=complex)
     ok = np.ones(ws.shape, dtype=bool)
@@ -530,7 +471,8 @@ def _response_ss(r, ws):
     p, m, n = r.noutputs, r.ninputs, r.nstates
     vals = np.empty((ws.size, p, m), dtype=complex)
     vals[...] = r.D
-    fin = np.flatnonzero(np.isfinite(ws))
+    # only w = +-inf reads the feedthrough; a nan pencil gives a nan value
+    fin = np.flatnonzero(~np.isinf(ws))
     if n == 0 or fin.size == 0:
         return vals, np.ones(ws.size, dtype=bool)
     eye = np.eye(n)
@@ -557,23 +499,27 @@ def _response_ss(r, ws):
 
 
 def freq_response(m, ws):
-    """Frequency response over a whole grid at once.
+    """Frequency response over a whole grid at once: the one evaluator
+    every model goes through (eval_freq is its one-point form).
 
     Parameters
     ----------
     m : LtiModel or representation
-    ws : sequence of real frequencies in rad/s, as for eval_freq
-        (0, negative values and math.inf included).
+    ws : sequence of real frequencies in rad/s (0, negative values and
+        math.inf included).  At math.inf the value is the feedthrough
+        (state space) or the asymptotic value (transfer function).
 
     Returns
     -------
     (values, ok)
         values is a complex (N,) array for SISO models and (N, p, m)
-        otherwise; each value is bitwise equal to eval_freq at that
-        frequency.  ok is a boolean (N,) array, False where jw is a pole
-        of the model: where eval_freq raises PoleOnAxisError, and at
-        w = inf for an improper transfer function.  values hold nan
-        there.
+        otherwise.  ok is a boolean (N,) array, False where jw is a pole
+        of the model and at w = inf for an improper transfer function;
+        values hold nan there.  A transfer-function point is a pole when
+        |den(jw)| <= 1e-12 (|den|(|w|) + 1), with |den| the polynomial of
+        absolute coefficients; a state-space point when the pencil
+        jwI - A is exactly singular or the value is not finite.  A
+        point's value and flag do not depend on the rest of the grid.
 
     State-space grids are solved in stacks of at most _CHUNK_BYTES of
     working set, so memory stays flat in the grid length.
@@ -587,6 +533,40 @@ def freq_response(m, ws):
     if vals.shape[1:] == (1, 1):
         return vals[:, 0, 0], ok
     return vals, ok
+
+
+def eval_freq(m, w):
+    """Frequency response at one point, s = jw: freq_response at [w].
+
+    Parameters
+    ----------
+    m : LtiModel or representation
+    w : real frequency in rad/s.  math.inf is accepted and returns the
+        feedthrough (state space) or asymptotic value (transfer
+        function).  Negative w is allowed; responses of real-coefficient
+        models satisfy eval_freq(m, -w) == conj(eval_freq(m, w)).
+
+    Returns
+    -------
+    complex scalar for SISO models, complex ndarray otherwise.
+
+    Raises
+    ------
+    ImproperModelError
+        At w = inf for an improper transfer function.
+    PoleOnAxisError
+        If jw is (numerically) a pole of the model: where freq_response
+        flags the point.
+    """
+    m = _as_model(m)
+    w = float(w)
+    r = m.representation
+    if np.isinf(w) and isinstance(r, TransferFunction) and not r.is_proper:
+        raise ImproperModelError("improper transfer function has no value at infinite frequency")
+    vals, ok = freq_response(m, [w])
+    if not ok[0]:
+        raise PoleOnAxisError("evaluation at w = {} hits a pole".format(w))
+    return vals[0] if vals.ndim == 3 else complex(vals[0])
 
 
 def tf_to_ss(t):
@@ -757,20 +737,24 @@ def sensitivity_pair(L):
     AlgebraicLoopError
         If 1 + L vanishes identically (transfer functions).
     WellPosednessError
-        If the closure drops degree (1 + L(inf) = 0), or I + D is
-        singular in state space (see _close).
+        If 1 + L(inf) is singular to rounding.  In state space that is
+        _close's test on I + D.  For a transfer function it is the same
+        test on the 1x1 D: the top-degree coefficient of den + num is at
+        most 1e-12 times the sum of the leading coefficients of den and
+        num at that degree.
     """
     L = _as_model(L).normalized()
     r = L.representation
     if isinstance(r, TransferFunction):
-        cl = r.den + r.num
-        if cl.is_zero:
+        cl = np.polyadd(r.den.coeffs, r.num.coeffs)
+        if not cl.any():
             raise AlgebraicLoopError("1 + L is identically zero")
-        if cl.degree < r.den.degree:
+        top = max(r.den.degree, r.num.degree)
+        scale = sum(abs(p.coeffs[0]) for p in (r.den, r.num) if p.degree == top)
+        if abs(cl[0]) <= 1e-12 * scale:
             raise WellPosednessError("1 + L(inf) = 0, sensitivity is improper")
-        S = TransferFunction(r.den, cl)
-        T = TransferFunction(r.num, cl)
-        return LtiModel(S), LtiModel(T)
+        cl = Polynomial(cl)
+        return LtiModel(TransferFunction(r.den, cl)), LtiModel(TransferFunction(r.num, cl))
     if r.noutputs != r.ninputs:
         raise InputError("sensitivity needs a square loop")
     p = r.noutputs
@@ -819,8 +803,8 @@ def scalar_close(L, f):
 
     Raises
     ------
-    WellPosednessError
-        If 1 + f L(inf) = 0 (degree drop), or I + D singular in state space.
+    AlgebraicLoopError, WellPosednessError
+        As sensitivity_pair raises them for the loop f L.
     InputError
         If the factor count does not match the loop dimension.
     """
@@ -831,23 +815,10 @@ def scalar_close(L, f):
             f = f.normalized().representation
             if isinstance(f, StateSpace):
                 f = ss_to_tf(f)
-        if isinstance(f, TransferFunction):
-            ln = f.num * r.num
-            ld = f.den * r.den
-        else:
+        if not isinstance(f, TransferFunction):
             fc = complex(f)
-            if fc.imag == 0:
-                fc = fc.real
-            ln = fc * r.num
-            ld = r.den
-        cl = np.polyadd(ld.coeffs, ln.coeffs)
-        # the degree drops only if the leading terms cancel; measure
-        # against them, not against the whole (scale-dependent) polynomial
-        top = max(ld.degree, ln.degree)
-        scale = max(abs(p.coeffs[0]) for p in (ld, ln) if p.degree == top)
-        if abs(cl[0]) <= 1e-12 * scale:
-            raise WellPosednessError("1 + f L(inf) = 0, closure is not well posed")
-        return LtiModel(TransferFunction(ln, Polynomial(cl)))
+            f = fc.real if fc.imag == 0 else fc
+        return sensitivity_pair(LtiModel(f * r))[1]
     # state-space path
     if isinstance(r, TransferFunction):
         r = tf_to_ss(r)

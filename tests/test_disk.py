@@ -217,6 +217,14 @@ def test_verify_flags_wrong_frequency():
     assert rep.verdict == "fail"
 
 
+@pytest.mark.parametrize("f", [-0.5, -0.5 * (1 - 1e-13)])
+def test_verify_ill_posed_closure(f):
+    # f L = -1 identically, and 1 + f L(inf) singular to rounding: both are
+    # the w = inf form of destabilization, not an error
+    rep = verify_destabilizing(tf([2.0], [1.0]), f, math.inf)
+    assert rep.verdict == "ill-posed"
+
+
 def test_trace_resonant_loop():
     L5 = tf([6.25, 50, 93.75], [1, 2.18, 101.36, 200.18, 100, 0])
     grid = np.array([5.0, 9.96965, 10.0, 20.0, 100.0, 1000.0])

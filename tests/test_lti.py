@@ -151,6 +151,8 @@ def test_eval_freq_at_infinity():
     assert_allclose(eval_freq(tf([1], [1, 1]), math.inf), 0.0)
     m = ss([[-1]], [[1]], [[1]], [[4]])
     assert_allclose(eval_freq(m, math.inf), 4.0)
+    with pytest.raises(ImproperModelError):
+        eval_freq(tf([1, 0, 0], [1, 1]), math.inf)
 
 
 def test_eval_freq_pole_on_axis():
@@ -158,6 +160,9 @@ def test_eval_freq_pole_on_axis():
         eval_freq(tf([1], [1, 0, 1]), 1.0)
     with pytest.raises(PoleOnAxisError):
         eval_freq(tf([1], [1, 0]), 0.0)
+    # a nan frequency must not read as w = inf and return the feedthrough
+    with pytest.raises(PoleOnAxisError):
+        eval_freq(ss([[-1]], [[1]], [[1]], [[4]]), math.nan)
 
 
 def test_eval_freq_conjugate_symmetry():
@@ -168,6 +173,20 @@ def test_eval_freq_conjugate_symmetry():
     m = ss([[-1, 2], [0, -3]], [[1], [1]], [[1, 0]], [[0.5]])
     for w in rng.uniform(0.01, 50.0, size=25):
         assert_allclose(eval_freq(m, -w), np.conj(eval_freq(m, w)), rtol=1e-12)
+
+
+def numpy_response(m, w):
+    """m at s = jw from numpy alone, not through freq_response: polyval
+    for a transfer function, one solve of the 2-D pencil for state space."""
+    r = m.representation
+    if isinstance(r, TransferFunction):
+        if math.isinf(w):
+            return r.num.coeffs[0] / r.den.coeffs[0] if r.num.degree == r.den.degree else 0.0
+        return np.polyval(r.num.coeffs, 1j * w) / np.polyval(r.den.coeffs, 1j * w)
+    out = r.D
+    if r.nstates and not math.isinf(w):
+        out = r.C @ np.linalg.solve(1j * w * np.eye(r.nstates) - r.A, r.B) + r.D
+    return out[0, 0] if out.shape == (1, 1) else out
 
 
 coef = st.floats(-10.0, 10.0, allow_nan=False)
@@ -207,6 +226,8 @@ def model_and_grid(draw):
 @settings(max_examples=80, deadline=None)
 @given(model_and_grid())
 def test_freq_response_equals_eval_freq(case):
+    # a point's value and flag do not depend on the grid around it, and
+    # match numpy bit for bit where the point is not a pole
     m, ws = case
     vals, ok = freq_response(m, ws)
     assert vals.shape[0] == ok.shape[0] == len(ws)
@@ -219,6 +240,7 @@ def test_freq_response_equals_eval_freq(case):
             continue
         assert ok[i]
         assert np.array_equal(vals[i], want)
+        assert np.array_equal(vals[i], numpy_response(m, w))
 
 
 def test_freq_response_spans_chunks():
@@ -235,6 +257,7 @@ def test_freq_response_spans_chunks():
     assert np.flatnonzero(~ok).tolist() == [ws.size - 2]
     for w, v in zip(ws[ok], vals[ok]):
         assert np.array_equal(v, eval_freq(m, w))
+        assert np.array_equal(v, numpy_response(m, w))
 
 
 def test_sensitivity_pair_integrator():
@@ -403,13 +426,15 @@ WELL_POSED = [
     (np.array([[0.0, 1e8], [0.0, 0.0]]), np.array([[1.0, -1e8], [0.0, 1.0]])),
 ]
 # I + D singular to rounding: [[1, 1e8], [1e-8, 1 + 1e-14]], its balanced
-# twin, one channel, and 1e6 (rank one) + 1e-8 I, whose smallest singular
-# value is far from 0 but not relative to the 2e6 it is formed from
+# twin, one channel, 1e6 (rank one) + 1e-8 I, whose smallest singular
+# value is far from 0 but not relative to the 2e6 it is formed from, and
+# one channel with 1 + D at 0.75 of the 2e-12 threshold
 ILL_POSED = [
     np.array([[0.0, 1e8], [1e-8, 1e-14]]),
     np.array([[0.0, 1.0], [1.0, 1e-14]]),
     np.array([[-1.0 + 1e-13]]),
     1e6 * np.ones((2, 2)) + (1e-8 - 1.0) * np.eye(2),
+    np.array([[-1.0 + 1.5e-12]]),
 ]
 
 
@@ -440,8 +465,15 @@ def test_closures_reject_singular_i_plus_d(D):
     with pytest.raises(WellPosednessError):
         _close(with_kept_channel(D), [0])
     if D.shape == (1, 1):
-        with pytest.raises(WellPosednessError):
-            scalar_close(tf([D[0, 0]], [1.0]), 1.0)
+        # the same loop as a transfer function, and with dynamics both as
+        # a transfer function and realized: one verdict for every form
+        d = D[0, 0]
+        lag = tf([d, 1.0], [1.0, 1.0])
+        for L in (tf([d], [1.0]), lag, LtiModel(tf_to_ss(lag))):
+            with pytest.raises(WellPosednessError):
+                sensitivity_pair(L)
+            with pytest.raises(WellPosednessError):
+                scalar_close(L, 1.0)
 
 
 @st.composite

@@ -1,0 +1,145 @@
+"""Compare the CLI outputs of two dmkit source trees on the benchmark commands.
+
+    python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
+
+Each tree runs in its own subprocess, with the tree as working
+directory and its own src/ first on the import path.  There, the tree's
+bench/workloads.py writes the model files of every workload for seeds
+1-3 into a temporary directory, and every generated command goes through
+dmkit.cli.main in-process, as bench/run.py drives it (one BLAS thread,
+DMKIT_SEED=0).  Output timestamps, the temporary directory and the
+checkout path are stripped before the two trees are compared.
+
+The report lists the commands whose exit code, stderr or output differ,
+counts the numeric fields that are byte-identical, and gives the largest
+relative difference among the rest.  The exit status is 0 when every
+command matches exactly and 1 otherwise.  Uses the stdlib and numpy
+only (numpy through bench/workloads.py).
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+SEEDS = (1, 2, 3)
+TIMESTAMP = re.compile(r'"generated_at": "[^"]*"')
+# a number not glued to a word: JSON and CSV fields, and numbers in messages
+NUMBER = re.compile(
+    r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])|\b(?:inf|nan|Infinity|NaN)\b"
+)
+
+
+def run_tree(tree, out_path):
+    """Run every command in this process, which sits in tree; write a JSON
+    list of {key, code, stdout, stderr} to out_path."""
+    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
+    import dmkit.cli
+    import workloads
+
+    src = os.path.realpath(os.path.join(tree, "src"))
+    if not os.path.realpath(dmkit.cli.__file__).startswith(src + os.sep):
+        raise SystemExit("dmkit was imported from {}, not {}".format(dmkit.cli.__file__, src))
+    results = []
+    with tempfile.TemporaryDirectory() as work:
+
+        def clean(text):
+            text = TIMESTAMP.sub('"generated_at": ""', text)
+            return text.replace(work, "<work>").replace(tree, "<tree>")
+
+        for seed in SEEDS:
+            for name in workloads.WORKLOADS:
+                workdir = os.path.join(work, "{}-{}".format(name, seed))
+                for cmd in workloads.generate(name, seed, workdir):
+                    out, err = io.StringIO(), io.StringIO()
+                    try:
+                        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                            code = dmkit.cli.main(cmd.argv)
+                    except Exception as e:  # a command that raises is a difference to report
+                        code = "{}: {}".format(type(e).__name__, e)
+                    results.append({"key": clean(cmd.key), "code": code,
+                                    "stdout": clean(out.getvalue()),
+                                    "stderr": clean(err.getvalue())})
+    with open(out_path, "w", encoding="utf-8") as fh:
+        json.dump(results, fh)
+
+
+def collect(tree, out_path):
+    tree = os.path.abspath(tree)
+    env = dict(os.environ, DMKIT_SEED="0", OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", tree, out_path],
+                   cwd=tree, env=env, check=True)
+    with open(out_path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def compare_numbers(a, b):
+    """(byte-identical fields, differing fields, largest relative
+    difference), or None when the text around the numbers differs."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        return None
+    same = diff = 0
+    worst = 0.0
+    for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+        if x == y:
+            same += 1
+            continue
+        diff += 1
+        fx, fy = float(x), float(y)
+        if fx == fy:
+            rel = 0.0
+        elif math.isfinite(fx) and math.isfinite(fy):
+            rel = abs(fx - fy) / max(abs(fx), abs(fy))
+        else:
+            rel = math.inf
+        worst = max(worst, rel)
+    return same, diff, worst
+
+
+def main(argv):
+    if len(argv) == 3 and argv[0] == "--worker":
+        run_tree(argv[1], argv[2])
+        return 0
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = collect(argv[0], os.path.join(tmp, "parent.json"))
+        change = collect(argv[1], os.path.join(tmp, "change.json"))
+    if [r["key"] for r in parent] != [r["key"] for r in change]:
+        print("the two trees generate different commands")
+        return 1
+    same = diff = 0
+    worst, worst_key = 0.0, None
+    differing = []
+    for p, c in zip(parent, change):
+        what = [f for f in ("code", "stderr", "stdout") if p[f] != c[f]]
+        numbers = compare_numbers(p["stdout"], c["stdout"])
+        if numbers is None:
+            what.append("text outside numeric fields")
+        if what:
+            differing.append("{}: {}".format(p["key"], ", ".join(what)))
+        if numbers is None:
+            continue
+        same += numbers[0]
+        diff += numbers[1]
+        if numbers[2] > worst:
+            worst, worst_key = numbers[2], p["key"]
+    print("commands: {}".format(len(parent)))
+    print("commands that differ: {}".format(len(differing)))
+    for line in differing:
+        print("  " + line)
+    print("numeric fields: {} byte-identical, {} differing".format(same, diff))
+    print("largest relative difference: {:.3g}{}".format(
+        worst, " ({})".format(worst_key) if worst_key else ""))
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
