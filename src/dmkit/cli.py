@@ -14,8 +14,8 @@ to CSV) that is byte-stable across runs except for its timestamp.
 
 Exit codes: 0 success, 1 bad input or unsupported geometry,
 2 analysis not defined for this loop (unstable or ill posed),
-3 numerical failure.  DMKIT_SEED overrides the randomized-restart seed
-used by the mimo lower bound.
+3 numerical failure.  DMKIT_SEED overrides the seed of the random
+starts of the mimo lower bound's ascent (default 0).
 """
 
 import argparse

@@ -460,7 +460,7 @@ def _response_tf(r, ws):
     w = ws[~inf]
     s = 1j * w
     dv = r.den(s)
-    hit = np.abs(dv) <= 1e-12 * (np.polyval(np.abs(r.den.coeffs), np.abs(w)) + 1.0)
+    hit = np.isnan(w) | (np.abs(dv) <= 1e-12 * (np.polyval(np.abs(r.den.coeffs), np.abs(w)) + 1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         vals[~inf] = np.where(hit, np.nan, r.num(s) / dv)
     ok[~inf] = ~hit
@@ -518,8 +518,8 @@ def freq_response(m, ws):
         values hold nan there.  A transfer-function point is a pole when
         |den(jw)| <= 1e-12 (|den|(|w|) + 1), with |den| the polynomial of
         absolute coefficients; a state-space point when the pencil
-        jwI - A is exactly singular or the value is not finite.  A
-        point's value and flag do not depend on the rest of the grid.
+        jwI - A is exactly singular or the value is not finite; a nan w
+        in both.  A point's value and flag do not depend on the grid.
 
     State-space grids are solved in stacks of at most _CHUNK_BYTES of
     working set, so memory stays flat in the grid length.

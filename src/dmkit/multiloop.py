@@ -8,15 +8,15 @@ open loop seen from the chosen break points.  The largest simultaneous
 radius is 1 over the peak of mu(M(jw)).
 
 mu itself is only bracketed: a diagonally scaled largest singular value
-from above, a diagonal-phase spectral radius search from below.  The
-margin inherits that bracket, [1/peak_upper, 1/peak_lower].
+from above, a diagonal-phase spectral radius ascent from below, both by
+one descent routine.  The margin inherits that bracket,
+[1/peak_upper, 1/peak_lower].
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .disk import (DiskSpec, _allpass, _shifted_sensitivity, disk_geometry, disk_margin,
                    disk_map_inv, worst_perturbation_lti)
@@ -26,6 +26,8 @@ from .lti import (LtiModel, StateSpace, TransferFunction, _as_model, _blkdiag, _
                   _osborne_balance, eval_freq, freq_response, is_stable, poles, scalar_close,
                   tf_to_ss)
 from .specnorm import FrequencyGrid, default_grid
+
+_RESTARTS = 5  # uniform and seeded random starts of the mu lower bound
 
 __all__ = [
     "MDeltaSystem",
@@ -57,8 +59,8 @@ class MuResult:
 
     delta_worst is the diagonal matrix built from the lower-bound phases,
     scaled so that det(I - M delta_worst) = 0 with norm 1/lower.
-    converged is False when the lower-bound search stagnated before its
-    iteration cap."""
+    converged is False when the lower-bound ascent hit its iteration
+    cap."""
 
     upper: float
     lower: float
@@ -75,7 +77,7 @@ class MultiLoopResult:
     comes with a certificate perturbation delta_worst at omega_crit.
     geometry describes the disk of radius alpha_lower.  inconclusive_gap
     is set when the bracket is wider than 10 percent.  converged is False
-    when the mu lower-bound search behind alpha_upper stagnated."""
+    when the mu lower-bound ascent behind alpha_upper hit its cap."""
 
     alpha_lower: float
     alpha_upper: float
@@ -234,31 +236,19 @@ def _sv_and_gradient(Ms, x):
     return s[:, 0], np.abs(U[:, :, 0]) ** 2 - np.abs(Vh[:, 0, :]) ** 2
 
 
-def _mu_upper(Ms, rel_tol=1e-12, grad_tol=1e-9, max_iter=300, log_bound=50.0):
-    """inf over positive diagonal D of the largest singular value of
-    D M D^-1, for every matrix of an (N, n, n) stack at once.
-
-    Starts from Osborne balancing, then runs projected gradient descent
-    on log sigma_max over log D, inside the box |log d_i| <= log_bound
-    (where the infimum is only approached as D degenerates, the box
-    keeps D M D^-1 finite).  It uses the analytic gradient
-    d log sigma / d log d_i = |u_i|^2 - |v_i|^2 (Packard & Doyle 1993),
-    Barzilai-Borwein step lengths and Armijo backtracking.  A matrix
-    leaves the active set once its gradient vanishes, its value stops
-    falling by more than rel_tol, or no step length decreases it (a
-    repeated largest singular value).  Every iterate is a valid bound,
-    so the result is an upper bound on mu whatever the exit.  Returns
-    an (N,) array.
-    """
-    N, n, _ = Ms.shape
-    if n == 1:
-        return np.abs(Ms[:, 0, 0])
-    x = _osborne_balance(np.abs(Ms))
-    x = np.clip(x - x.mean(axis=1, keepdims=True), -log_bound, log_bound)
-    f, g = _sv_and_gradient(Ms, x)
-    step = np.ones(N)
-    active = np.flatnonzero((f > 0) & (np.max(np.abs(g), axis=1) > grad_tol))
-    for _ in range(max_iter):
+def _descend(fg, x):
+    """Minimize a positive f for every row of x at once: projected gradient
+    descent on log f in the box |x_i| <= 50 (wider than a phase period),
+    Barzilai-Borwein step lengths, Armijo backtracking.  fg(rows, xr) gives
+    f and d log f / dx at xr, the points of those rows.  A row stops once
+    its gradient falls to 1e-9, f falls by no more than 1e-12 relative or
+    no step decreases f; a row whose f is not finite never starts.
+    Returns (x, f, settled), settled False where a row hit the cap."""
+    x = np.clip(x, -50.0, 50.0)
+    f, g = fg(np.arange(len(x)), x)
+    step = np.ones(len(x))
+    active = np.flatnonzero(np.isfinite(f) & (f > 0) & (np.max(np.abs(g), axis=1) > 1e-9))
+    for _ in range(300):
         if active.size == 0:
             break
         # Armijo backtracking on the active set, halving rejected steps
@@ -267,8 +257,8 @@ def _mu_upper(Ms, rel_tol=1e-12, grad_tol=1e-9, max_iter=300, log_bound=50.0):
         xn, fn, gn = x[active].copy(), f[active].copy(), g[active].copy()
         for _ in range(40):
             k = active[trial]
-            xt = np.clip(x[k] - step[k, None] * g[k], -log_bound, log_bound)
-            ft, gt = _sv_and_gradient(Ms[k], xt)
+            xt = np.clip(x[k] - step[k, None] * g[k], -50.0, 50.0)
+            ft, gt = fg(k, xt)
             good = ft <= f[k] * np.exp(-1e-4 * np.sum(g[k] * (x[k] - xt), axis=1))
             acc = trial[good]
             xn[acc], fn[acc], gn[acc] = xt[good], ft[good], gt[good]
@@ -281,83 +271,59 @@ def _mu_upper(Ms, rel_tol=1e-12, grad_tol=1e-9, max_iter=300, log_bound=50.0):
         sx = xn - x[active]
         sy = np.sum(sx * (gn - g[active]), axis=1)
         bb = np.where(sy > 0, np.sum(sx * sx, axis=1) / np.where(sy > 0, sy, 1.0), 2.0 * step[active])
-        done = ~moved | (f[active] - fn <= rel_tol * f[active]) | (np.max(np.abs(gn), axis=1) <= grad_tol)
+        done = ~moved | (f[active] - fn <= 1e-12 * f[active]) | (np.max(np.abs(gn), axis=1) <= 1e-9)
         x[active], f[active], g[active] = xn, fn, gn
         step[active] = np.clip(bb, 1e-6, 1e6)
         active = active[~done]
-    return f
+    return x, f, ~np.isin(np.arange(len(x)), active)
 
 
-def _rho(M0, theta_tail):
-    u = np.exp(1j * np.concatenate(([0.0], theta_tail)))
-    return float(np.max(np.abs(np.linalg.eigvals(u[:, None] * M0))))
+def _mu_upper(Ms):
+    """inf over positive diagonal D of the largest singular value of
+    D M D^-1, for every matrix of an (N, n, n) stack at once.
 
-
-def _align_iteration(M0, b, maxiter=200):
-    """Phase-alignment power iteration.
-
-    Returns (theta_tail, rho, settled); settled is False when the cap was
-    hit while the iterate was still moving."""
-    n = M0.shape[0]
-    theta = np.zeros(n)
-    rho_prev = 0.0
-    for k in range(maxiter):
-        z = M0 @ b
-        if not np.all(np.isfinite(z)) or np.linalg.norm(z) == 0.0:
-            return theta[1:] - theta[0], rho_prev, True
-        theta = np.angle(b) - np.angle(z)
-        u = np.exp(1j * theta)
-        UM = u[:, None] * M0
-        w, v = np.linalg.eig(UM)
-        j = int(np.argmax(np.abs(w)))
-        rho = abs(w[j])
-        b = v[:, j]
-        nb = np.linalg.norm(b)
-        if nb == 0.0:
-            return theta[1:] - theta[0], rho, True
-        b = b / nb
-        if abs(rho - rho_prev) <= 1e-11 * max(rho, 1e-300):
-            return theta[1:] - theta[0], rho, True
-        rho_prev = rho
-    return theta[1:] - theta[0], rho_prev, False
-
-
-def _mu_lower(M0, seed=0, restarts=5):
-    """max over diagonal unitary U of the spectral radius of U M, by
-    power iteration from seeded starts with a simplex polish.
-    Returns (rho, theta_tail, converged)."""
-    n = M0.shape[0]
+    Starts from Osborne balancing, then runs _descend over log D, with
+    d log sigma / d log d_i = |u_i|^2 - |v_i|^2 (Packard & Doyle 1993);
+    its box keeps D M D^-1 finite where the infimum is only approached as
+    D degenerates.  Every iterate is a valid bound, so the result bounds
+    mu whatever the exit.  Returns the (N,) bounds and the (N, n) log D.
+    """
+    N, n, _ = Ms.shape
     if n == 1:
-        return abs(M0[0, 0]), np.zeros(0), True
-    rng = np.random.default_rng(seed)
-    starts = [np.ones(n) / math.sqrt(n)]
-    for _ in range(restarts - 1):
-        b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        starts.append(b / np.linalg.norm(b))
-    best_rho, best_theta, best_settled = -1.0, np.zeros(n - 1), False
-    for b in starts:
-        theta, rho, settled = _align_iteration(M0, b)
-        res = minimize(
-            lambda th: -_rho(M0, th), theta, method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 800},
-        )
-        rho_pol = -res.fun
-        if rho_pol >= rho:
-            cand_theta, cand_rho, cand_settled = res.x, rho_pol, bool(res.success)
-        else:
-            cand_theta, cand_rho, cand_settled = theta, rho, settled
-        if cand_rho > best_rho:
-            best_rho, best_theta, best_settled = cand_rho, np.asarray(cand_theta), cand_settled
-    return best_rho, best_theta, best_settled
+        return np.abs(Ms[:, 0, 0]), np.zeros((N, 1))
+    x = _osborne_balance(np.abs(Ms))
+    x, f, _ = _descend(lambda k, x: _sv_and_gradient(Ms[k], x), x - x.mean(axis=1, keepdims=True))
+    return f, x
 
 
-def mu_diag(M0, seed=0, restarts=5):
+def _inv_rho_and_gradient(M0, theta):
+    """1/rho(diag(e^{j theta}) M0) for every row of theta, and its gradient
+    in theta: Im(y_i x_i / y x) for the dominant eigenvalue, with x its
+    right eigenvector and y the matching row of the inverse eigenvector
+    basis (its pseudo-inverse where the basis is singular, as for a
+    defective U M0); a gradient that is not finite is set to zero."""
+    w, V = np.linalg.eig(np.exp(1j * theta)[:, :, None] * M0)
+    rows = np.arange(len(theta))
+    j = np.argmax(np.abs(w), axis=1)
+    with np.errstate(all="ignore"):
+        try:
+            Y = np.linalg.inv(V)
+        except np.linalg.LinAlgError:
+            Y = np.linalg.pinv(V)
+        yx = Y[rows, j, :] * V[rows, :, j]
+        g = (yx / yx.sum(axis=1, keepdims=True)).imag
+        f = 1.0 / np.abs(w[rows, j])
+    g[~np.all(np.isfinite(g), axis=1)] = 0.0
+    return f, g
+
+
+def mu_diag(M0, seed=0):
     """Bracket mu of a constant matrix under diagonal complex uncertainty.
 
     Parameters
     ----------
     M0 : (n, n) complex ndarray.
-    seed, restarts : control the lower-bound search starts.
+    seed : seeds the random starts of the lower-bound ascent.
 
     Returns
     -------
@@ -367,9 +333,12 @@ def mu_diag(M0, seed=0, restarts=5):
         when M0 is zero).  The upper bound is the D-scaled largest
         singular value from the same batched routine the frequency sweep
         of multiloop_margin uses, run on a stack of one; it equals mu for
-        n <= 3 up to the optimizer tolerance, except where the optimal
-        scaling leaves the largest singular value repeated and the
-        descent stops short of it.
+        n <= 3 up to the descent's stopping tolerance, except where the
+        optimal scaling leaves the largest singular value repeated and
+        the descent stops short of it.  The lower bound runs the same
+        descent on the phases of a diagonal unitary U, maximizing the
+        spectral radius of U M0.  converged is False when its best start
+        hit the iteration cap.
     """
     M0 = np.atleast_2d(np.asarray(M0, dtype=complex))
     n = M0.shape[0]
@@ -379,14 +348,22 @@ def mu_diag(M0, seed=0, restarts=5):
         raise InputError("mu_diag needs finite entries")
     if np.all(M0 == 0):
         return MuResult(upper=0.0, lower=0.0, delta_worst=None, converged=True)
-    upper = float(_mu_upper(M0[None])[0])
-    lower, theta_tail, conv = _mu_lower(M0, seed=seed, restarts=restarts)
-    lower = min(lower, upper)  # fp guard; the bounds sandwich mu
-    u = np.exp(1j * np.concatenate(([0.0], theta_tail)))
+    (upper,), (x,) = _mu_upper(M0[None])
+    # ascent starts: angle(v_i) - angle(u_i) of the top singular pair at the
+    # upper bound's scaling, the worst case where that bound is tight, and
+    # angle(b) - angle(M0 b) for the uniform and seeded random vectors b
+    U, _, Vh = np.linalg.svd(M0 * np.exp(x[:, None] - x[None, :]))
+    z = np.random.default_rng(seed).normal(size=(_RESTARTS - 1, 2, n))
+    b = np.vstack([np.ones(n), z[:, 0] + 1j * z[:, 1]])
+    theta = np.vstack([-np.angle(Vh[0]) - np.angle(U[:, 0]), np.angle(b) - np.angle(b @ M0.T)])
+    theta, f, settled = _descend(lambda k, t: _inv_rho_and_gradient(M0, t), theta)
+    best = int(np.argmin(f))
+    lower = min(1.0 / f[best], upper)  # fp guard; the bounds sandwich mu
+    u = np.exp(1j * theta[best])
     w = np.linalg.eigvals(u[:, None] * M0)
     lam = w[int(np.argmax(np.abs(w)))]
     delta = np.diag(u / lam) if lam != 0 else None
-    return MuResult(upper=upper, lower=lower, delta_worst=delta, converged=conv)
+    return MuResult(float(upper), float(lower), delta, converged=bool(settled[best]))
 
 
 def _upper_on(sys, ws):
@@ -394,7 +371,7 @@ def _upper_on(sys, ws):
     vals, ok = freq_response(sys.M, ws)
     out = np.full(len(ws), -math.inf)
     if ok.any():
-        out[ok] = _mu_upper(vals[ok].reshape(-1, sys.n, sys.n))
+        out[ok] = _mu_upper(vals[ok].reshape(-1, sys.n, sys.n))[0]
     return out
 
 
@@ -422,7 +399,8 @@ def multiloop_margin(sys, grid=None, seed=0):
     ----------
     sys : MDeltaSystem from build_m.
     grid : FrequencyGrid; defaults to 400 points over the dynamics of M.
-    seed : seed for the mu lower-bound restarts.
+    seed : seeds the random starts of the mu lower-bound ascent at the
+        peak (mu_diag).
 
     Returns
     -------

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -332,3 +334,12 @@ def test_cli_imports_no_private_dmkit_names():
                 if a.name.split(".")[0] == "dmkit":
                     found += [p for p in a.name.split(".") if private(p)]
     assert found == []
+
+
+def test_cli_import_loads_no_scipy():
+    # the package needs numpy only; scipy is an oracle of the tests
+    src = os.path.dirname(os.path.dirname(dmkit.cli.__file__))
+    probe = ("import sys; sys.path.insert(0, {!r}); import dmkit.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))").format(src)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -160,9 +160,12 @@ def test_eval_freq_pole_on_axis():
         eval_freq(tf([1], [1, 0, 1]), 1.0)
     with pytest.raises(PoleOnAxisError):
         eval_freq(tf([1], [1, 0]), 0.0)
-    # a nan frequency must not read as w = inf and return the feedthrough
+    # a nan frequency must not read as w = inf and return the feedthrough,
+    # nor pass as a point with a nan value: both realizations flag it
     with pytest.raises(PoleOnAxisError):
         eval_freq(ss([[-1]], [[1]], [[1]], [[4]]), math.nan)
+    with pytest.raises(PoleOnAxisError):
+        eval_freq(tf([4, 5], [1, 1]), math.nan)
 
 
 def test_eval_freq_conjugate_symmetry():

@@ -1,7 +1,7 @@
 """Multi-loop margin machinery.
 
 The mu bounds are cross-checked against a brute-force oracle that never
-touches the scaling or power-iteration code: for diagonal complex
+touches the scaling or phase-ascent code: for diagonal complex
 uncertainty, mu(M) = max over unit-modulus diagonal U of the spectral
 radius of U M, so a fine phase sweep plus a local polish gives an
 independent reference for 2x2 problems.
@@ -9,6 +9,7 @@ independent reference for 2x2 problems.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,17 +85,64 @@ def test_mu_scaling_equivariance():
     assert_allclose(scaled.lower, 3.7 * base.lower, rtol=1e-7)
 
 
+MU_FAMILIES = ("plain", "badly scaled", "near rank one", "near triangular")
+
+
+def mu_family(kind, n, rng):
+    """A seeded complex n x n matrix of one of MU_FAMILIES."""
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "badly scaled":
+        d = np.exp(4.0 * rng.choice([-1.0, 1.0], n))
+        M = d[:, None] * M / d[None, :]
+    elif kind == "near rank one":
+        u, v = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        M = np.outer(u, v) + 1e-3 * M
+    elif kind == "near triangular":
+        M = np.triu(M) + 1e-3 * np.tril(M, -1)
+    return M
+
+
 def test_mu_certificate_is_singular():
     rng = np.random.default_rng(19)
-    for _ in range(5):
-        M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        res = mu_diag(M)
-        if res.delta_worst is None:
-            continue
-        resid = abs(np.linalg.det(np.eye(3) - M @ res.delta_worst))
-        assert resid <= 1e-6 * np.linalg.norm(M)
-        assert_allclose(np.max(np.abs(np.diag(res.delta_worst))),
-                        1.0 / res.lower, rtol=1e-9)
+    for kind in MU_FAMILIES:
+        for n in range(2, 7):
+            for _ in range(3):
+                M = mu_family(kind, n, rng)
+                res = mu_diag(M)
+                if res.delta_worst is None:
+                    continue
+                resid = abs(np.linalg.det(np.eye(n) - M @ res.delta_worst))
+                assert resid <= 1e-6 * np.linalg.norm(M)
+                assert_allclose(np.max(np.abs(np.diag(res.delta_worst))),
+                                1.0 / res.lower, rtol=1e-9)
+
+
+@pytest.mark.parametrize("kind", MU_FAMILIES)
+def test_mu_lower_meets_upper_for_two_and_three_channels(kind):
+    # the D-scaled bound equals mu for n <= 3, so the lower bound must
+    # reach it to the descent's tolerance
+    rng = np.random.default_rng([23, MU_FAMILIES.index(kind)])
+    for n in (2, 3):
+        for _ in range(25):
+            res = mu_diag(mu_family(kind, n, rng))
+            assert res.upper * (1 - 1e-9) <= res.lower <= res.upper
+
+
+@pytest.mark.parametrize("M", [
+    [[0.0, 1.0], [0.0, 0.0]],
+    [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]],
+    [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+    [[1.0, 1e6, 3.0], [0.0, 2.0, 1e6], [0.0, 0.0, 0.5]],
+    np.diag([1.5, 0.0]),
+], ids=["nilpotent", "jordan", "nilpotent jordan", "wide triangular", "singular diagonal"])
+def test_mu_degenerate_matrices(M):
+    # defective or singular U M: the eigenvector basis of the lower-bound
+    # gradient is singular, or the spectral radius is zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = mu_diag(np.array(M))
+    assert math.isfinite(res.upper) and math.isfinite(res.lower)
+    assert 0.0 <= res.lower <= res.upper
 
 
 def test_mu_diagonal_matrix_exact():
@@ -304,7 +352,7 @@ def test_batched_upper_bound_brackets_mu():
     rng = np.random.default_rng(2024)
     for n in (2, 3, 4):
         Ms = rng.standard_normal((12, n, n)) + 1j * rng.standard_normal((12, n, n))
-        upper = _mu_upper(Ms)
+        upper, _ = _mu_upper(Ms)
         for M, ub in zip(Ms, upper):
             res = mu_diag(M)
             assert ub >= res.lower

@@ -12,9 +12,11 @@ checkout path are stripped before the two trees are compared.
 
 The report lists the commands whose exit code, stderr or output differ,
 counts the numeric fields that are byte-identical, and gives the largest
-relative difference among the rest.  The exit status is 0 when every
-command matches exactly and 1 otherwise.  Uses the stdlib and numpy
-only (numpy through bench/workloads.py).
+relative difference among the rest.  For each key of a JSON document's
+"results" object it then gives the number of commands in which that
+key's value differs and the largest relative difference in it.  The
+exit status is 0 when every command matches exactly and 1 otherwise.
+Uses the stdlib and numpy only (numpy through bench/workloads.py).
 """
 
 import contextlib
@@ -102,6 +104,35 @@ def compare_numbers(a, b):
     return same, diff, worst
 
 
+def results_of(text):
+    """The "results" object of a JSON document, or None for other output."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return None
+    return doc.get("results") if isinstance(doc, dict) else None
+
+
+def results_breakdown(pairs):
+    """{key: [commands differing, largest relative difference]} over the
+    "results" keys of the (parent, change) stdout pairs."""
+    keys = {}
+    for a, b in pairs:
+        ra, rb = results_of(a), results_of(b)
+        if not isinstance(ra, dict) or not isinstance(rb, dict):
+            continue
+        for key in sorted(set(ra) | set(rb)):
+            va = json.dumps(ra.get(key), sort_keys=True)
+            vb = json.dumps(rb.get(key), sort_keys=True)
+            if va == vb:
+                continue
+            numbers = compare_numbers(va, vb)
+            entry = keys.setdefault(key, [0, 0.0])
+            entry[0] += 1
+            entry[1] = max(entry[1], math.inf if numbers is None else numbers[2])
+    return keys
+
+
 def main(argv):
     if len(argv) == 3 and argv[0] == "--worker":
         run_tree(argv[1], argv[2])
@@ -138,6 +169,10 @@ def main(argv):
     print("numeric fields: {} byte-identical, {} differing".format(same, diff))
     print("largest relative difference: {:.3g}{}".format(
         worst, " ({})".format(worst_key) if worst_key else ""))
+    breakdown = results_breakdown((p["stdout"], c["stdout"]) for p, c in zip(parent, change))
+    print("results keys that differ: {}".format(len(breakdown)))
+    for key, (count, rel) in sorted(breakdown.items()):
+        print("  {}: {} commands, largest relative difference {:.3g}".format(key, count, rel))
     return 1 if differing else 0
 
 
