@@ -19,10 +19,8 @@ starts of the mimo lower bound's ascent (default 0).
 """
 
 import argparse
-import csv
 import functools
 import hashlib
-import io
 import json
 import math
 import os
@@ -44,7 +42,7 @@ from .disk import (
     verify_destabilizing,
     worst_perturbation_lti,
 )
-from .errors import ConstructionError, DmkitError, DomainError, InputError, NumericalError
+from .errors import ConstructionError, DmkitError, DomainError, InputError
 from .lti import LtiModel, StateSpace, TransferFunction, eval_freq, freq_response
 from .multiloop import build_m, loop_at_a_time, multiloop_margin, resolve_points, siso_loop
 from .specnorm import FrequencyGrid, default_grid
@@ -87,15 +85,6 @@ def _angle_field(x):
     else:
         out["degrees"] = _jnum(x)
     return out
-
-
-def _csv_cell(x):
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return "{:.12g}".format(x)
 
 
 def _geometry_fields(g):
@@ -225,9 +214,7 @@ def cmd_classical(args):
     diagnostics = []
     for lo, hi in cm.extra_stable_gain_intervals:
         diagnostics.append(
-            "additional stable gain interval ({}, {}) disconnected from g = 1".format(
-                _csv_cell(lo), _csv_cell(hi)
-            )
+            "additional stable gain interval (%.12g, %.12g) disconnected from g = 1" % (lo, hi)
         )
     _emit(_document("classical", path, digest, {}, results, diagnostics), args.out)
     return 0
@@ -314,6 +301,13 @@ def _parse_grid(spec_str, L):
 TRACE_COLUMNS = ("omega", "alpha", "gamma_min", "gamma_max", "gamma_m", "phi_m_deg")
 
 
+def _csv_text(columns, rows):
+    """CSV with a header line and one "%.12g" field per value (nan, inf
+    and -inf print as such)."""
+    fmt = ",".join(["%.12g"] * len(columns)) + "\n"
+    return ",".join(columns) + "\n" + "".join(fmt % row for row in rows)
+
+
 def _trace_rows(tr):
     rows = []
     for w, alpha, gm, pm in zip(tr.grid.points, tr.alpha_of_omega, tr.gm_of_omega, tr.pm_of_omega):
@@ -333,12 +327,7 @@ def cmd_trace(args):
     tr = freq_margin_trace(L, args.skew, grid)
     rows = _trace_rows(tr)
     if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(TRACE_COLUMNS)
-        for row in rows:
-            w.writerow([_csv_cell(x) for x in row])
-        text = buf.getvalue()
+        text = _csv_text(TRACE_COLUMNS, rows)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -456,10 +445,7 @@ def cmd_exclusion(args):
         vals, ok = freq_response(L, ws)
         samples = zip(ws[ok].tolist(), vals[ok].real.tolist(), vals[ok].imag.tolist())
         with open(args.out, "w", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(("omega", "re_L", "im_L"))
-            for row in samples:
-                w.writerow([_csv_cell(x) for x in row])
+            fh.write(_csv_text(("omega", "re_L", "im_L"), samples))
         results["samples_csv"] = args.out
     _emit(_document("exclusion", path, digest, {"skew": _jnum(args.skew)}, results, diagnostics), None)
     return 0
@@ -523,9 +509,6 @@ def main(argv=None):
     except DomainError as e:
         print("error: {}".format(e), file=sys.stderr)
         return 2
-    except NumericalError as e:
-        print("error: {}".format(e), file=sys.stderr)
-        return 3
     except DmkitError as e:
         print("error: {}".format(e), file=sys.stderr)
         return 3

@@ -9,9 +9,11 @@ ingestion, and stay there.
 
 Each primitive exists once.  freq_response evaluates every model on the
 imaginary axis, and eval_freq is its one-point form.  A closure is well
-posed by one rule, 1 + L(inf) (I + D in state space) nonsingular beyond
-rounding: _close applies it to state space, sensitivity_pair to
-transfer functions, and scalar_close goes through the two.
+posed by one rule, the componentwise condition number of I + D (of
+1 + L(inf) for a transfer function) below 1e12 (Demmel, SIAM J. Matrix
+Anal. Appl. 13(1), 1992): _close applies it to state space,
+sensitivity_pair to transfer functions, and scalar_close goes through
+the two.
 """
 
 import numpy as np
@@ -28,6 +30,8 @@ from .errors import (
 
 # working-set budget, in bytes, of one stacked solve in freq_response
 _CHUNK_BYTES = 1 << 20
+# relative rank tolerance of _minreal's reachable and observable projections
+_MINREAL_TOL = 1e-8
 
 __all__ = [
     "Polynomial",
@@ -75,10 +79,8 @@ class Polynomial:
 
     def __init__(self, coeffs):
         a = _as_coeffs(coeffs)
-        a = np.trim_zeros(a, "f")
-        if a.size == 0:
-            a = np.zeros(1)
-        self.coeffs = a
+        nz = np.flatnonzero(a)
+        self.coeffs = a[nz[0]:] if nz.size else np.zeros(1)
 
     @property
     def degree(self):
@@ -93,7 +95,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            return Polynomial(np.polymul(self.coeffs, other.coeffs))
+            return Polynomial(np.convolve(self.coeffs, other.coeffs))
         return Polynomial(self.coeffs * other)
 
     __rmul__ = __mul__
@@ -394,7 +396,7 @@ def _minreal_pass(s, tol):
     return StateSpace(Qo.T @ A1 @ Qo, Qo.T @ B1, C1 @ Qo, s.D)
 
 
-def _minreal(s, tol=1e-8):
+def _minreal(s):
     """Drop unreachable and unobservable states.
 
     Meant for exact structural cancellations (duplicated blocks from
@@ -414,7 +416,7 @@ def _minreal(s, tol=1e-8):
     )
     cur = s
     while cur.nstates:
-        nxt = _minreal_pass(cur, tol * scale)
+        nxt = _minreal_pass(cur, _MINREAL_TOL * scale)
         if nxt.nstates == cur.nstates:
             break
         cur = nxt
@@ -438,12 +440,9 @@ def poles(m):
     return np.sort_complex(p)
 
 
-def is_stable(m, eps_stab=0.0):
-    """True when every pole satisfies Re p < -eps_stab."""
-    p = poles(m)
-    if p.size == 0:
-        return True
-    return bool(np.all(p.real < -eps_stab))
+def is_stable(m):
+    """True when every pole satisfies Re p < 0."""
+    return bool(np.all(poles(m).real < 0.0))
 
 
 def _response_tf(r, ws):
@@ -669,43 +668,32 @@ def _ss_series(first, second):
     return StateSpace(A, B, C, D)
 
 
-def _osborne_balance(absM, sweeps=10):
-    """Log diagonal scalings that balance the off-diagonal row and column
-    norms of each |M| in an (N, n, n) stack."""
-    N, n, _ = absM.shape
-    d = np.ones((N, n))
-    for _ in range(sweeps if n > 1 else 0):
-        for i in range(n):
-            off = np.arange(n) != i
-            r = np.linalg.norm(absM[:, i, off] * d[:, i:i + 1] / d[:, off], axis=1)
-            c = np.linalg.norm(absM[:, off, i] * d[:, off] / d[:, i:i + 1], axis=1)
-            upd = (r > 0) & (c > 0)
-            d[upd, i] *= np.sqrt(c[upd] / r[upd])
-    return np.log(d)
-
-
 def _close(sys, keep):
     """Negative unity feedback around the channels of a square state-space
     loop not in keep: the loop seen from the kept break points, in order.
 
-    WellPosednessError when sigma_min(I + D) <= 1e-12 (1 + ||D||_F) over
-    the closed channels, with D balanced by a diagonal similarity first,
-    so neither the channel count nor a channel's units decide the answer.
+    WellPosednessError when I + D over the closed channels is singular or
+    its componentwise (Bauer-Skeel) condition number,
+    kappa = rho(|(I + D)^-1| (I + |D|)), is at least 1e12 (Demmel, SIAM J.
+    Matrix Anal. Appl. 13(1), 1992).  kappa is unchanged by a diagonal
+    similarity T D T^-1, so a channel's units do not decide the answer;
+    at one channel the test reads |1 + d| <= 1e-12 (1 + |d|).
     """
     keep = list(keep)
     other = [i for i in range(sys.noutputs) if i not in keep]
     if not other:
         return StateSpace(sys.A, sys.B[:, keep], sys.C[keep, :], sys.D[np.ix_(keep, keep)])
     Doo, eye = sys.D[np.ix_(other, other)], np.eye(len(other))
-    # a rough balance suffices at 1e-12; the eps^2 floor balances one-way couplings
-    absD = np.abs(Doo) + 1e-32 * np.max(np.abs(Doo)) * (1.0 - eye)
-    x = _osborne_balance(absD[None], sweeps=3)[0]
-    Db = Doo * np.exp(x[:, None] - x[None, :])
-    # a non-finite D passes on to fail in the pole computations, as before
-    if np.isfinite(Db).all() and (np.linalg.svd(eye + Db, compute_uv=False)[-1]
-                                  <= 1e-12 * (1.0 + np.linalg.norm(Db))):
+    try:
+        Mi = np.linalg.inv(eye + Doo)
+        # a non-finite D passes on to fail in the pole computations, as
+        # before; eigvals raises on a kappa that overflows
+        ill = np.isfinite(Doo).all() and np.max(
+            np.abs(np.linalg.eigvals(np.abs(Mi) @ (eye + np.abs(Doo))))) >= 1e12
+    except np.linalg.LinAlgError:
+        ill = True
+    if ill:
         raise WellPosednessError("I + D is singular, closed loop is not well posed")
-    Mi = np.linalg.inv(eye + Doo)
     Bo, Co = sys.B[:, other], sys.C[other, :]
     Dso, Dos = sys.D[np.ix_(keep, other)], sys.D[np.ix_(other, keep)]
     return StateSpace(
@@ -769,20 +757,13 @@ def sensitivity_pair(L):
     return LtiModel(S), LtiModel(T)
 
 
-def _static_ss(value):
-    return StateSpace(np.zeros((0, 0)), np.zeros((0, 1)),
-                      np.zeros((1, 0)), np.array([[value]]))
-
-
-def _realize_factor(f):
-    if isinstance(f, TransferFunction):
-        return tf_to_ss(f)
+def _as_factor(f):
+    # a factor keeps a state-space form; anything else is a transfer function
     if isinstance(f, LtiModel):
         if not f.is_siso:
             raise InputError("perturbation factors must be scalar")
-        r = f.normalized().representation
-        return tf_to_ss(r) if isinstance(r, TransferFunction) else r
-    return _static_ss(complex(f) if np.iscomplexobj(np.asarray(f)) else float(f))
+        return f.normalized().representation
+    return f if isinstance(f, TransferFunction) else TransferFunction([f], [1.0])
 
 
 def scalar_close(L, f):
@@ -791,10 +772,12 @@ def scalar_close(L, f):
     Parameters
     ----------
     L : LtiModel (any feedback_sign; normalized first)
-    f : scalar, TransferFunction, or a sequence of those
+    f : scalar, TransferFunction, SISO LtiModel, or a sequence of those
         A single factor applies to every channel.  A sequence gives one
         factor per channel of a square MIMO loop.  Complex scalars are
-        allowed; the closed loop then has complex coefficients.
+        allowed; the closed loop then has complex coefficients.  A
+        scalar is the transfer function f/1; a state-space factor, or a
+        sequence, closes the loop in state space.
 
     Returns
     -------
@@ -810,28 +793,19 @@ def scalar_close(L, f):
     """
     L = _as_model(L).normalized()
     r = L.representation
-    if isinstance(r, TransferFunction) and not isinstance(f, (list, tuple, np.ndarray)):
-        if isinstance(f, LtiModel):
-            f = f.normalized().representation
-            if isinstance(f, StateSpace):
-                f = ss_to_tf(f)
-        if not isinstance(f, TransferFunction):
-            fc = complex(f)
-            f = fc.real if fc.imag == 0 else fc
-        return sensitivity_pair(LtiModel(f * r))[1]
+    many = isinstance(f, (list, tuple, np.ndarray))
+    factors = [_as_factor(x) for x in (f if many else [f])]
+    if isinstance(r, TransferFunction) and not many and isinstance(factors[0], TransferFunction):
+        return sensitivity_pair(LtiModel(factors[0] * r))[1]
     # state-space path
     if isinstance(r, TransferFunction):
         r = tf_to_ss(r)
     p = r.noutputs
     if r.ninputs != p:
         raise InputError("scalar_close needs a square loop")
-    if isinstance(f, (list, tuple, np.ndarray)):
-        factors = list(f)
-        if len(factors) != p:
-            raise InputError("expected {} factors, got {}".format(p, len(factors)))
-    else:
-        factors = [f] * p
-    F = [_realize_factor(x) for x in factors]
+    if many and len(factors) != p:
+        raise InputError("expected {} factors, got {}".format(p, len(factors)))
+    F = [x if isinstance(x, StateSpace) else tf_to_ss(x) for x in factors] * (1 if many else p)
     dtype = np.result_type(*(b.D.dtype for b in F), r.A.dtype, np.float64)
     Fss = StateSpace(
         _blkdiag([b.A for b in F], dtype),

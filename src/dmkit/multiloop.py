@@ -23,11 +23,12 @@ from .disk import (DiskSpec, _allpass, _shifted_sensitivity, disk_geometry, disk
 from .classical import classical_margins
 from .errors import ConstructionError, InputError, NominalInstabilityError, WellPosednessError
 from .lti import (LtiModel, StateSpace, TransferFunction, _as_model, _blkdiag, _close,
-                  _osborne_balance, eval_freq, freq_response, is_stable, poles, scalar_close,
-                  tf_to_ss)
-from .specnorm import FrequencyGrid, default_grid
+                  eval_freq, freq_response, is_stable, poles, scalar_close, tf_to_ss)
+from .specnorm import FrequencyGrid, _pick_lowest, default_grid
 
 _RESTARTS = 5  # uniform and seeded random starts of the mu lower bound
+# samples per bracket and narrowing rounds of the peak zoom
+_ZOOM_POINTS, _ZOOM_ROUNDS = 9, 12
 
 __all__ = [
     "MDeltaSystem",
@@ -278,6 +279,21 @@ def _descend(fg, x):
     return x, f, ~np.isin(np.arange(len(x)), active)
 
 
+def _osborne_balance(absM):
+    """Log diagonal scalings that balance the off-diagonal row and column
+    norms of each |M| in an (N, n, n) stack: ten Osborne sweeps."""
+    N, n, _ = absM.shape
+    d = np.ones((N, n))
+    for _ in range(10):
+        for i in range(n):
+            off = np.arange(n) != i
+            r = np.linalg.norm(absM[:, i, off] * d[:, i:i + 1] / d[:, off], axis=1)
+            c = np.linalg.norm(absM[:, off, i] * d[:, off] / d[:, i:i + 1], axis=1)
+            upd = (r > 0) & (c > 0)
+            d[upd, i] *= np.sqrt(c[upd] / r[upd])
+    return np.log(d)
+
+
 def _mu_upper(Ms):
     """inf over positive diagonal D of the largest singular value of
     D M D^-1, for every matrix of an (N, n, n) stack at once.
@@ -375,19 +391,19 @@ def _upper_on(sys, ws):
     return out
 
 
-def _zoom_peaks(sys, brackets, points=9, rounds=12):
-    """Refine local peaks of the upper bound: each round samples every
-    log-spaced bracket at `points` frequencies in one batch, then narrows
-    each bracket to the two spacings around its best sample.  Returns
-    the best (frequency, value) of every bracket."""
+def _zoom_peaks(sys, brackets):
+    """Refine local peaks of the upper bound: each of _ZOOM_ROUNDS rounds
+    samples every log-spaced bracket at _ZOOM_POINTS frequencies in one
+    batch, then narrows each bracket to the two spacings around its best
+    sample.  Returns the best (frequency, value) of every bracket."""
     lo, hi = np.log(np.asarray(brackets, dtype=float)).T
     rows = np.arange(lo.size)
-    for _ in range(rounds):
-        ws = np.exp(np.linspace(lo, hi, points, axis=1))
+    for _ in range(_ZOOM_ROUNDS):
+        ws = np.exp(np.linspace(lo, hi, _ZOOM_POINTS, axis=1))
         vals = _upper_on(sys, ws.ravel()).reshape(ws.shape)
         j = np.argmax(vals, axis=1)
         best_w, best_v = ws[rows, j], vals[rows, j]
-        half = (hi - lo) / (points - 1)
+        half = (hi - lo) / (_ZOOM_POINTS - 1)
         lo, hi = np.log(best_w) - half, np.log(best_w) + half
     return list(zip(best_w.tolist(), best_v.tolist()))
 
@@ -433,7 +449,7 @@ def multiloop_margin(sys, grid=None, seed=0):
         cand.extend(_zoom_peaks(sys, brackets))
 
     peak_ub = max(v for _, v in cand)
-    omega_crit = min(w for w, v in cand if v >= peak_ub * (1.0 - 1e-9))
+    omega_crit = _pick_lowest(cand, peak_ub)
 
     M0 = np.atleast_2d(eval_freq(sys.M, omega_crit))
     mu = mu_diag(M0, seed=seed)

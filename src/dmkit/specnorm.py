@@ -131,38 +131,38 @@ def _axis_crossings(A, B, C, D, gamma):
     return w
 
 
+# relative accuracy of hinf_norm, and the finite points of its seed grid
+_TOL, _GRID_N = 1e-6, 128
 # level-set steps before hinf_norm gives up; each step gains at least a
-# factor 1 + tol/2 and the iteration converges quadratically, so a
+# factor 1 + _TOL/2 and the iteration converges quadratically, so a
 # handful suffices
 _MAX_LEVELS = 50
 
 
-def hinf_norm(m, tol=1e-6, grid_n=128):
+def hinf_norm(m):
     """Peak gain over frequency of a stable proper model.
 
     Level-set iteration on the Hamiltonian crossing test, seeded by the
-    best gain on a grid_n-point grid (w = 0 and w = inf included) and at
+    best gain on a _GRID_N-point grid (w = 0 and w = inf included) and at
     the imaginary part of each pole.  Each step finds the frequencies
-    where the gain crosses the current best value times (1 + tol/2),
+    where the gain crosses the current best value times (1 + _TOL/2),
     evaluates the gain there and midway between consecutive crossings,
     and takes the largest as the next best value.  It stops when that
     level has no crossings (the level bounds the peak from above) or when
     no evaluated gain exceeds the level.  A final step evaluates midway
-    between the crossings of the best value times (1 - tol/2).
+    between the crossings of the best value times (1 - _TOL/2).
 
     Parameters
     ----------
     m : LtiModel (or bare representation)
-    tol : relative accuracy of the returned value.
-    grid_n : number of finite seed-grid points.
 
     Returns
     -------
     PeakGain
-        value is within relative tol of the true supremum; frequency is
-        where that gain was attained.  Peaks at w = 0 or w = inf are
-        reported with those exact sentinels.  Among near-equal peaks the
-        lowest frequency wins.
+        value is within relative _TOL (1e-6) of the true supremum;
+        frequency is where that gain was attained.  Peaks at w = 0 or
+        w = inf are reported with those exact sentinels.  Among near-equal
+        peaks the lowest frequency wins.
 
     Raises
     ------
@@ -184,7 +184,7 @@ def hinf_norm(m, tol=1e-6, grid_n=128):
 
     # a lightly damped resonance too narrow for the grid peaks near the
     # imaginary part of its pole
-    seed = _log_grid(m, grid_n, pole_set).points + tuple(pole_set.imag[pole_set.imag > 0.0])
+    seed = _log_grid(m, _GRID_N, pole_set).points + tuple(pole_set.imag[pole_set.imag > 0.0])
     cand = list(zip(seed, _gains(m, seed).tolist()))
     lo = max(g for _, g in cand)
     if lo == 0.0:
@@ -203,7 +203,7 @@ def hinf_norm(m, tol=1e-6, grid_n=128):
         return max(g for _, g in cand)
 
     for _ in range(_MAX_LEVELS):
-        level = lo * (1.0 + 0.5 * tol)
+        level = lo * (1.0 + 0.5 * _TOL)
         best = peak_between(_axis_crossings(A, B, C, D, level))
         # no crossings certify the level as an upper bound; crossings
         # whose gains stay below the level are a near-double crossing
@@ -216,10 +216,11 @@ def hinf_norm(m, tol=1e-6, grid_n=128):
 
     # just below an attained gain the crossings are real and well
     # separated, and midway between them sits the peak itself
-    best = peak_between(_axis_crossings(A, B, C, D, lo * (1.0 - 0.5 * tol)))
+    best = peak_between(_axis_crossings(A, B, C, D, lo * (1.0 - 0.5 * _TOL)))
     return PeakGain(best, _pick_lowest(cand, best))
 
 
 def _pick_lowest(cand, best):
+    """Lowest frequency of the (w, gain) candidates within 1e-9 of best."""
     ws = [w for w, g in cand if g >= best * (1.0 - 1e-9)]
     return float(min(ws))

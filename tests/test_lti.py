@@ -421,12 +421,15 @@ def static_loop(D):
 
 
 # (D, exact (I + D)^-1): det(I + D) is 1.25e-13 for the first, the
-# second is [[0, 1], [1, 1e-4]] in other units, and the third is a
-# one-way coupling, [[0, 1], [0, 0]] in other units
+# second is [[0, 1], [1, 1e-4]] in other units, the third is a one-way
+# coupling, [[0, 1], [0, 0]] in other units, and the fourth a 3x3 chain
+# of them, whose I + D has determinant 1
+CHAIN = np.diag([1e20, 1e20], 1)
 WELL_POSED = [
     (-(1 - 5e-5) * np.eye(3), np.eye(3) / 5e-5),
     (np.array([[0.0, 1e8], [1e-8, 1e-4]]), np.array([[1.0 + 1e-4, -1e8], [-1e-8, 1.0]]) / 1e-4),
     (np.array([[0.0, 1e8], [0.0, 0.0]]), np.array([[1.0, -1e8], [0.0, 1.0]])),
+    (CHAIN, np.eye(3) - CHAIN + CHAIN @ CHAIN),
 ]
 # I + D singular to rounding: [[1, 1e8], [1e-8, 1 + 1e-14]], its balanced
 # twin, one channel, 1e6 (rank one) + 1e-8 I, whose smallest singular
@@ -477,6 +480,40 @@ def test_closures_reject_singular_i_plus_d(D):
                 sensitivity_pair(L)
             with pytest.raises(WellPosednessError):
                 scalar_close(L, 1.0)
+
+
+def kappa(D):
+    """Componentwise condition number rho(|(I + D)^-1| (I + |D|)), inf
+    where I + D is singular."""
+    eye = np.eye(len(D))
+    try:
+        K = np.abs(np.linalg.inv(eye + D)) @ (eye + np.abs(D))
+    except np.linalg.LinAlgError:
+        return math.inf
+    return np.max(np.abs(np.linalg.eigvals(K))) if np.isfinite(K).all() else math.inf
+
+
+def well_posed(D):
+    try:
+        _close(with_kept_channel(D), [0])
+    except WellPosednessError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4), st.floats(0.0, 20.0), st.integers(0, 2**32 - 1))
+def test_close_verdict_ignores_channel_units(n, decades, seed):
+    # I + D = U diag(s) V^T with its smallest singular value 10^-decades,
+    # against the same D in other units, T D T^-1 with log10 T in [-13, 13]
+    rng = np.random.default_rng(seed)
+    U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    s = 10.0 ** np.append(rng.uniform(-1.0, 1.0, n - 1), -decades)
+    D = (U * s) @ V.T - np.eye(n)
+    # a decade of room on both sides of the 1e12 threshold
+    assume(not 1e11 <= kappa(D) <= 1e13)
+    t = 10.0 ** rng.uniform(-13.0, 13.0, n)
+    assert well_posed(D * t[:, None] / t[None, :]) == well_posed(D)
 
 
 @st.composite

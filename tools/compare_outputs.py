@@ -14,8 +14,10 @@ The report lists the commands whose exit code, stderr or output differ,
 counts the numeric fields that are byte-identical, and gives the largest
 relative difference among the rest.  For each key of a JSON document's
 "results" object it then gives the number of commands in which that
-key's value differs and the largest relative difference in it.  The
-exit status is 0 when every command matches exactly and 1 otherwise.
+key's value differs and the largest relative difference in it.  Last
+come the non-blank line counts of each tree's src/dmkit, counted as
+bench/run.py counts them.  The exit status is 0 when every command
+matches exactly and 1 otherwise.
 Uses the stdlib and numpy only (numpy through bench/workloads.py).
 """
 
@@ -79,6 +81,18 @@ def collect(tree, out_path):
                    cwd=tree, env=env, check=True)
     with open(out_path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def nonblank_lines(tree):
+    """Non-blank lines of the .py files under tree/src/dmkit, the count
+    bench/run.py records."""
+    n = 0
+    for dirpath, _dirs, files in os.walk(os.path.join(tree, "src", "dmkit")):
+        for f in files:
+            if f.endswith(".py"):
+                with open(os.path.join(dirpath, f), encoding="utf-8") as fh:
+                    n += sum(1 for line in fh if line.strip())
+    return n
 
 
 def compare_numbers(a, b):
@@ -173,6 +187,7 @@ def main(argv):
     print("results keys that differ: {}".format(len(breakdown)))
     for key, (count, rel) in sorted(breakdown.items()):
         print("  {}: {} commands, largest relative difference {:.3g}".format(key, count, rel))
+    print("src/dmkit non-blank lines: {} -> {}".format(*(nonblank_lines(t) for t in argv)))
     return 1 if differing else 0
 
 
