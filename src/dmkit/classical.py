@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DmkitError, InputError, NominalInstabilityError
-from .lti import TransferFunction, _as_model, freq_response, is_stable, scalar_close, ss_to_tf
+from .lti import TransferFunction, _as_model, _trim, freq_response, is_stable, scalar_close, ss_to_tf
 
 __all__ = ["ClassicalMargins", "gain_margins", "phase_margin", "classical_margins"]
 
@@ -62,8 +62,15 @@ def _on_axis(coeffs):
 
 
 def _abs2(c):
-    """|p(jw)|^2 as a real polynomial in w, from _on_axis coefficients."""
-    return np.polymul(c, c.conj()).real
+    """|p(jw)|^2 as a real polynomial in w, from _on_axis coefficients
+    without leading zeros."""
+    return np.convolve(c, c.conj()).real
+
+
+def _polymul(a, b):
+    """np.polymul(a, b) without its poly1d round trip: leading zeros are
+    trimmed first, and an empty array is the zero polynomial."""
+    return np.convolve(_trim(a), _trim(b))
 
 
 def _positive_roots(p, residual):
@@ -71,7 +78,7 @@ def _positive_roots(p, residual):
     ascending, with roots within 1e-9 relative of each other returned
     once.  Each is polished by Newton steps residual(w) / p'(w), where
     residual evaluates p at w."""
-    p = np.trim_zeros(np.asarray(p, dtype=float), "f")
+    p = _trim(np.asarray(p, dtype=float))
     if p.size < 2:
         return []
     dp = np.polyder(p)
@@ -123,7 +130,8 @@ def _crossings(L):
         return zip(ws[ok].tolist(), vals[ok].tolist())
 
     gains = []
-    real_axis = roots(np.polymul(n, d.conj()).imag, lambda nv, dv: (nv * dv.conjugate()).imag)
+    # n and d keep Polynomial's nonzero leading coefficient
+    real_axis = roots(np.convolve(n, d.conj()).imag, lambda nv, dv: (nv * dv.conjugate()).imag)
     for w, lc in verified(real_axis):
         if abs(lc.imag) <= 1e-6 * abs(lc) and lc.real < 0.0:
             gains.append((-1.0 / lc.real, w))
@@ -235,9 +243,9 @@ def critical_distance(L):
     evaluated on the model."""
     L = _as_model(L).normalized()
     t = _transfer_function(L)
-    p = _abs2(_on_axis(np.polyadd(t.num.coeffs, t.den.coeffs)))
+    p = _abs2(_on_axis(_trim(np.polyadd(t.num.coeffs, t.den.coeffs))))
     q = _abs2(_on_axis(t.den.coeffs))
-    stationary = np.polysub(np.polymul(np.polyder(p), q), np.polymul(p, np.polyder(q)))
+    stationary = np.polysub(_polymul(np.polyder(p), q), _polymul(p, np.polyder(q)))
     candidates = _positive_roots(stationary, lambda w: np.polyval(stationary, w))
     vals, ok = freq_response(L, [0.0, math.inf] + candidates)
     return float(np.min(np.abs(1.0 + vals[ok]), initial=math.inf))

@@ -309,15 +309,16 @@ def _csv_text(columns, rows):
 
 
 def _trace_rows(tr):
-    rows = []
-    for w, alpha, gm, pm in zip(tr.grid.points, tr.alpha_of_omega, tr.gm_of_omega, tr.pm_of_omega):
-        if math.isnan(alpha):
-            rows.append((w, math.nan, math.nan, math.nan, math.nan, math.nan))
-            continue
-        gamma_m = _gamma_m(gm)
-        pm_deg = math.degrees(pm) if math.isfinite(pm) else pm
-        rows.append((w, alpha, gm[0], gm[1], gamma_m, pm_deg))
-    return rows
+    # _gamma_m and the phase in degrees over the whole grid; a flagged row
+    # is nan after omega
+    alpha, pm = np.array(tr.alpha_of_omega), np.array(tr.pm_of_omega)
+    lo, hi = np.array(tr.gm_of_omega).reshape(-1, 2).T
+    with np.errstate(divide="ignore"):
+        inv = np.where(lo > 0.0, 1.0 / lo, math.inf)
+    rows = np.column_stack([tr.grid.points, alpha, lo, hi, np.where(hi < inv, hi, inv),
+                            np.where(np.isfinite(pm), np.degrees(pm), pm)])
+    rows[np.isnan(alpha), 1:] = math.nan
+    return list(map(tuple, rows.tolist()))
 
 
 def cmd_trace(args):

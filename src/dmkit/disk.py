@@ -462,27 +462,51 @@ def freq_margin_trace(L, sigma=0.0, grid=None, n=400):
     elif not isinstance(grid, FrequencyGrid):
         grid = FrequencyGrid(tuple(grid))
     vals, ok = freq_response(shifted, grid.points)
-    gains = np.abs(vals)
-    alphas, gms, pms = [], [], []
-    for g, good in zip(gains.tolist(), ok.tolist()):
-        if not good:
-            alphas.append(math.nan)
-            gms.append((math.nan, math.nan))
-            pms.append(math.nan)
-            continue
-        alpha = math.inf if g == 0.0 else 1.0 / g
-        gm, pm = _reported_gm_pm(alpha, sigma)
-        alphas.append(alpha)
-        gms.append(gm)
-        pms.append(pm)
-    flagged = np.flatnonzero(~ok).tolist()
+    alpha, lo, hi, pm = _trace_margins(np.abs(vals), ok, sigma)
     return MarginTrace(
         grid=grid,
-        alpha_of_omega=tuple(alphas),
-        gm_of_omega=tuple(gms),
-        pm_of_omega=tuple(pms),
-        flagged=tuple(flagged),
+        alpha_of_omega=tuple(alpha.tolist()),
+        gm_of_omega=tuple(zip(lo.tolist(), hi.tolist())),
+        pm_of_omega=tuple(pm.tolist()),
+        flagged=tuple(np.flatnonzero(~ok).tolist()),
     )
+
+
+def _trace_margins(gains, ok, sigma):
+    """alpha = 1/gain and _reported_gm_pm's (lo, hi) and phase, as arrays
+    over a grid that equal the scalar forms element for element (alpha =
+    inf at zero gain); nan in all four where ok is False."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha = 1.0 / gains
+        b = alpha * (1.0 + sigma)
+        (n1, d1), (n2, d2) = _disk_map_terms(-alpha, sigma), _disk_map_terms(alpha, sigma)
+        gmin, gmax = n1 / d1, n2 / d2
+        s = gmin + gmax
+        x = (1.0 + gmin * gmax) / s
+    # _raw_intercepts' 1e-12 knife edge; beyond it |b| < 2 is an interior disk
+    half = np.abs(np.abs(b) - 2.0) <= 1e-12 * 2.0
+    interior = ~half & (np.abs(b) < 2.0)
+    exterior = ~half & ~interior
+    # interior: [max(0, gmin), gmax]; exterior: the connected admissible
+    # interval around 1, between the sorted intercepts
+    lo_ex, hi_ex = np.where(gmax < gmin, gmax, gmin), np.where(gmax < gmin, gmin, gmax)
+    lo = np.select([interior & (gmin > 0.0), exterior & (0.0 < hi_ex) & (hi_ex < 1.0)],
+                   [gmin, hi_ex], 0.0)
+    hi = np.select([interior, exterior & (lo_ex > 1.0)], [gmax, lo_ex], math.inf)
+    if half.any():
+        # the intercept that stays finite, evaluated on the edge itself
+        a_star = 2.0 / abs(1.0 + sigma) * (1.0 - sigma)
+        lo[half & (b > 0)] = max(0.0, (2.0 - a_star) / 4.0)
+        hi[half & ~(b > 0)] = (2.0 + a_star) / 4.0
+    # _phase_from_intercepts; math.acos, as np.arccos rounds differently
+    pm = np.full(gains.shape, math.inf)
+    acos = ~half & (s != 0.0) & np.isfinite(gmin) & np.isfinite(gmax) & ~(np.abs(x) > 1.0)
+    pm[acos] = list(map(math.acos, x[acos].tolist()))
+    zero = alpha == math.inf
+    lo[zero], hi[zero], pm[zero] = 0.0, math.inf, math.inf
+    for a in (alpha, lo, hi, pm):
+        a[~ok] = math.nan
+    return alpha, lo, hi, pm
 
 
 def _allpass(value, omega, what):

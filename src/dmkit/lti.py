@@ -8,13 +8,17 @@ coefficient level; matrix models are realized to state space once, at
 ingestion, and stay there.
 
 Each primitive exists once.  freq_response evaluates every model on the
-imaginary axis, and eval_freq is its one-point form.  A closure is well
-posed by one rule, the componentwise condition number of I + D (of
-1 + L(inf) for a transfer function) below 1e12 (Demmel, SIAM J. Matrix
-Anal. Appl. 13(1), 1992): _close applies it to state space,
-sensitivity_pair to transfer functions, and scalar_close goes through
-the two.
+imaginary axis, and eval_freq is its one-point form; state-space models
+from _HESSENBERG_STATES states on go through a Hessenberg form (Laub,
+IEEE Trans. Automat. Control 26(2), 1981), smaller ones through stacked
+LU solves.  A closure is well posed by one rule, the componentwise
+condition number of I + D (of 1 + L(inf) for a transfer function) below
+1e12 (Demmel, SIAM J. Matrix Anal. Appl. 13(1), 1992): _close applies it
+to state space, sensitivity_pair to transfer functions, and
+scalar_close goes through the two.
 """
+
+import math
 
 import numpy as np
 
@@ -28,8 +32,12 @@ from .errors import (
     WellPosednessError,
 )
 
-# working-set budget, in bytes, of one stacked solve in freq_response
+# working-set budget, in bytes, of one chunk of frequencies in freq_response
 _CHUNK_BYTES = 1 << 20
+# state count from which freq_response sweeps a Hessenberg form instead of
+# stacking LU solves: the smallest at which a call on a grid the size of
+# hinf_norm's seed grid, reduction included, is no slower
+_HESSENBERG_STATES = 16
 # relative rank tolerance of _minreal's reachable and observable projections
 _MINREAL_TOL = 1e-8
 
@@ -51,6 +59,12 @@ __all__ = [
     "ss_to_tf",
     "scalar_close",
 ]
+
+
+def _trim(a):
+    """a without its leading zeros; [0.0] when nothing is left."""
+    nz = np.flatnonzero(a)
+    return a[nz[0]:] if nz.size else np.zeros(1)
 
 
 def _as_coeffs(coeffs):
@@ -78,9 +92,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        a = _as_coeffs(coeffs)
-        nz = np.flatnonzero(a)
-        self.coeffs = a[nz[0]:] if nz.size else np.zeros(1)
+        self.coeffs = _trim(_as_coeffs(coeffs))
 
     @property
     def degree(self):
@@ -203,9 +215,13 @@ def _as_matrix(x, name):
 
 
 class StateSpace:
-    """State-space model (A, B, C, D).  n = 0 static gains are allowed."""
+    """State-space model (A, B, C, D).  n = 0 static gains are allowed.
 
-    __slots__ = ("A", "B", "C", "D")
+    The arrays are the model's own copies and are not changed after
+    construction: freq_response keeps the model's Hessenberg form on it.
+    """
+
+    __slots__ = ("A", "B", "C", "D", "_hessenberg")
 
     def __init__(self, A, B, C, D):
         A = np.asarray(A, dtype=float) if np.asarray(A).size == 0 else _as_matrix(A, "A")
@@ -226,6 +242,7 @@ class StateSpace:
                 "D must be {}x{}, got {}".format(C.shape[0], B.shape[1], D.shape)
             )
         self.A, self.B, self.C, self.D = A, B, C, D
+        self._hessenberg = None
 
     @property
     def nstates(self):
@@ -466,6 +483,98 @@ def _response_tf(r, ws):
     return vals, ok
 
 
+def _on_hessenberg_kernel(r):
+    # the model alone decides, so no value depends on the grid around it
+    return r.nstates >= _HESSENBERG_STATES and not any(map(np.iscomplexobj, (r.A, r.B, r.C)))
+
+
+def _hessenberg_form(r):
+    """The realization the Hessenberg kernel sweeps for the state-space
+    model r: (Q^T A Q, Q^T B, C Q, D) with Q^T A Q upper Hessenberg, from
+    Householder reflections.  It is computed once per model and kept on
+    r; an A that is already upper Hessenberg is its own form."""
+    if r._hessenberg is not None:
+        return r._hessenberg
+    if not np.tril(r.A, -2).any():
+        return r
+    n, p = r.nstates, r.noutputs
+    # [A B; C 0]: a reflection from the left acts on [A B], from the right on [A; C]
+    G = np.zeros((n + p, n + r.ninputs))
+    G[:n, :n], G[:n, n:], G[n:, :n] = r.A, r.B, r.C
+    for k in range(n - 2):
+        x = G[k + 1 : n, k]
+        if not x[1:].any():
+            continue
+        alpha = -math.copysign(math.sqrt(x @ x), x[0])
+        v = x.copy()
+        v[0] -= alpha
+        v *= math.sqrt(2.0 / (v @ v))  # the reflection is I - v v^T
+        rows = G[k + 1 : n, k:]
+        rows -= v[:, None] * (v @ rows)
+        cols = G[:, k + 1 : n]
+        cols -= (cols @ v)[:, None] * v
+        G[k + 1, k], G[k + 2 : n, k] = alpha, 0.0
+    r._hessenberg = StateSpace(G[:n, :n], G[:n, n:], G[n:, :n], r.D)
+    return r._hessenberg
+
+
+def _sweep_hessenberg(h, w):
+    """C (jwI - H)^-1 B at every w of a chunk, H = h.A upper Hessenberg,
+    as a (p, m, N) array.
+
+    One top-down elimination of the rows [jwI - H | -B] runs over every w
+    at once.  Row k + 1 enters at step k, and swapping it with the row
+    being eliminated, decided per w on |.|_1 as LAPACK pivots, is the
+    only pivoting.  Each finished row of U updates R = C - g U over the
+    columns still open and adds g_k c_k to the value, g = C U^-1, so U is
+    never stored and nothing is solved backwards.  A zero pivot leaves
+    the value non-finite.
+
+    Every operation is elementwise in w, and a multiplier q enters its
+    products as q.real + 0j and 1j q.imag: numpy fuses a complex product
+    into FMAs on some memory layouts and not on others, and with a zero
+    term in each part both give the same rounding.  So a value does not
+    depend on the other points of the chunk.
+    """
+    n, m, p = h.nstates, h.ninputs, h.noutputs
+    s = 1j * w
+    rows = -np.hstack([h.A, h.B])
+    sub = np.abs(np.diag(h.A, -1))
+    # W: the row being eliminated, from column k on, then its right-hand side
+    W = np.empty((n + m, w.size), dtype=complex)
+    W[:] = rows[0, :, None]
+    W[0] += s
+    W_parts = W.view(float)
+    # X: the p rows of R, C - g U over the same columns and minus the
+    # values accumulated so far, then row k + 1 as it enters
+    X = np.zeros((p + 1, n + m, w.size), dtype=complex)
+    X[:p, :n] = h.C[:, :, None]
+    re, im = np.zeros((2, p + 1, 1, w.size), dtype=complex)
+    q_re, q_im = re.real[:, 0], im.imag[:, 0]
+    for k in range(n):
+        piv, last = W[k:], k == n - 1
+        if not last:
+            nxt = X[p, k:]
+            nxt[:] = rows[k + 1, k:, None]
+            nxt[1] += s
+            t = np.abs(W_parts[k])
+            swap = sub[k] > t[0::2] + t[1::2]
+            if swap.any():
+                # W[k:] is read no further, so only the entering row is moved
+                piv = np.where(swap, nxt, piv)
+                np.copyto(nxt, W[k:], where=swap)
+        rr = slice(None, p if last else p + 1)
+        xs = X[rr, k:]
+        q = xs[:, 0] / piv[0]
+        q_re[rr], q_im[rr] = q.real, q.imag
+        xs = xs[:, 1:]
+        xs -= re[rr] * piv[1:]
+        xs -= im[rr] * piv[1:]
+        if not last:
+            W[k + 1 :] = nxt[1:]
+    return X[:p, n:]
+
+
 def _response_ss(r, ws):
     p, m, n = r.noutputs, r.ninputs, r.nstates
     vals = np.empty((ws.size, p, m), dtype=complex)
@@ -474,24 +583,33 @@ def _response_ss(r, ws):
     fin = np.flatnonzero(~np.isinf(ws))
     if n == 0 or fin.size == 0:
         return vals, np.ones(ws.size, dtype=bool)
-    eye = np.eye(n)
-    # points per stacked solve: the pencils, LAPACK's copy of them and the
-    # solutions, all complex, within the working-set budget
-    step = max(1, _CHUNK_BYTES // (16 * n * (2 * n + m)))
-    for k in range(0, fin.size, step):
-        idx = fin[k : k + step]
-        M = (1j * ws[idx])[:, None, None] * eye - r.A
-        try:
-            X = np.linalg.solve(M, r.B)
-        except np.linalg.LinAlgError:
-            # some pencil in the chunk is exactly singular; find which
-            X = np.full((idx.size, n, m), np.nan + 0j)
-            for i in range(idx.size):
-                try:
-                    X[i] = np.linalg.solve(M[i], r.B)
-                except np.linalg.LinAlgError:
-                    pass
-        vals[idx] = r.C @ X + r.D
+    if _on_hessenberg_kernel(r):
+        h = _hessenberg_form(r)
+        # points per sweep: the two rows, R and its products, all complex
+        step = max(1, _CHUNK_BYTES // (16 * (2 * p + 4) * (n + m)))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for k in range(0, fin.size, step):
+                idx = fin[k : k + step]
+                vals[idx] = _sweep_hessenberg(h, ws[idx]).transpose(2, 0, 1) + r.D
+    else:
+        eye = np.eye(n)
+        # points per stacked solve: the pencils, LAPACK's copy of them and
+        # the solutions, all complex, within the working-set budget
+        step = max(1, _CHUNK_BYTES // (16 * n * (2 * n + m)))
+        for k in range(0, fin.size, step):
+            idx = fin[k : k + step]
+            M = (1j * ws[idx])[:, None, None] * eye - r.A
+            try:
+                X = np.linalg.solve(M, r.B)
+            except np.linalg.LinAlgError:
+                # some pencil in the chunk is exactly singular; find which
+                X = np.full((idx.size, n, m), np.nan + 0j)
+                for i in range(idx.size):
+                    try:
+                        X[i] = np.linalg.solve(M[i], r.B)
+                    except np.linalg.LinAlgError:
+                        pass
+            vals[idx] = r.C @ X + r.D
     ok = np.all(np.isfinite(vals), axis=(1, 2))
     vals[~ok] = np.nan
     return vals, ok
@@ -517,11 +635,24 @@ def freq_response(m, ws):
         values hold nan there.  A transfer-function point is a pole when
         |den(jw)| <= 1e-12 (|den|(|w|) + 1), with |den| the polynomial of
         absolute coefficients; a state-space point when the pencil
-        jwI - A is exactly singular or the value is not finite; a nan w
-        in both.  A point's value and flag do not depend on the grid.
+        jwI - A is exactly singular (a zero pivot) or the value is not
+        finite; a nan w in both.  A point's value and flag do not depend
+        on the grid.
 
-    State-space grids are solved in stacks of at most _CHUNK_BYTES of
-    working set, so memory stays flat in the grid length.
+    Transfer functions are evaluated as num(jw)/den(jw).  State-space
+    models take one of two kernels, chosen from the model alone (its
+    state count, and complex coefficients) and never from the grid:
+    - real models with at least _HESSENBERG_STATES states: A is reduced
+      once to upper Hessenberg form H = Q^T A Q, and one elimination
+      sweep over all frequencies then costs O(n^2) per frequency (Laub,
+      "Efficient multivariable frequency response computations", IEEE
+      Trans. Automat. Control 26(2), 1981).  The form is kept on the
+      model, so later calls do not reduce it again, and an A that is
+      already upper Hessenberg, as tf_to_ss builds it, is not reduced.
+    - smaller or complex models: stacked LU solves of jwI - A, O(n^3)
+      per frequency.
+    Either kernel works in chunks of at most _CHUNK_BYTES of working set,
+    so memory stays flat in the grid length.
     """
     m = _as_model(m)
     ws = np.asarray(ws, dtype=float).reshape(-1)
@@ -594,9 +725,7 @@ def tf_to_ss(t):
     else:
         d = 0.0
         rem = num.coeffs
-    rem = np.atleast_1d(np.trim_zeros(rem, "f"))
-    if rem.size == 0:
-        rem = np.zeros(1)
+    rem = _trim(rem)
     b = np.zeros(n, dtype=dtype)
     b[n - rem.size :] = rem
     A = np.zeros((n, n), dtype=dtype)

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dmkit import (
@@ -38,7 +40,10 @@ from dmkit import (
     verify_destabilizing,
     worst_perturbation_lti,
 )
+from dmkit.cli import _gamma_m, _trace_rows
+from dmkit.disk import EXTERIOR_DISK, HALF_PLANE, INTERIOR_DISK, MarginTrace, _raw_intercepts, _reported_gm_pm, _trace_margins
 from dmkit.lti import LtiModel, TransferFunction
+from dmkit.specnorm import FrequencyGrid
 
 L1 = tf([25], [1, 10, 10, 10])
 
@@ -257,6 +262,63 @@ def test_trace_minimum_matches_global_margin():
     tr = freq_margin_trace(L1, 0.0, n=2000)
     finite = [a for a in tr.alpha_of_omega if not math.isnan(a)]
     assert min(finite) >= d.spec.alpha * (1 - 1e-4)
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def scalar_trace_rows(gains, ok, sigma):
+    """freq_margin_trace's and the CLI's rows one at a time, from the
+    scalar _reported_gm_pm, as they were computed before the grid form."""
+    rows = []
+    for g, good in zip(gains, ok):
+        if not good:
+            rows.append((math.nan,) * 5)
+            continue
+        alpha = math.inf if g == 0.0 else 1.0 / g
+        (lo, hi), pm = _reported_gm_pm(alpha, sigma)
+        rows.append((alpha, lo, hi, _gamma_m((lo, hi)), math.degrees(pm) if math.isfinite(pm) else pm))
+    return rows
+
+
+def check_trace_rows(gains, ok, sigma):
+    gains, ok = np.asarray(gains, dtype=float), np.asarray(ok)
+    alpha, lo, hi, pm = _trace_margins(gains, ok, sigma)
+    want = scalar_trace_rows(gains.tolist(), ok.tolist(), sigma)
+    grid = FrequencyGrid(tuple(range(gains.size)))
+    tr = MarginTrace(grid, tuple(alpha.tolist()), tuple(zip(lo.tolist(), hi.tolist())), tuple(pm.tolist()))
+    for i, (row, w) in enumerate(zip(_trace_rows(tr), want)):
+        assert row[0] == grid.points[i]
+        assert all(same_float(a, b) for a, b in zip(row[1:], w)), (i, row, w)
+        if ok[i]:
+            (wlo, whi), wpm = _reported_gm_pm(alpha[i], sigma)
+            assert same_float(lo[i], wlo) and same_float(hi[i], whi) and same_float(pm[i], wpm)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -3.0])
+def test_trace_rows_match_scalar_margins(sigma):
+    # the grid form of alpha, the gain interval and the phase equals the
+    # scalar _reported_gm_pm row by row: interior, half-plane (alpha (1 +
+    # sigma) = 2 within 1e-12, on either side of the edge), exterior,
+    # zero gain and flagged rows
+    gains = [0.0, 1e-3, 0.1, 0.3, 0.5, 0.7, 1.0, 2.0, 50.0, 1e6]
+    if sigma != -1.0:
+        edge = abs(1.0 + sigma) / 2.0
+        gains += [edge * (1.0 + e) for e in (0.0, 5e-13, -5e-13, 3e-12, -3e-12, 1e-6, -1e-6)]
+    ok = [True] * len(gains)
+    gains += [0.4, math.nan]
+    ok += [False, False]
+    kinds = {_raw_intercepts(1.0 / g, sigma)[2] for g, good in zip(gains, ok) if good and g}
+    # sigma = -1 has no disk-map pole, so every disk is interior
+    assert kinds == ({INTERIOR_DISK} if sigma == -1.0 else {INTERIOR_DISK, HALF_PLANE, EXTERIOR_DISK})
+    check_trace_rows(gains, ok, sigma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=30), st.floats(-5.0, 5.0))
+def test_trace_rows_match_scalar_margins_random(gains, sigma):
+    check_trace_rows(gains, [True] * len(gains), sigma)
 
 
 def test_guaranteed_margins_inside_classical():

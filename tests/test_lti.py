@@ -30,7 +30,14 @@ from dmkit import (
     tf_to_ss,
     tfm,
 )
-from dmkit.lti import _CHUNK_BYTES, _close, _minreal
+from dmkit.lti import (
+    _CHUNK_BYTES,
+    _HESSENBERG_STATES,
+    _close,
+    _hessenberg_form,
+    _minreal,
+    _on_hessenberg_kernel,
+)
 
 
 def test_polynomial_basic():
@@ -192,6 +199,22 @@ def numpy_response(m, w):
     return out[0, 0] if out.shape == (1, 1) else out
 
 
+def on_hessenberg(m):
+    r = m.representation
+    return not isinstance(r, TransferFunction) and _on_hessenberg_kernel(r)
+
+
+def assert_is_numpy_response(m, w, v):
+    """v is m at jw: bit for bit where freq_response solves the pencil
+    as numpy does (transfer functions, stacked LU), and within 1e-10
+    relative to the largest entry on the Hessenberg kernel."""
+    want = numpy_response(m, w)
+    if not on_hessenberg(m):
+        assert np.array_equal(v, want)
+        return
+    assert np.max(np.abs(v - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 coef = st.floats(-10.0, 10.0, allow_nan=False)
 freqs = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=120)
 
@@ -200,7 +223,7 @@ freqs = st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=120)
 def model_and_grid(draw):
     """A TF or SS model, SISO or MIMO, and a grid holding 0, inf and, when
     drawn, the frequency of a pole placed exactly on the axis and a point
-    just beside it."""
+    just beside it.  State counts reach both frequency-response kernels."""
     ws = [0.0, math.inf] + draw(freqs)
     w0 = draw(st.sampled_from([None, 0.0, 1.0, 2.0, ws[-1]]))
     if w0 is not None:
@@ -229,8 +252,8 @@ def model_and_grid(draw):
 @settings(max_examples=80, deadline=None)
 @given(model_and_grid())
 def test_freq_response_equals_eval_freq(case):
-    # a point's value and flag do not depend on the grid around it, and
-    # match numpy bit for bit where the point is not a pole
+    # a point's value and flag do not depend on the grid around it, on
+    # either kernel, and match numpy where the point is not a pole
     m, ws = case
     vals, ok = freq_response(m, ws)
     assert vals.shape[0] == ok.shape[0] == len(ws)
@@ -243,24 +266,119 @@ def test_freq_response_equals_eval_freq(case):
             continue
         assert ok[i]
         assert np.array_equal(vals[i], want)
-        assert np.array_equal(vals[i], numpy_response(m, w))
+        assert_is_numpy_response(m, w, vals[i])
+
+
+def singular_pencil_model(n, rng):
+    """n states, two inputs and outputs: a stable diagonal block and a
+    [[0, 1], [-1, 0]] block, so the pencil at w = 1 is exactly singular."""
+    A = np.diag(-rng.uniform(0.1, 10.0, n))
+    A[-2:, -2:] = [[0.0, 1.0], [-1.0, 0.0]]
+    return ss(A, rng.standard_normal((n, 2)), rng.standard_normal((2, n)), np.zeros((2, 2)))
 
 
 def test_freq_response_spans_chunks():
-    # 40 states: one stacked solve holds a few dozen points, so this grid
-    # takes several chunks, one of them holding an exactly singular pencil
+    # 40 states, on the Hessenberg kernel: one sweep holds a few hundred
+    # points, so this grid takes several, one of them holding the
+    # exactly singular pencil
     rng = np.random.default_rng(3)
     n = 40
-    A = np.diag(-rng.uniform(0.1, 10.0, n))
-    A[-2:, -2:] = [[0.0, 1.0], [-1.0, 0.0]]
-    m = ss(A, rng.standard_normal((n, 2)), rng.standard_normal((2, n)), np.zeros((2, 2)))
-    ws = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 400), [1.0, math.inf]))
+    m = singular_pencil_model(n, rng)
+    assert on_hessenberg(m)
+    ws = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 1000), [1.0, math.inf]))
+    # the sweep's working set per point, as freq_response budgets it
+    assert ws.size > 4 * _CHUNK_BYTES // (16 * (2 * 2 + 4) * (n + 2))
+    vals, ok = freq_response(m, ws)
+    assert np.flatnonzero(~ok).tolist() == [ws.size - 2]
+    for w, v in zip(ws[ok], vals[ok]):
+        assert np.array_equal(v, eval_freq(m, w))
+        assert_is_numpy_response(m, w, v)
+
+
+def test_freq_response_spans_chunks_stacked_lu():
+    # the same below the Hessenberg kernel's state count, where the
+    # stacked LU solves match numpy bit for bit
+    rng = np.random.default_rng(3)
+    n = _HESSENBERG_STATES - 1
+    m = singular_pencil_model(n, rng)
+    assert not on_hessenberg(m)
+    ws = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 1000), [1.0, math.inf]))
     assert ws.size > 4 * _CHUNK_BYTES // (16 * n * (2 * n + 2))
     vals, ok = freq_response(m, ws)
     assert np.flatnonzero(~ok).tolist() == [ws.size - 2]
     for w, v in zip(ws[ok], vals[ok]):
         assert np.array_equal(v, eval_freq(m, w))
         assert np.array_equal(v, numpy_response(m, w))
+
+
+def test_hessenberg_kernel_flags_singular_pencil():
+    # a dense block that has to be reduced, and a [[0, 1], [-1, 0]] block
+    # the reduction leaves exact: the pivot at w = 1 is exactly zero
+    rng = np.random.default_rng(8)
+    n = _HESSENBERG_STATES
+    A = np.zeros((n, n))
+    A[:-2, :-2] = rng.standard_normal((n - 2, n - 2)) - 3.0 * np.eye(n - 2)
+    A[-2:, -2:] = [[0.0, 1.0], [-1.0, 0.0]]
+    m = ss(A, rng.standard_normal((n, 1)), rng.standard_normal((1, n)), [[0.5]])
+    assert on_hessenberg(m)
+    vals, ok = freq_response(m, [0.5, 1.0, -1.0, 2.0])
+    assert ok.tolist() == [True, False, False, True]
+    assert np.isnan(vals[1]) and np.isnan(vals[2])
+    with pytest.raises(PoleOnAxisError):
+        eval_freq(m, 1.0)
+
+
+@st.composite
+def flexible_model_and_grid(draw):
+    """A real model on the Hessenberg kernel, up to 80 states, in a random
+    orthogonal basis: lightly damped modes (damping down to 1e-3, as in
+    the dense-trace benchmark) and real poles.  The grid takes several
+    sweeps and holds every mode frequency, where the pencil is worst
+    conditioned."""
+    n = draw(st.integers(_HESSENBERG_STATES, 80))
+    p, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = np.zeros((n, n))
+    modes = []
+    k = 0
+    while k < n:
+        if k + 1 < n and rng.uniform() < 0.8:
+            w, z = math.exp(rng.uniform(math.log(0.1), math.log(100.0))), 10.0 ** rng.uniform(-3, -1)
+            A[k : k + 2, k : k + 2] = [[-z * w, w], [-w, -z * w]]
+            modes.append(w)
+            k += 2
+        else:
+            A[k, k] = -math.exp(rng.uniform(math.log(0.1), math.log(100.0)))
+            k += 1
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    model = ss(Q @ A @ Q.T, Q @ rng.standard_normal((n, m)), rng.standard_normal((p, n)) @ Q.T,
+               rng.standard_normal((p, m)))
+    per_sweep = _CHUNK_BYTES // (16 * (2 * p + 4) * (n + m))
+    npts = draw(st.integers(2 * per_sweep, 4 * per_sweep))
+    ws = np.concatenate((np.geomspace(1e-2, 1e3, npts), modes, [0.0, -1.0]))
+    return model, ws
+
+
+@settings(max_examples=20, deadline=None)
+@given(flexible_model_and_grid())
+def test_hessenberg_kernel_matches_pointwise_solve(case):
+    # the oracle is numpy's LU solve of each pencil on its own, within
+    # 1e-10: both kernels lie up to some 5e-11 from a 40-digit solve at a
+    # lightly damped mode, so a bit-for-bit match cannot be asked
+    m, ws = case
+    assert on_hessenberg(m)
+    vals, ok = freq_response(m, ws)
+    assert ok.all()
+    for w, v in zip(ws, vals):
+        assert_is_numpy_response(m, w, v)
+    for i in range(0, ws.size, 97):
+        assert np.array_equal(vals[i], eval_freq(m, ws[i]))
+    # the form is kept on the model, is upper Hessenberg, and is its own
+    # form, so freq_response gives it the model's values
+    h = _hessenberg_form(m.representation)
+    assert h is _hessenberg_form(m.representation)
+    assert not np.tril(h.A, -2).any() and _hessenberg_form(h) is h
+    assert np.array_equal(freq_response(h, ws)[0], vals)
 
 
 def test_sensitivity_pair_integrator():

@@ -1,6 +1,6 @@
 """Compare the CLI outputs of two dmkit source trees on the benchmark commands.
 
-    python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
+    python3 tools/compare_outputs.py [--rtol X] PARENT_DIR CHANGE_DIR
 
 Each tree runs in its own subprocess, with the tree as working
 directory and its own src/ first on the import path.  There, the tree's
@@ -17,10 +17,14 @@ relative difference among the rest.  For each key of a JSON document's
 key's value differs and the largest relative difference in it.  Last
 come the non-blank line counts of each tree's src/dmkit, counted as
 bench/run.py counts them.  The exit status is 0 when every command
-matches exactly and 1 otherwise.
+matches exactly and 1 otherwise.  With --rtol X it is 0 when, in every
+command, the exit code, stderr and the text around the numbers match
+and each differing numeric field is within X relative; the report then
+also lists the commands outside that tolerance.
 Uses the stdlib and numpy only (numpy through bench/workloads.py).
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -151,18 +155,21 @@ def main(argv):
     if len(argv) == 3 and argv[0] == "--worker":
         run_tree(argv[1], argv[2])
         return 0
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
+    ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--rtol", type=float, default=0.0,
+                    help="largest relative difference a numeric field may show (default 0: exact)")
+    args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        parent = collect(argv[0], os.path.join(tmp, "parent.json"))
-        change = collect(argv[1], os.path.join(tmp, "change.json"))
+        parent = collect(args.parent, os.path.join(tmp, "parent.json"))
+        change = collect(args.change, os.path.join(tmp, "change.json"))
     if [r["key"] for r in parent] != [r["key"] for r in change]:
         print("the two trees generate different commands")
         return 1
     same = diff = 0
     worst, worst_key = 0.0, None
-    differing = []
+    differing, outside = [], []
     for p, c in zip(parent, change):
         what = [f for f in ("code", "stderr", "stdout") if p[f] != c[f]]
         numbers = compare_numbers(p["stdout"], c["stdout"])
@@ -170,6 +177,11 @@ def main(argv):
             what.append("text outside numeric fields")
         if what:
             differing.append("{}: {}".format(p["key"], ", ".join(what)))
+        # without --rtol, only byte-identical output passes
+        close = numbers is not None and (
+            numbers[2] <= args.rtol if args.rtol else p["stdout"] == c["stdout"])
+        if p["code"] != c["code"] or p["stderr"] != c["stderr"] or not close:
+            outside.append(p["key"])
         if numbers is None:
             continue
         same += numbers[0]
@@ -187,8 +199,13 @@ def main(argv):
     print("results keys that differ: {}".format(len(breakdown)))
     for key, (count, rel) in sorted(breakdown.items()):
         print("  {}: {} commands, largest relative difference {:.3g}".format(key, count, rel))
-    print("src/dmkit non-blank lines: {} -> {}".format(*(nonblank_lines(t) for t in argv)))
-    return 1 if differing else 0
+    print("src/dmkit non-blank lines: {} -> {}".format(
+        nonblank_lines(args.parent), nonblank_lines(args.change)))
+    if args.rtol:
+        print("commands outside rtol {:g}: {}".format(args.rtol, len(outside)))
+        for key in outside:
+            print("  " + key)
+    return 1 if outside else 0
 
 
 if __name__ == "__main__":
