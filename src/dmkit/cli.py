@@ -14,8 +14,7 @@ to CSV) that is byte-stable across runs except for its timestamp.
 
 Exit codes: 0 success, 1 bad input or unsupported geometry,
 2 analysis not defined for this loop (unstable or ill posed),
-3 numerical failure.  DMKIT_SEED overrides the seed of the random
-starts of the mimo lower bound's ascent (default 0).
+3 numerical failure.
 """
 
 import argparse
@@ -190,14 +189,6 @@ def _emit(doc, out_path):
         sys.stdout.write(text)
 
 
-def _seed():
-    raw = os.environ.get("DMKIT_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError as e:
-        raise InputError("DMKIT_SEED must be an integer, got {!r}".format(raw)) from e
-
-
 def cmd_classical(args):
     P, K, path, digest = _load_model_file(args.model)
     L = siso_loop(P, K)
@@ -364,7 +355,7 @@ def cmd_mimo(args):
     P, K, path, digest = _load_model_file(args.model)
     points = _points_argument(args.points)
     sys_md = build_m(P, K, points, args.skew)
-    res = multiloop_margin(sys_md, seed=_seed())
+    res = multiloop_margin(sys_md)
     gm, pm = guaranteed_gm_pm(DiskSpec(res.alpha_lower, args.skew))
     deltas = []
     if res.delta_worst is not None:

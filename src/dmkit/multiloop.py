@@ -8,9 +8,10 @@ open loop seen from the chosen break points.  The largest simultaneous
 radius is 1 over the peak of mu(M(jw)).
 
 mu itself is only bracketed: a diagonally scaled largest singular value
-from above, a diagonal-phase spectral radius ascent from below, both by
-one descent routine.  The margin inherits that bracket,
-[1/peak_upper, 1/peak_lower].
+from above, the spectral radius under closed-form diagonal phases from
+below, with a phase ascent where those leave the bracket open; one
+descent routine serves the scaling and the ascent.  The margin inherits
+that bracket, [1/peak_upper, 1/peak_lower].
 """
 
 import math
@@ -24,9 +25,9 @@ from .classical import classical_margins
 from .errors import ConstructionError, InputError, NominalInstabilityError, WellPosednessError
 from .lti import (LtiModel, StateSpace, TransferFunction, _as_model, _blkdiag, _close,
                   eval_freq, freq_response, is_stable, poles, scalar_close, tf_to_ss)
-from .specnorm import FrequencyGrid, _pick_lowest, default_grid
+from .specnorm import _pick_lowest, default_grid
 
-_RESTARTS = 5  # uniform and seeded random starts of the mu lower bound
+_RESTARTS = 5  # uniform and fixed random starts of the mu lower bound's fallback ascent
 # samples per bracket and narrowing rounds of the peak zoom
 _ZOOM_POINTS, _ZOOM_ROUNDS = 9, 12
 
@@ -60,13 +61,13 @@ class MuResult:
 
     delta_worst is the diagonal matrix built from the lower-bound phases,
     scaled so that det(I - M delta_worst) = 0 with norm 1/lower.
-    converged is False when the lower-bound ascent hit its iteration
-    cap."""
+    converged is False when the fallback ascent of the lower bound hit
+    its iteration cap; it is True when the closed-form phases closed the
+    bracket."""
 
     upper: float
     lower: float
     delta_worst: object
-    frequency: object = None
     converged: bool = True
 
 
@@ -78,7 +79,8 @@ class MultiLoopResult:
     comes with a certificate perturbation delta_worst at omega_crit.
     geometry describes the disk of radius alpha_lower.  inconclusive_gap
     is set when the bracket is wider than 10 percent.  converged is False
-    when the mu lower-bound ascent behind alpha_upper hit its cap."""
+    when the fallback mu lower-bound ascent behind alpha_upper hit its
+    cap."""
 
     alpha_lower: float
     alpha_upper: float
@@ -333,13 +335,12 @@ def _inv_rho_and_gradient(M0, theta):
     return f, g
 
 
-def mu_diag(M0, seed=0):
+def mu_diag(M0):
     """Bracket mu of a constant matrix under diagonal complex uncertainty.
 
     Parameters
     ----------
     M0 : (n, n) complex ndarray.
-    seed : seeds the random starts of the lower-bound ascent.
 
     Returns
     -------
@@ -351,9 +352,14 @@ def mu_diag(M0, seed=0):
         of multiloop_margin uses, run on a stack of one; it equals mu for
         n <= 3 up to the descent's stopping tolerance, except where the
         optimal scaling leaves the largest singular value repeated and
-        the descent stops short of it.  The lower bound runs the same
-        descent on the phases of a diagonal unitary U, maximizing the
-        spectral radius of U M0.  converged is False when its best start
+        the descent stops short of it.  The lower bound is the spectral
+        radius of U M0 for a diagonal unitary U, and it is deterministic.
+        U first takes the closed-form phases angle(v_i) - angle(u_i) of
+        the top singular pair at the upper bound's scaling (Packard &
+        Doyle 1993); when that radius reaches upper (1 - 1e-9), it is the
+        result.  Otherwise the same descent maximizes the radius over
+        the phases from six starts, that one, the uniform vector and four
+        fixed random ones, and converged is False when the best start
         hit the iteration cap.
     """
     M0 = np.atleast_2d(np.asarray(M0, dtype=complex))
@@ -365,14 +371,19 @@ def mu_diag(M0, seed=0):
     if np.all(M0 == 0):
         return MuResult(upper=0.0, lower=0.0, delta_worst=None, converged=True)
     (upper,), (x,) = _mu_upper(M0[None])
-    # ascent starts: angle(v_i) - angle(u_i) of the top singular pair at the
-    # upper bound's scaling, the worst case where that bound is tight, and
-    # angle(b) - angle(M0 b) for the uniform and seeded random vectors b
+    # angle(v_i) - angle(u_i) of the top singular pair at the upper bound's
+    # scaling, the worst case where that bound is tight
     U, _, Vh = np.linalg.svd(M0 * np.exp(x[:, None] - x[None, :]))
-    z = np.random.default_rng(seed).normal(size=(_RESTARTS - 1, 2, n))
-    b = np.vstack([np.ones(n), z[:, 0] + 1j * z[:, 1]])
-    theta = np.vstack([-np.angle(Vh[0]) - np.angle(U[:, 0]), np.angle(b) - np.angle(b @ M0.T)])
-    theta, f, settled = _descend(lambda k, t: _inv_rho_and_gradient(M0, t), theta)
+    theta = (-np.angle(Vh[0]) - np.angle(U[:, 0]))[None]
+    f, _ = _inv_rho_and_gradient(M0, theta)
+    settled = np.ones(1, dtype=bool)
+    if not 1.0 / f[0] >= upper * (1 - 1e-9):
+        # the bracket stays open: ascend from that start and from
+        # angle(b) - angle(M0 b) for the uniform and fixed random vectors b
+        z = np.random.default_rng(0).normal(size=(_RESTARTS - 1, 2, n))
+        b = np.vstack([np.ones(n), z[:, 0] + 1j * z[:, 1]])
+        theta = np.vstack([theta, np.angle(b) - np.angle(b @ M0.T)])
+        theta, f, settled = _descend(lambda k, t: _inv_rho_and_gradient(M0, t), theta)
     best = int(np.argmin(f))
     lower = min(1.0 / f[best], upper)  # fp guard; the bounds sandwich mu
     u = np.exp(1j * theta[best])
@@ -408,15 +419,13 @@ def _zoom_peaks(sys, brackets):
     return list(zip(best_w.tolist(), best_v.tolist()))
 
 
-def multiloop_margin(sys, grid=None, seed=0):
+def multiloop_margin(sys):
     """Peak-mu sweep giving the simultaneous disk-margin bracket.
 
     Parameters
     ----------
-    sys : MDeltaSystem from build_m.
-    grid : FrequencyGrid; defaults to 400 points over the dynamics of M.
-    seed : seeds the random starts of the mu lower-bound ascent at the
-        peak (mu_diag).
+    sys : MDeltaSystem from build_m.  The sweep takes 400 points over
+        the dynamics of M.
 
     Returns
     -------
@@ -429,11 +438,7 @@ def multiloop_margin(sys, grid=None, seed=0):
         the grid neighbours of the three largest samples, so a peak far
         narrower than the grid spacing can in principle still be missed.
     """
-    if grid is None:
-        grid = default_grid(sys.M, 400)
-    elif not isinstance(grid, FrequencyGrid):
-        grid = FrequencyGrid(tuple(grid))
-    pts = np.asarray(grid.points)
+    pts = np.asarray(default_grid(sys.M, 400).points)
 
     vals = _upper_on(sys, pts)
     order = np.argsort(vals)[::-1][:3]
@@ -452,7 +457,7 @@ def multiloop_margin(sys, grid=None, seed=0):
     omega_crit = _pick_lowest(cand, peak_ub)
 
     M0 = np.atleast_2d(eval_freq(sys.M, omega_crit))
-    mu = mu_diag(M0, seed=seed)
+    mu = mu_diag(M0)
     # mu lower <= mu <= every D-scaled bound; clamping against the sweep's
     # own peak keeps the bracket ordered through rounding
     peak_lb = min(mu.lower, peak_ub)

@@ -63,7 +63,7 @@ def satellite():
 def satellite_margin(points):
     # one sweep per channel set, shared by the criteria that quote it
     P, K = satellite()
-    return multiloop_margin(build_m(P, K, points, 0.0), seed=0)
+    return multiloop_margin(build_m(P, K, points, 0.0))
 
 
 def test_criterion_1_example1_classical_margins():

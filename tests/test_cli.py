@@ -298,9 +298,15 @@ def test_exit_code_bad_points():
     assert main(["mimo", "satellite.json", "--points", "zig"]) == 1
 
 
-def test_exit_code_bad_seed(monkeypatch):
+def test_mimo_reads_no_seed_variable(capsys, monkeypatch):
+    # the mu lower bound is deterministic, so DMKIT_SEED is no setting
+    code, plain = run_json(capsys, ["mimo", "satellite.json"])
     monkeypatch.setenv("DMKIT_SEED", "not-a-number")
-    assert main(["mimo", "satellite.json"]) == 1
+    code_set, seeded = run_json(capsys, ["mimo", "satellite.json"])
+    assert code == code_set == 0
+    plain.pop("generated_at")
+    seeded.pop("generated_at")
+    assert seeded == plain
 
 
 def test_model_with_controller_folds_to_siso(capsys, tmp_path):

@@ -34,6 +34,7 @@ from dmkit import (
     tfm,
     verify_multiloop_destabilizing,
 )
+from dmkit import multiloop
 from dmkit.multiloop import MDeltaSystem, _mu_upper
 
 
@@ -117,15 +118,68 @@ def test_mu_certificate_is_singular():
                                 1.0 / res.lower, rtol=1e-9)
 
 
+def count_descents(monkeypatch):
+    """Record the number of start rows of every multiloop._descend call."""
+    calls = []
+    descend = multiloop._descend
+
+    def counting(fg, x):
+        calls.append(len(x))
+        return descend(fg, x)
+
+    monkeypatch.setattr(multiloop, "_descend", counting)
+    return calls
+
+
 @pytest.mark.parametrize("kind", MU_FAMILIES)
-def test_mu_lower_meets_upper_for_two_and_three_channels(kind):
+def test_mu_lower_meets_upper_for_two_and_three_channels(kind, monkeypatch):
     # the D-scaled bound equals mu for n <= 3, so the lower bound must
-    # reach it to the descent's tolerance
+    # reach it to the descent's tolerance, and the closed-form phases of
+    # the top singular pair reach it with no ascent: the upper bound's
+    # descent is the only one
+    calls = count_descents(monkeypatch)
     rng = np.random.default_rng([23, MU_FAMILIES.index(kind)])
     for n in (2, 3):
         for _ in range(25):
+            calls.clear()
             res = mu_diag(mu_family(kind, n, rng))
+            assert calls == [1]
             assert res.upper * (1 - 1e-9) <= res.lower <= res.upper
+
+
+@pytest.mark.parametrize("points", ["input", "io"])
+def test_satellite_peak_bracket_closes_without_ascent(points, monkeypatch):
+    sysm = build_m(*satellite(), points, 0.0)
+    M0 = eval_freq(sysm.M, multiloop_margin(sysm).omega_crit)
+    calls = count_descents(monkeypatch)
+    res = mu_diag(M0)
+    assert calls == [1]
+    assert res.upper * (1 - 1e-9) <= res.lower <= res.upper
+    assert res.converged
+
+
+def test_mu_fallback_ascent_keeps_its_result(monkeypatch):
+    # the closed-form phases leave this bracket open (rho 5.47 against an
+    # upper bound of 5.66), so the six-start ascent runs; lower and
+    # delta_worst are the values it gave when it ran on every call, with
+    # the starts drawn from seed 0 (numpy 2.4, OpenBLAS, x86-64)
+    M = mu_family("badly scaled", 8, np.random.default_rng(1))
+    calls = count_descents(monkeypatch)
+    res = mu_diag(M)
+    assert calls == [1, 6]
+    assert res.converged
+    assert res.lower == float.fromhex("0x1.6548e4abb21fbp+2")
+    want = [complex(float.fromhex(re), float.fromhex(im)) for re, im in [
+        ("0x1.31908b4a1a017p-3", "0x1.9605a6a555b70p-4"),
+        ("-0x1.6e4c4f554f5e4p-3", "0x1.438dc9b4a350dp-7"),
+        ("-0x1.2a56e12b6e3bcp-6", "0x1.6cf499d4798dfp-3"),
+        ("0x1.6b5b42923d462p-3", "-0x1.946613dbfef6dp-6"),
+        ("-0x1.8dd710b84b2cfp-5", "-0x1.611db39c9e946p-3"),
+        ("-0x1.2a3156300fb2bp-3", "-0x1.ab625d9e850bep-4"),
+        ("0x1.a009b651adb2dp-6", "0x1.6b26af1a4c8f5p-3"),
+        ("-0x1.0e3d2982aaaedp-6", "-0x1.6d4c1e145ed86p-3"),
+    ]]
+    assert np.array_equal(res.delta_worst, np.diag(want))
 
 
 @pytest.mark.parametrize("M", [
@@ -202,7 +256,7 @@ def test_satellite_mu_matches_analytic_curve():
 
 def test_satellite_input_margin():
     P, K = satellite()
-    res = multiloop_margin(build_m(P, K, "input", 0.0), seed=0)
+    res = multiloop_margin(build_m(P, K, "input", 0.0))
     assert_allclose(res.alpha_lower, 0.0997512422, rtol=1e-6)
     assert_allclose(res.alpha_upper, 0.0997512422, rtol=1e-6)
     assert res.alpha_lower <= res.alpha_upper + 1e-15
@@ -214,7 +268,7 @@ def test_satellite_input_margin():
 
 def test_satellite_io_margin():
     P, K = satellite()
-    res = multiloop_margin(build_m(P, K, "io", 0.0), seed=0)
+    res = multiloop_margin(build_m(P, K, "io", 0.0))
     assert_allclose(res.alpha_upper, 0.0498446426, rtol=1e-5)
     assert res.alpha_upper - res.alpha_lower <= 0.01 * res.alpha_upper
     # no wider than the bracket of the scalar cyclic line-search sweep
@@ -225,8 +279,8 @@ def test_satellite_io_margin():
 
 def test_satellite_input_equals_output_margin():
     P, K = satellite()
-    a = multiloop_margin(build_m(P, K, "input", 0.0), seed=0)
-    b = multiloop_margin(build_m(P, K, "output", 0.0), seed=0)
+    a = multiloop_margin(build_m(P, K, "input", 0.0))
+    b = multiloop_margin(build_m(P, K, "output", 0.0))
     assert_allclose(b.alpha_lower, a.alpha_lower, rtol=1e-6)
     assert_allclose(b.alpha_upper, a.alpha_upper, rtol=1e-6)
 
@@ -256,7 +310,7 @@ def test_satellite_simultaneous_perturbation_destabilizes():
 
 def test_satellite_multiloop_below_loop_at_a_time():
     P, K = satellite()
-    res = multiloop_margin(build_m(P, K, "input", 0.0), seed=0)
+    res = multiloop_margin(build_m(P, K, "input", 0.0))
     worst_single = min(loop_at_a_time(P, K, ch, "input", 0.0)[1].spec.alpha
                        for ch in (0, 1))
     assert res.alpha_upper <= worst_single + 1e-9
@@ -264,7 +318,7 @@ def test_satellite_multiloop_below_loop_at_a_time():
 
 def test_multiloop_worst_case_closes_to_axis():
     P, K = satellite()
-    res = multiloop_margin(build_m(P, K, "input", 0.0), seed=0)
+    res = multiloop_margin(build_m(P, K, "input", 0.0))
     assert res.delta_worst is not None
     deltas = np.diag(res.delta_worst)
     fs = [(2.0 + d) / (2.0 - d) for d in deltas]
@@ -276,7 +330,7 @@ def test_multiloop_worst_case_closes_to_axis():
 def test_siso_plant_reduces_to_disk_margin():
     L1 = tf([25], [1, 10, 10, 10])
     d = disk_margin(L1, 0.0)
-    res = multiloop_margin(build_m(L1, None, "input", 0.0), seed=0)
+    res = multiloop_margin(build_m(L1, None, "input", 0.0))
     assert res.alpha_lower <= d.spec.alpha * (1 + 1e-4)
     assert res.alpha_upper >= d.spec.alpha * (1 - 1e-4)
     assert_allclose(res.alpha_upper, d.spec.alpha, rtol=1e-3)
@@ -284,8 +338,8 @@ def test_siso_plant_reduces_to_disk_margin():
 
 def test_skew_changes_multiloop_margin():
     P, K = satellite()
-    sym = multiloop_margin(build_m(P, K, "input", 0.0), seed=0)
-    tless = multiloop_margin(build_m(P, K, "input", -1.0), seed=0)
+    sym = multiloop_margin(build_m(P, K, "input", 0.0))
+    tless = multiloop_margin(build_m(P, K, "input", -1.0))
     assert tless.alpha_upper != pytest.approx(sym.alpha_upper, rel=1e-3)
 
 
@@ -293,7 +347,7 @@ def test_random_stable_loop_monotonicity():
     P = tfm([[([2], [1, 1]), ([0.5], [1, 3])],
              [([-0.3], [1, 1]), ([1], [1, 2])]])
     sysm = build_m(P, None, "input", 0.0)
-    res = multiloop_margin(sysm, seed=0)
+    res = multiloop_margin(sysm)
     assert res.alpha_upper > 0
     for ch in (0, 1):
         _, dm = loop_at_a_time(P, None, ch, "input", 0.0)
@@ -343,7 +397,7 @@ def test_three_channel_bracket_is_ordered(seed):
     # these loops have mu lower equal to the peak upper bound up to
     # rounding; the bracket must stay ordered with no tolerance at all
     P, K = _three_channel_pair(seed)
-    res = multiloop_margin(build_m(P, K, "input", 0.0), seed=0)
+    res = multiloop_margin(build_m(P, K, "input", 0.0))
     assert res.alpha_lower <= res.alpha_upper
     assert res.converged
 

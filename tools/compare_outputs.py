@@ -6,18 +6,19 @@ Each tree runs in its own subprocess, with the tree as working
 directory and its own src/ first on the import path.  There, the tree's
 bench/workloads.py writes the model files of every workload for seeds
 1-3 into a temporary directory, and every generated command goes through
-dmkit.cli.main in-process, as bench/run.py drives it (one BLAS thread,
-DMKIT_SEED=0).  Output timestamps, the temporary directory and the
-checkout path are stripped before the two trees are compared.
+dmkit.cli.main in-process, as bench/run.py drives it (one BLAS
+thread).  Output timestamps, the temporary directory and the checkout
+path are stripped before the two trees are compared.
 
 The report lists the commands whose exit code, stderr or output differ,
 counts the numeric fields that are byte-identical, and gives the largest
 relative difference among the rest.  For each key of a JSON document's
 "results" object it then gives the number of commands in which that
 key's value differs and the largest relative difference in it.  Last
-come the non-blank line counts of each tree's src/dmkit, counted as
-bench/run.py counts them.  The exit status is 0 when every command
-matches exactly and 1 otherwise.  With --rtol X it is 0 when, in every
+come each tree's largest certificate det_residual over the mimo
+commands and the non-blank line counts of each tree's src/dmkit,
+counted as bench/run.py counts them.  The exit status is 0 when every
+command matches exactly and 1 otherwise.  With --rtol X it is 0 when, in every
 command, the exit code, stderr and the text around the numbers match
 and each differing numeric field is within X relative; the report then
 also lists the commands outside that tolerance.
@@ -79,8 +80,7 @@ def run_tree(tree, out_path):
 
 def collect(tree, out_path):
     tree = os.path.abspath(tree)
-    env = dict(os.environ, DMKIT_SEED="0", OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", tree, out_path],
                    cwd=tree, env=env, check=True)
     with open(out_path, encoding="utf-8") as fh:
@@ -129,6 +129,18 @@ def results_of(text):
     except ValueError:
         return None
     return doc.get("results") if isinstance(doc, dict) else None
+
+
+def largest_det_residual(runs):
+    """The largest results.certificate.det_residual among the commands
+    whose output carries one (the mimo commands), or nan if none does."""
+    residuals = []
+    for r in runs:
+        res = results_of(r["stdout"])
+        cert = res.get("certificate") if isinstance(res, dict) else None
+        if isinstance(cert, dict):
+            residuals.append(float(cert["det_residual"]))
+    return max(residuals, default=math.nan)
 
 
 def results_breakdown(pairs):
@@ -199,6 +211,8 @@ def main(argv):
     print("results keys that differ: {}".format(len(breakdown)))
     for key, (count, rel) in sorted(breakdown.items()):
         print("  {}: {} commands, largest relative difference {:.3g}".format(key, count, rel))
+    print("largest mimo certificate det_residual: {:.3g} -> {:.3g}".format(
+        largest_det_residual(parent), largest_det_residual(change)))
     print("src/dmkit non-blank lines: {} -> {}".format(
         nonblank_lines(args.parent), nonblank_lines(args.change)))
     if args.rtol:
