@@ -250,7 +250,7 @@ def cmd_diskmargin(args):
                 results["worst_case"] = {"error": str(e)}
                 diagnostics.append("worst-case construction failed: {}".format(e))
             else:
-                rep = verify_destabilizing(L, pert, d.omega_crit, args.skew)
+                rep = verify_destabilizing(L, pert, d.omega_crit)
                 results["worst_case"] = {
                     "delta_hat": {
                         "num": [_jnum(c) for c in pert.delta_hat.num.coeffs],

@@ -443,7 +443,7 @@ def nyquist_exclusion(spec):
     )
 
 
-def freq_margin_trace(L, sigma=0.0, grid=None, n=400):
+def freq_margin_trace(L, sigma=0.0, grid=None):
     """Disk margin radius and guaranteed margins frequency by frequency.
 
     alpha(w) = 1 / |S(jw) + (sigma - 1)/2|.  Rows where the evaluation
@@ -458,7 +458,7 @@ def freq_margin_trace(L, sigma=0.0, grid=None, n=400):
     if not is_stable(shifted):
         raise NominalInstabilityError("nominal closed loop is unstable")
     if grid is None:
-        grid = default_grid(L, n)
+        grid = default_grid(L)
     elif not isinstance(grid, FrequencyGrid):
         grid = FrequencyGrid(tuple(grid))
     vals, ok = freq_response(shifted, grid.points)
@@ -578,7 +578,7 @@ def worst_perturbation_lti(delta0, omega0, sigma):
     return PerturbationLti(delta_hat=dhat, f_hat=f_hat, beta=beta)
 
 
-def verify_destabilizing(L, f, omega0, sigma=0.0):
+def verify_destabilizing(L, f, omega0):
     """Close the loop with a perturbation and check for the promised pole.
 
     Parameters
@@ -587,7 +587,6 @@ def verify_destabilizing(L, f, omega0, sigma=0.0):
     f : PerturbationLti, TransferFunction, or a scalar.  A complex
         scalar is realized as a first-order all-pass through f at omega0.
     omega0 : frequency where a closed-loop pole is expected.
-    sigma : unused for scalar f, kept for interface symmetry.
 
     Returns
     -------

@@ -25,10 +25,10 @@ from .classical import classical_margins
 from .errors import ConstructionError, InputError, NominalInstabilityError, WellPosednessError
 from .lti import (LtiModel, StateSpace, TransferFunction, _as_model, _blkdiag, _close,
                   eval_freq, freq_response, is_stable, poles, scalar_close, tf_to_ss)
-from .specnorm import _pick_lowest, default_grid
+from .specnorm import _peak_seed
 
 _RESTARTS = 5  # uniform and fixed random starts of the mu lower bound's fallback ascent
-# samples per bracket and narrowing rounds of the peak zoom
+# samples per round and narrowing rounds of the peak zoom
 _ZOOM_POINTS, _ZOOM_ROUNDS = 9, 12
 
 __all__ = [
@@ -75,8 +75,9 @@ class MuResult:
 class MultiLoopResult:
     """Simultaneous margin bracket [alpha_lower, alpha_upper].
 
-    alpha_lower is guaranteed (from the mu upper bound peak); alpha_upper
-    comes with a certificate perturbation delta_worst at omega_crit.
+    alpha_lower is 1 over the largest mu upper bound the sweep sampled,
+    not certified between samples; alpha_upper comes with a certificate
+    perturbation delta_worst at omega_crit.
     geometry describes the disk of radius alpha_lower.  inconclusive_gap
     is set when the bracket is wider than 10 percent.  converged is False
     when the fallback mu lower-bound ascent behind alpha_upper hit its
@@ -402,59 +403,46 @@ def _upper_on(sys, ws):
     return out
 
 
-def _zoom_peaks(sys, brackets):
-    """Refine local peaks of the upper bound: each of _ZOOM_ROUNDS rounds
-    samples every log-spaced bracket at _ZOOM_POINTS frequencies in one
-    batch, then narrows each bracket to the two spacings around its best
-    sample.  Returns the best (frequency, value) of every bracket."""
-    lo, hi = np.log(np.asarray(brackets, dtype=float)).T
-    rows = np.arange(lo.size)
-    for _ in range(_ZOOM_ROUNDS):
-        ws = np.exp(np.linspace(lo, hi, _ZOOM_POINTS, axis=1))
-        vals = _upper_on(sys, ws.ravel()).reshape(ws.shape)
-        j = np.argmax(vals, axis=1)
-        best_w, best_v = ws[rows, j], vals[rows, j]
-        half = (hi - lo) / (_ZOOM_POINTS - 1)
-        lo, hi = np.log(best_w) - half, np.log(best_w) + half
-    return list(zip(best_w.tolist(), best_v.tolist()))
-
-
 def multiloop_margin(sys):
     """Peak-mu sweep giving the simultaneous disk-margin bracket.
 
     Parameters
     ----------
-    sys : MDeltaSystem from build_m.  The sweep takes 400 points over
-        the dynamics of M.
+    sys : MDeltaSystem from build_m.
 
     Returns
     -------
     MultiLoopResult
-        alpha_lower = 1/peak(mu upper) is guaranteed; alpha_upper =
-        1/(mu lower at the peak) has the certificate delta_worst, and the
-        bracket alpha_lower <= alpha_upper holds exactly.  The whole grid
-        goes through one batched frequency response and one batched upper
-        bound; the peak is then refined by a batched local zoom between
-        the grid neighbours of the three largest samples, so a peak far
-        narrower than the grid spacing can in principle still be missed.
+        alpha_lower = 1/(the largest mu upper bound sampled) and
+        alpha_upper = 1/(mu lower at omega_crit), with the certificate
+        delta_worst; alpha_lower <= alpha_upper holds exactly.  The sweep
+        starts from hinf_norm's peak seed, 400 log-spaced points over the
+        dynamics of M plus the imaginary part of each pole of M, in one
+        batched frequency response and upper bound.  A zoom between the
+        neighbours of the best sample then takes _ZOOM_ROUNDS rounds of
+        _ZOOM_POINTS log-spaced samples, each narrowed to the two
+        spacings around the last round's best.  omega_crit is the best
+        sample of all, the lowest among exact ties.  alpha_lower is not
+        certified: a peak narrower than the spacing away from the pole
+        frequencies can still be missed.
     """
-    pts = np.asarray(default_grid(sys.M, 400).points)
-
+    pts = _peak_seed(sys.M, 400, poles(sys.M))
     vals = _upper_on(sys, pts)
-    order = np.argsort(vals)[::-1][:3]
-    cand = [(float(pts[i]), float(vals[i])) for i in order if vals[i] > -math.inf]
-
-    inner = np.flatnonzero((pts > 0.0) & np.isfinite(pts))
-    brackets = []
-    for i in order:
-        k = np.searchsorted(inner, i)
-        if k < inner.size and inner[k] == i and 0 < k < inner.size - 1:
-            brackets.append((pts[inner[k - 1]], pts[inner[k + 1]]))
-    if brackets:
-        cand.extend(_zoom_peaks(sys, brackets))
-
-    peak_ub = max(v for _, v in cand)
-    omega_crit = _pick_lowest(cand, peak_ub)
+    ws, us = [pts], [vals]
+    i = int(np.argmax(vals))
+    # the zoom needs finite positive neighbours (pts[0] = 0, pts[-1] = inf)
+    if 1 < i < pts.size - 2:
+        lo, hi = np.log(pts[[i - 1, i + 1]])
+        for _ in range(_ZOOM_ROUNDS):
+            z = np.exp(np.linspace(lo, hi, _ZOOM_POINTS))
+            ws.append(z)
+            us.append(_upper_on(sys, z))
+            half = (hi - lo) / (_ZOOM_POINTS - 1)
+            c = np.log(z[np.argmax(us[-1])])
+            lo, hi = c - half, c + half
+    ws, us = np.concatenate(ws), np.concatenate(us)
+    peak_ub = float(us.max())
+    omega_crit = float(ws[us == peak_ub].min())
 
     M0 = np.atleast_2d(eval_freq(sys.M, omega_crit))
     mu = mu_diag(M0)

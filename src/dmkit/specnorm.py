@@ -75,6 +75,15 @@ def _log_grid(m, n, pole_set):
     return FrequencyGrid((0.0,) + tuple(float(p) for p in pts) + (math.inf,))
 
 
+def _peak_seed(m, n, pole_set):
+    """The sorted, duplicate-free frequencies where a peak search starts:
+    the n-point log grid of _log_grid (0 and inf included) and the
+    positive imaginary part of each pole, near which a resonance too
+    narrow for the grid peaks."""
+    return np.unique(np.concatenate([_log_grid(m, n, pole_set).points,
+                                     pole_set.imag[pole_set.imag > 0.0]]))
+
+
 def default_grid(m, n=400):
     """Logarithmic grid covering the model's dynamics, with 0 and inf sentinels.
 
@@ -143,14 +152,16 @@ def hinf_norm(m):
     """Peak gain over frequency of a stable proper model.
 
     Level-set iteration on the Hamiltonian crossing test, seeded by the
-    best gain on a _GRID_N-point grid (w = 0 and w = inf included) and at
-    the imaginary part of each pole.  Each step finds the frequencies
-    where the gain crosses the current best value times (1 + _TOL/2),
-    evaluates the gain there and midway between consecutive crossings,
-    and takes the largest as the next best value.  It stops when that
-    level has no crossings (the level bounds the peak from above) or when
-    no evaluated gain exceeds the level.  A final step evaluates midway
-    between the crossings of the best value times (1 - _TOL/2).
+    best gain on _peak_seed's frequencies, a _GRID_N-point grid (w = 0
+    and w = inf included) and the imaginary part of each pole; the mu
+    sweep of multiloop_margin starts from the same seed.  Each step finds
+    the frequencies where the gain crosses the current best value times
+    (1 + _TOL/2), evaluates the gain there and midway between consecutive
+    crossings, and takes the largest as the next best value.  It stops
+    when that level has no crossings (the level bounds the peak from
+    above) or when no evaluated gain exceeds the level.  A final step
+    evaluates midway between the crossings of the best value times
+    (1 - _TOL/2).
 
     Parameters
     ----------
@@ -182,10 +193,8 @@ def hinf_norm(m):
     r = _realization(m)
     A, B, C, D = r.A, r.B, r.C, r.D
 
-    # a lightly damped resonance too narrow for the grid peaks near the
-    # imaginary part of its pole
-    seed = _log_grid(m, _GRID_N, pole_set).points + tuple(pole_set.imag[pole_set.imag > 0.0])
-    cand = list(zip(seed, _gains(m, seed).tolist()))
+    seed = _peak_seed(m, _GRID_N, pole_set)
+    cand = list(zip(seed.tolist(), _gains(m, seed).tolist()))
     lo = max(g for _, g in cand)
     if lo == 0.0:
         return PeakGain(0.0, 0.0)

@@ -113,7 +113,7 @@ def test_criterion_3_appendix_construction():
     # high-precision evaluation 2.0297207755 (1e-6)
     assert_allclose(pert.f_hat.den.coeffs, [1.0, 2.024], rtol=0.02)
     assert_allclose(pert.f_hat.den.coeffs[1], 2.0297207755, rtol=1e-6)
-    rep = verify_destabilizing(L1, pert, d.omega_crit, 0.0)
+    rep = verify_destabilizing(L1, pert, d.omega_crit)
     assert rep.verdict == "pass"
     assert abs(rep.pole - 1j * d.omega_crit) < 1e-3
 

@@ -21,6 +21,7 @@ from dmkit import (
     NominalInstabilityError,
     UnsupportedCaseError,
     classical_margins,
+    default_grid,
     disk_geometry,
     disk_map,
     disk_map_inv,
@@ -209,7 +210,7 @@ def test_worst_perturbation_trivial_point_rejected():
 def test_verify_destabilizing_example_a1():
     d = disk_margin(L1, 0.0)
     pert = worst_perturbation_lti(d.delta0, d.omega_crit, 0.0)
-    rep = verify_destabilizing(L1, pert, d.omega_crit, 0.0)
+    rep = verify_destabilizing(L1, pert, d.omega_crit)
     assert rep.verdict == "pass"
     assert rep.distance <= 1e-4 * max(1.0, d.omega_crit)
     assert_allclose(rep.pole.imag, d.omega_crit, rtol=1e-6)
@@ -218,7 +219,7 @@ def test_verify_destabilizing_example_a1():
 def test_verify_flags_wrong_frequency():
     d = disk_margin(L1, 0.0)
     pert = worst_perturbation_lti(d.delta0, d.omega_crit, 0.0)
-    rep = verify_destabilizing(L1, pert, d.omega_crit * 3.0, 0.0)
+    rep = verify_destabilizing(L1, pert, d.omega_crit * 3.0)
     assert rep.verdict == "fail"
 
 
@@ -259,7 +260,7 @@ def test_trace_at_open_loop_pole():
 
 def test_trace_minimum_matches_global_margin():
     d = disk_margin(L1, 0.0)
-    tr = freq_margin_trace(L1, 0.0, n=2000)
+    tr = freq_margin_trace(L1, 0.0, default_grid(L1, 2000))
     finite = [a for a in tr.alpha_of_omega if not math.isnan(a)]
     assert min(finite) >= d.spec.alpha * (1 - 1e-4)
 

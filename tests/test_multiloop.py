@@ -23,6 +23,7 @@ from dmkit import (
     build_m,
     disk_margin,
     eval_freq,
+    freq_response,
     is_stable,
     loop_at_a_time,
     mu_diag,
@@ -314,6 +315,47 @@ def test_satellite_multiloop_below_loop_at_a_time():
     worst_single = min(loop_at_a_time(P, K, ch, "input", 0.0)[1].spec.alpha
                        for ch in (0, 1))
     assert res.alpha_upper <= worst_single + 1e-9
+
+
+def test_multiloop_sweep_finds_resonance_between_grid_points():
+    # a 4-state pair whose closed loop has a mode of damping 4.5e-3 near
+    # 6.44 rad/s: mu peaks there in a band far narrower than the 400-point
+    # grid spacing, and the sweep sees it only through the pole frequencies
+    A = [[0.0, 0.3143727260801054, 0.0, 0.0],
+         [-0.3143727260801054, -0.00539772082367326, 0.0, 0.0],
+         [0.0, 0.0, 0.0, 6.213739152004728],
+         [0.0, 0.0, -6.213739152004728, -0.05038718579332258]]
+    B = [[-1.2622253805141594, -0.47341736129872586], [-0.7062228560015639, 2.6815239418282255],
+         [0.6656853154321596, -0.23351340239983], [-0.08812784364190931, -0.15912601067363405]]
+    C = [[0.1487927914429708, -0.4461911395291876, -0.0577836274295121, 0.9892451092162144],
+         [0.7935862239201589, 0.2697063070966735, 1.2956277319396536, 0.18484602737633887]]
+    K = [[-0.8204546632381382, -0.03556443567676527],
+         [-0.07952754015795842, 0.2332706801466752]]
+    P = ss(A, B, C, np.zeros((2, 2)))
+    Kss = ss(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), K)
+    sysm = build_m(P, Kss, "input", 0.0)
+    res = multiloop_margin(sysm)
+    single = min(loop_at_a_time(P, Kss, ch, "input", 0.0)[1].spec.alpha for ch in (0, 1))
+    assert res.alpha_upper <= single * (1 + 1e-9)
+    assert_allclose(res.omega_crit, 6.441, rtol=1e-3)
+    vals, ok = freq_response(sysm.M, np.linspace(0.98, 1.02, 2001) * 6.44011713)
+    assert ok.all()
+    assert res.alpha_lower <= 1.0 / np.max(_mu_upper(vals)[0]) * (1 + 1e-9)
+
+
+def test_multiloop_zooms_one_bracket(monkeypatch):
+    # the sweep is followed by one zoom bracket, _ZOOM_POINTS samples a round
+    sizes = []
+    upper_on = multiloop._upper_on
+
+    def recording(sys, ws):
+        sizes.append(len(ws))
+        return upper_on(sys, ws)
+
+    monkeypatch.setattr(multiloop, "_upper_on", recording)
+    multiloop_margin(build_m(*satellite(), "io", 0.0))
+    assert sizes[0] > 400
+    assert sizes[1:] == [multiloop._ZOOM_POINTS] * multiloop._ZOOM_ROUNDS
 
 
 def test_multiloop_worst_case_closes_to_axis():

@@ -16,8 +16,11 @@ relative difference among the rest.  For each key of a JSON document's
 "results" object it then gives the number of commands in which that
 key's value differs and the largest relative difference in it.  Last
 come each tree's largest certificate det_residual over the mimo
-commands and the non-blank line counts of each tree's src/dmkit,
-counted as bench/run.py counts them.  The exit status is 0 when every
+commands, its largest alpha_upper / min(loop_at_a_time alpha_max) over
+the same commands (the simultaneous margin cannot exceed the
+loop-at-a-time one, so above 1 the mu sweep missed a peak), and the
+non-blank line counts of each tree's src/dmkit, counted as bench/run.py
+counts them.  The exit status is 0 when every
 command matches exactly and 1 otherwise.  With --rtol X it is 0 when, in every
 command, the exit code, stderr and the text around the numbers match
 and each differing numeric field is within X relative; the report then
@@ -143,6 +146,19 @@ def largest_det_residual(runs):
     return max(residuals, default=math.nan)
 
 
+def largest_alpha_ratio(runs):
+    """The largest results.alpha_upper / min(results.loop_at_a_time
+    alpha_max) among the commands whose output carries both (the mimo
+    commands), or nan if none does."""
+    ratios = []
+    for r in runs:
+        res = results_of(r["stdout"])
+        if isinstance(res, dict) and "alpha_upper" in res and res.get("loop_at_a_time"):
+            single = min(float(row["alpha_max"]) for row in res["loop_at_a_time"])
+            ratios.append(float(res["alpha_upper"]) / single)
+    return max(ratios, default=math.nan)
+
+
 def results_breakdown(pairs):
     """{key: [commands differing, largest relative difference]} over the
     "results" keys of the (parent, change) stdout pairs."""
@@ -213,6 +229,8 @@ def main(argv):
         print("  {}: {} commands, largest relative difference {:.3g}".format(key, count, rel))
     print("largest mimo certificate det_residual: {:.3g} -> {:.3g}".format(
         largest_det_residual(parent), largest_det_residual(change)))
+    print("largest mimo alpha_upper / min loop-at-a-time alpha_max: {!r} -> {!r}".format(
+        largest_alpha_ratio(parent), largest_alpha_ratio(change)))
     print("src/dmkit non-blank lines: {} -> {}".format(
         nonblank_lines(args.parent), nonblank_lines(args.change)))
     if args.rtol:
