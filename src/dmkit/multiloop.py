@@ -24,7 +24,7 @@ from .disk import (DiskSpec, _allpass, _shifted_sensitivity, disk_geometry, disk
 from .classical import classical_margins
 from .errors import ConstructionError, InputError, NominalInstabilityError, WellPosednessError
 from .lti import (LtiModel, StateSpace, TransferFunction, _as_model, _blkdiag, _close,
-                  eval_freq, freq_response, is_stable, poles, scalar_close, tf_to_ss)
+                  eval_freq, freq_response, poles, scalar_close, tf_to_ss)
 from .specnorm import _peak_seed
 
 _RESTARTS = 5  # uniform and fixed random starts of the mu lower bound's fallback ascent
@@ -48,11 +48,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MDeltaSystem:
-    """Stable M in feedback with a diagonal perturbation of size n."""
+    """Stable M in feedback with a diagonal perturbation of size n; poles
+    are M's poles."""
 
     M: LtiModel
     n: int
     sigma: float
+    poles: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,7 @@ def build_m(P, K, points="input", sigma=0.0):
     -------
     MDeltaSystem
         with M = (I + L_sel)^-1 + (sigma - 1)/2 I, where L_sel is the
-        open loop restricted to the selected break points.
+        open loop restricted to the selected break points, and its poles.
 
     Raises
     ------
@@ -228,9 +230,10 @@ def build_m(P, K, points="input", sigma=0.0):
     """
     loop, sel = _broken_loop(P, K, points)
     Msys = _shifted_sensitivity(LtiModel(loop), sigma)
-    if not is_stable(Msys):
+    p = poles(Msys)
+    if not np.all(p.real < 0.0):
         raise NominalInstabilityError("nominal closed loop is unstable")
-    return MDeltaSystem(M=Msys, n=len(sel), sigma=sigma)
+    return MDeltaSystem(M=Msys, n=len(sel), sigma=sigma, poles=p)
 
 
 def _sv_and_gradient(Ms, x):
@@ -297,21 +300,51 @@ def _osborne_balance(absM):
     return np.log(d)
 
 
-def _mu_upper(Ms):
+def _mu_upper(Ms, sweep=False):
     """inf over positive diagonal D of the largest singular value of
     D M D^-1, for every matrix of an (N, n, n) stack at once.
 
-    Starts from Osborne balancing, then runs _descend over log D, with
-    d log sigma / d log d_i = |u_i|^2 - |v_i|^2 (Packard & Doyle 1993);
-    its box keeps D M D^-1 finite where the infimum is only approached as
-    D degenerates.  Every iterate is a valid bound, so the result bounds
-    mu whatever the exit.  Returns the (N,) bounds and the (N, n) log D.
+    For two channels the infimum has a closed form.  Scaling keeps det M,
+    and sigma_max^2 = (F + sqrt(F^2 - 4 |det M|^2)) / 2 rises with the
+    squared Frobenius norm F, whose scaled off-diagonal part
+    |m01|^2 s + |m10|^2 / s is least at s = |m10| / |m01|; so
+    log D = (t, -t) with t = log(|m10| / |m01|) / 4, clipped to the
+    descent's box (0 where both entries vanish), and one SVD gives the
+    bound.  For more channels it starts from Osborne balancing, then runs
+    _descend over log D, with d log sigma / d log d_i = |u_i|^2 - |v_i|^2
+    (Packard & Doyle 1993); its box keeps D M D^-1 finite where the
+    infimum is only approached as D degenerates.  Every iterate is a
+    valid bound, so the result bounds mu whatever the exit.
+
+    sweep=True serves a caller that needs only the largest bound of the
+    stack and where it lies.  Every bound is at least mu >= rho of its
+    matrix, so the largest is at least the floor max_k rho(M_k) (Packard
+    & Doyle 1993); a row whose bound falls below that floor stops
+    descending there and holds a valid but looser bound, while the rows
+    that reach the largest bound run as without the floor, so the
+    maximum and its argmax are unchanged.  Returns the (N,) bounds and
+    the (N, n) log D.
     """
     N, n, _ = Ms.shape
     if n == 1:
         return np.abs(Ms[:, 0, 0]), np.zeros((N, 1))
+    if n == 2:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = 0.25 * (np.log(np.abs(Ms[:, 1, 0])) - np.log(np.abs(Ms[:, 0, 1])))
+        t = np.clip(np.nan_to_num(t, nan=0.0), -50.0, 50.0)
+        x = np.stack([t, -t], axis=1)
+        return np.linalg.svd(Ms * np.exp(x[:, :, None] - x[:, None, :]), compute_uv=False)[:, 0], x
+    # 1 - 1e-9 absorbs the rounding of both sides, so that the computed
+    # largest bound, mathematically at least the floor, is never stopped
+    floor = (1 - 1e-9) * np.max(np.abs(np.linalg.eigvals(Ms))) if sweep else -math.inf
+
+    def fg(k, x):
+        f, g = _sv_and_gradient(Ms[k], x)
+        g[f < floor] = 0.0  # _descend settles a row with a zero gradient
+        return f, g
+
     x = _osborne_balance(np.abs(Ms))
-    x, f, _ = _descend(lambda k, x: _sv_and_gradient(Ms[k], x), x - x.mean(axis=1, keepdims=True))
+    x, f, _ = _descend(fg, x - x.mean(axis=1, keepdims=True))
     return f, x
 
 
@@ -350,8 +383,9 @@ def mu_diag(M0):
         modulus 1/lower and satisfies det(I - M0 delta_worst) = 0 (None
         when M0 is zero).  The upper bound is the D-scaled largest
         singular value from the same batched routine the frequency sweep
-        of multiloop_margin uses, run on a stack of one; it equals mu for
-        n <= 3 up to the descent's stopping tolerance, except where the
+        of multiloop_margin uses, run on a stack of one; it equals mu
+        exactly (to rounding) for n = 2, where it is in closed form, and
+        for n = 3 up to the descent's stopping tolerance, except where the
         optimal scaling leaves the largest singular value repeated and
         the descent stops short of it.  The lower bound is the spectral
         radius of U M0 for a diagonal unitary U, and it is deterministic.
@@ -395,11 +429,14 @@ def mu_diag(M0):
 
 
 def _upper_on(sys, ws):
-    """mu upper bound of M(jw) at each frequency; -inf where jw is a pole."""
+    """mu upper bound of M(jw) at each frequency; -inf where jw is a pole.
+    Only the largest bound and where it lies are those of the full
+    descent; other frequencies may hold looser valid bounds (the sweep
+    floor of _mu_upper)."""
     vals, ok = freq_response(sys.M, ws)
     out = np.full(len(ws), -math.inf)
     if ok.any():
-        out[ok] = _mu_upper(vals[ok].reshape(-1, sys.n, sys.n))[0]
+        out[ok] = _mu_upper(vals[ok].reshape(-1, sys.n, sys.n), sweep=True)[0]
     return out
 
 
@@ -426,7 +463,7 @@ def multiloop_margin(sys):
         certified: a peak narrower than the spacing away from the pole
         frequencies can still be missed.
     """
-    pts = _peak_seed(sys.M, 400, poles(sys.M))
+    pts = _peak_seed(sys.M, 400, sys.poles)
     vals = _upper_on(sys, pts)
     ws, us = [pts], [vals]
     i = int(np.argmax(vals))

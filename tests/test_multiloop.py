@@ -28,6 +28,7 @@ from dmkit import (
     loop_at_a_time,
     mu_diag,
     multiloop_margin,
+    poles,
     scalar_close,
     siso_loop,
     ss,
@@ -37,6 +38,7 @@ from dmkit import (
 )
 from dmkit import multiloop
 from dmkit.multiloop import MDeltaSystem, _mu_upper
+from dmkit.specnorm import _peak_seed
 
 
 def satellite():
@@ -144,7 +146,7 @@ def test_mu_lower_meets_upper_for_two_and_three_channels(kind, monkeypatch):
         for _ in range(25):
             calls.clear()
             res = mu_diag(mu_family(kind, n, rng))
-            assert calls == [1]
+            assert calls == ([] if n == 2 else [1])
             assert res.upper * (1 - 1e-9) <= res.lower <= res.upper
 
 
@@ -154,7 +156,7 @@ def test_satellite_peak_bracket_closes_without_ascent(points, monkeypatch):
     M0 = eval_freq(sysm.M, multiloop_margin(sysm).omega_crit)
     calls = count_descents(monkeypatch)
     res = mu_diag(M0)
-    assert calls == [1]
+    assert calls == ([] if M0.shape[0] == 2 else [1])
     assert res.upper * (1 - 1e-9) <= res.lower <= res.upper
     assert res.converged
 
@@ -418,6 +420,7 @@ def test_mdelta_system_fields():
     assert isinstance(sysm, MDeltaSystem)
     assert sysm.sigma == 0.25
     assert sysm.n == 2
+    assert np.array_equal(sysm.poles, poles(sysm.M))
 
 
 def _three_channel_pair(seed):
@@ -458,6 +461,59 @@ def test_batched_upper_bound_brackets_mu():
                 # the bound equals mu for two channels, so it meets the
                 # brute-force search to rounding: allow a few ulps
                 assert ub >= mu_brute_2x2(M) * (1 - 1e-14)
+
+
+@pytest.mark.parametrize("kind", MU_FAMILIES)
+def test_two_channel_upper_bound_is_closed_form(kind):
+    # D-scaling keeps det M, so the closed-form scaling that equalizes the
+    # scaled off-diagonal moduli gives mu itself, not a descent's
+    # approximation of it
+    rng = np.random.default_rng([31, MU_FAMILIES.index(kind)])
+    for _ in range(40):
+        M = mu_family(kind, 2, rng)
+        assert_allclose(_mu_upper(M[None])[0][0], mu_brute_2x2(M), rtol=1e-12)
+
+
+@pytest.mark.parametrize("M, mu", [
+    ([[1.0, 1.0], [0.0, 1.0]], 1.0),
+    (np.diag([1.5, 0.0]), 1.5),
+    ([[2.0, 0.0], [3.0, -1.0]], 2.0),
+])
+def test_two_channel_upper_bound_with_a_zero_coupling(M, mu):
+    # m01 m10 = 0: mu is the larger diagonal modulus, approached as the
+    # scaling runs to the edge of the box (0/0 keeps it at 0)
+    (ub,), (x,) = _mu_upper(np.array(M, dtype=complex)[None])
+    assert_allclose(ub, mu, rtol=1e-15)
+    assert np.all(np.abs(x) <= 50.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_m(*satellite(), "io", 0.0),
+    lambda: build_m(*_three_channel_pair(46), "input", 0.0),
+], ids=["satellite io", "three channels"])
+def test_sweep_floor_keeps_the_largest_bound(make, monkeypatch):
+    sysm = make()
+    vals, ok = freq_response(sysm.M, _peak_seed(sysm.M, 400, sysm.poles))
+    Ms = vals[ok].reshape(-1, sysm.n, sysm.n)
+    rows = []
+    sv_and_gradient = multiloop._sv_and_gradient
+
+    def counting(Ms, x):
+        rows.append(len(x))
+        return sv_and_gradient(Ms, x)
+
+    monkeypatch.setattr(multiloop, "_sv_and_gradient", counting)
+    full, _ = _mu_upper(Ms)
+    full_rows = sum(rows)
+    rows.clear()
+    swept, _ = _mu_upper(Ms, sweep=True)
+    assert swept.max() == full.max()
+    assert np.argmax(swept) == np.argmax(full)
+    # rows stopped at the floor hold looser, still valid, bounds below it
+    assert np.all(swept >= full)
+    floor = np.max(np.abs(np.linalg.eigvals(Ms)))
+    assert np.all(swept[swept != full] < floor)
+    assert sum(rows) < full_rows
 
 
 def static_plant(D):
