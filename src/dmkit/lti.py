@@ -8,14 +8,21 @@ coefficient level; matrix models are realized to state space once, at
 ingestion, and stay there.
 
 Each primitive exists once.  freq_response evaluates every model on the
-imaginary axis, and eval_freq is its one-point form; state-space models
-from _HESSENBERG_STATES states on go through a Hessenberg form (Laub,
-IEEE Trans. Automat. Control 26(2), 1981), smaller ones through stacked
-LU solves.  A closure is well posed by one rule, the componentwise
-condition number of I + D (of 1 + L(inf) for a transfer function) below
-1e12 (Demmel, SIAM J. Matrix Anal. Appl. 13(1), 1992): _close applies it
-to state space, sensitivity_pair to transfer functions, and
-scalar_close goes through the two.
+imaginary axis, and eval_freq is its one-point form.  The model alone
+picks one of three state-space kernels.  A real model with at least
+_HESSENBERG_STATES states whose eigenvectors have cond(V) <= _MODAL_COND
+is summed over its modes, sum_k r_k / d_k with d_k = jw - lam_k: a point
+is a pole where min_k |d_k| <= n eps ||A||_F, and goes to the Hessenberg
+sweep (Laub, IEEE Trans. Automat. Control 26(2), 1981) where
+eps cond(V) sum_k |r_k| (1/|d_k| + ||A||_F/|d_k|^2) exceeds _MODAL_RTOL
+|value|.  That sweep takes every point of the other large real models,
+and stacked LU solves those of smaller or complex ones.
+
+A closure is well posed by one rule, the componentwise condition number
+of I + D (of 1 + L(inf) for a transfer function) below 1e12 (Demmel,
+SIAM J. Matrix Anal. Appl. 13(1), 1992): _close applies it to state
+space, sensitivity_pair to transfer functions, and scalar_close goes
+through the two.
 """
 
 import math
@@ -34,10 +41,17 @@ from .errors import (
 
 # working-set budget, in bytes, of one chunk of frequencies in freq_response
 _CHUNK_BYTES = 1 << 20
-# state count from which freq_response sweeps a Hessenberg form instead of
-# stacking LU solves: the smallest at which a call on a grid the size of
-# hinf_norm's seed grid, reduction included, is no slower
+# state count from which freq_response takes a real model off the stacked
+# LU solves: the smallest at which the Hessenberg sweep, reduction
+# included, is no slower on a grid the size of hinf_norm's seed grid
 _HESSENBERG_STATES = 16
+# eigenvector condition number up to which freq_response sums a real
+# model's partial fractions; companion forms, far above it, stay on the
+# Hessenberg sweep
+_MODAL_COND = 1e4
+# error bound, relative to the value, above which a point of the modal
+# kernel is evaluated on the Hessenberg sweep instead
+_MODAL_RTOL = 1e-10
 # relative rank tolerance of _minreal's reachable and observable projections
 _MINREAL_TOL = 1e-8
 
@@ -218,10 +232,11 @@ class StateSpace:
     """State-space model (A, B, C, D).  n = 0 static gains are allowed.
 
     The arrays are the model's own copies and are not changed after
-    construction: freq_response keeps the model's Hessenberg form on it.
+    construction: freq_response keeps the model's modal data and
+    Hessenberg form on it.
     """
 
-    __slots__ = ("A", "B", "C", "D", "_hessenberg")
+    __slots__ = ("A", "B", "C", "D", "_modal", "_hessenberg")
 
     def __init__(self, A, B, C, D):
         A = np.asarray(A, dtype=float) if np.asarray(A).size == 0 else _as_matrix(A, "A")
@@ -242,7 +257,7 @@ class StateSpace:
                 "D must be {}x{}, got {}".format(C.shape[0], B.shape[1], D.shape)
             )
         self.A, self.B, self.C, self.D = A, B, C, D
-        self._hessenberg = None
+        self._modal = self._hessenberg = None
 
     @property
     def nstates(self):
@@ -483,9 +498,54 @@ def _response_tf(r, ws):
     return vals, ok
 
 
-def _on_hessenberg_kernel(r):
-    # the model alone decides, so no value depends on the grid around it
+def _large_real(r):
+    # the model alone picks the kernel, so no value depends on the grid
     return r.nstates >= _HESSENBERG_STATES and not any(map(np.iscomplexobj, (r.A, r.B, r.C)))
+
+
+def _modal_form(r):
+    """The modal data of the real state-space model r, computed once and
+    kept on r: from lam, V = eig(A), the eigenvalues lam, the residues
+    res[i, j, k] = (C V)_ik (V^-1 B)_kj with the mode axis last, their
+    largest modulus per mode, cond(V) and ||A||_F.  None when cond(V)
+    exceeds _MODAL_COND or A is not finite: the Hessenberg sweep then
+    evaluates every point."""
+    if r._modal is None:
+        r._modal = False
+        try:
+            lam, V = np.linalg.eig(r.A)
+        except np.linalg.LinAlgError:
+            return None
+        cond = np.linalg.cond(V)
+        if cond <= _MODAL_COND:
+            res = (r.C @ V)[:, None, :] * np.linalg.solve(V, r.B).T
+            r._modal = lam, res, np.abs(res).max(axis=(0, 1)), cond, np.linalg.norm(r.A)
+    return r._modal or None
+
+
+def _sum_modes(modal, w, D):
+    """sum_k res_k / d_k + D, d_k = jw - lam_k, at every w of a chunk as an
+    (N, p, m) array, nan at the poles; and the mask of the points whose
+    error bound exceeds _MODAL_RTOL times the largest entry of the value,
+    which go to the Hessenberg sweep.
+
+    The sum runs elementwise along the contiguous mode axis, so a value
+    does not depend on the other points of the chunk.  A point is a pole
+    where min_k |d_k| <= n eps ||A||_F.  Its error bound,
+    eps cond(V) sum_k |res_k| (1/|d_k| + ||A||_F/|d_k|^2), takes the
+    rounding of the residues and, in the second term, of the eigenvalues
+    themselves, which dominates within rounding distance of a pole.
+    """
+    lam, res, size, cond, norm = modal
+    eps = np.finfo(float).eps
+    d = np.empty((w.size, lam.size), dtype=complex)
+    d.real, d.imag = -lam.real, w[:, None] - lam.imag
+    vals = (res / d[:, None, None, :]).sum(axis=-1) + D
+    dist = np.abs(d)
+    pole = dist.min(axis=1) <= lam.size * eps * norm
+    vals[pole] = np.nan
+    err = eps * cond * (size / dist * (1.0 + norm / dist)).sum(axis=1)
+    return vals, ~pole & (err > _MODAL_RTOL * np.abs(vals).max(axis=(1, 2)))
 
 
 def _hessenberg_form(r):
@@ -583,14 +643,25 @@ def _response_ss(r, ws):
     fin = np.flatnonzero(~np.isinf(ws))
     if n == 0 or fin.size == 0:
         return vals, np.ones(ws.size, dtype=bool)
-    if _on_hessenberg_kernel(r):
-        h = _hessenberg_form(r)
-        # points per sweep: the two rows, R and its products, all complex
-        step = max(1, _CHUNK_BYTES // (16 * (2 * p + 4) * (n + m)))
+    if _large_real(r):
+        modal, rest = _modal_form(r), fin
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for k in range(0, fin.size, step):
-                idx = fin[k : k + step]
-                vals[idx] = _sweep_hessenberg(h, ws[idx]).transpose(2, 0, 1) + r.D
+            if modal is not None:
+                # points per sum: the pencil diagonals, the terms and the
+                # bound's temporaries, within the working-set budget
+                step = max(1, _CHUNK_BYTES // (8 * n * (2 * p * m + 8)))
+                sweep = np.empty(fin.size, dtype=bool)
+                for k in range(0, fin.size, step):
+                    idx = fin[k : k + step]
+                    vals[idx], sweep[k : k + step] = _sum_modes(modal, ws[idx], r.D)
+                rest = fin[sweep]
+            if rest.size:
+                h = _hessenberg_form(r)
+                # points per sweep: the two rows, R and its products, all complex
+                step = max(1, _CHUNK_BYTES // (16 * (2 * p + 4) * (n + m)))
+                for k in range(0, rest.size, step):
+                    idx = rest[k : k + step]
+                    vals[idx] = _sweep_hessenberg(h, ws[idx]).transpose(2, 0, 1) + r.D
     else:
         eye = np.eye(n)
         # points per stacked solve: the pencils, LAPACK's copy of them and
@@ -634,25 +705,38 @@ def freq_response(m, ws):
         of the model and at w = inf for an improper transfer function;
         values hold nan there.  A transfer-function point is a pole when
         |den(jw)| <= 1e-12 (|den|(|w|) + 1), with |den| the polynomial of
-        absolute coefficients; a state-space point when the pencil
-        jwI - A is exactly singular (a zero pivot) or the value is not
-        finite; a nan w in both.  A point's value and flag do not depend
-        on the grid.
+        absolute coefficients.  A state-space point is a pole when, on
+        the modal kernel, min_k |jw - lam_k| <= n eps ||A||_F, and on the
+        other two when the pencil jwI - A is exactly singular (a zero
+        pivot); on all three when the value is not finite, and at a nan
+        w.  A point's value and flag do not depend on the grid.
 
     Transfer functions are evaluated as num(jw)/den(jw).  State-space
-    models take one of two kernels, chosen from the model alone (its
-    state count, and complex coefficients) and never from the grid:
-    - real models with at least _HESSENBERG_STATES states: A is reduced
-      once to upper Hessenberg form H = Q^T A Q, and one elimination
-      sweep over all frequencies then costs O(n^2) per frequency (Laub,
-      "Efficient multivariable frequency response computations", IEEE
-      Trans. Automat. Control 26(2), 1981).  The form is kept on the
-      model, so later calls do not reduce it again, and an A that is
-      already upper Hessenberg, as tf_to_ss builds it, is not reduced.
+    models take one of three kernels, chosen from the model alone (its
+    state count, complex coefficients and eigenvectors) and never from
+    the grid:
+    - real models with at least _HESSENBERG_STATES states whose
+      eigenvectors V, from lam, V = eig(A), have cond(V) <= _MODAL_COND:
+      the modal kernel.  With the residues r_k = (C V)_k (V^-1 B)_k,
+      each point is the partial-fraction sum sum_k r_k / d_k + D,
+      d_k = jw - lam_k, in O(n) per frequency.  Its error is bounded to
+      first order by eps cond(V) sum_k |r_k| (1/|d_k| + ||A||_F/|d_k|^2),
+      the second term being the rounding of the eigenvalues; a point
+      where that exceeds _MODAL_RTOL times the largest entry of the value
+      goes to the Hessenberg sweep below.
+    - the other real models with at least _HESSENBERG_STATES states,
+      such as companion forms: A is reduced once to upper Hessenberg
+      form H = Q^T A Q, and one elimination sweep over all frequencies
+      then costs O(n^2) per frequency (Laub, "Efficient multivariable
+      frequency response computations", IEEE Trans. Automat. Control
+      26(2), 1981).  An A that is already upper Hessenberg, as tf_to_ss
+      builds it, is not reduced.
     - smaller or complex models: stacked LU solves of jwI - A, O(n^3)
       per frequency.
-    Either kernel works in chunks of at most _CHUNK_BYTES of working set,
-    so memory stays flat in the grid length.
+    The eigendecomposition and the Hessenberg form are kept on the model,
+    so later calls do not compute them again.  Each kernel works in
+    chunks of at most _CHUNK_BYTES of working set, so memory stays flat
+    in the grid length.
     """
     m = _as_model(m)
     ws = np.asarray(ws, dtype=float).reshape(-1)

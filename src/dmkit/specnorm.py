@@ -45,14 +45,14 @@ class FrequencyGrid:
     points: tuple
 
     def __post_init__(self):
-        pts = tuple(float(p) for p in self.points)
-        if len(pts) == 0:
+        pts = np.fromiter(self.points, dtype=float)
+        if pts.size == 0:
             raise InputError("frequency grid must be non-empty")
-        if any(p < 0 or math.isnan(p) for p in pts):
+        if not (pts >= 0.0).all():
             raise InputError("frequencies must be non-negative")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
+        if (pts[1:] <= pts[:-1]).any():
             raise InputError("frequency grid must be strictly increasing")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", tuple(pts.tolist()))
 
     @property
     def finite(self):

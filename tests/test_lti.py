@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,13 +31,15 @@ from dmkit import (
     tf_to_ss,
     tfm,
 )
+from dmkit import lti
 from dmkit.lti import (
     _CHUNK_BYTES,
     _HESSENBERG_STATES,
     _close,
     _hessenberg_form,
+    _large_real,
     _minreal,
-    _on_hessenberg_kernel,
+    _modal_form,
 )
 
 
@@ -199,17 +202,23 @@ def numpy_response(m, w):
     return out[0, 0] if out.shape == (1, 1) else out
 
 
-def on_hessenberg(m):
+def kernel(m):
+    """The kernel freq_response runs m on: "tf", "lu", "modal", or
+    "hessenberg" where the modal kernel rejects the model."""
     r = m.representation
-    return not isinstance(r, TransferFunction) and _on_hessenberg_kernel(r)
+    if isinstance(r, TransferFunction):
+        return "tf"
+    if not _large_real(r):
+        return "lu"
+    return "hessenberg" if _modal_form(r) is None else "modal"
 
 
 def assert_is_numpy_response(m, w, v):
     """v is m at jw: bit for bit where freq_response solves the pencil
     as numpy does (transfer functions, stacked LU), and within 1e-10
-    relative to the largest entry on the Hessenberg kernel."""
+    relative to the largest entry on the modal and Hessenberg kernels."""
     want = numpy_response(m, w)
-    if not on_hessenberg(m):
+    if kernel(m) in ("tf", "lu"):
         assert np.array_equal(v, want)
         return
     assert np.max(np.abs(v - want)) <= 1e-10 * np.max(np.abs(want))
@@ -278,16 +287,15 @@ def singular_pencil_model(n, rng):
 
 
 def test_freq_response_spans_chunks():
-    # 40 states, on the Hessenberg kernel: one sweep holds a few hundred
-    # points, so this grid takes several, one of them holding the
-    # exactly singular pencil
+    # 40 states, on the modal kernel: one sum holds a few hundred points,
+    # so this grid takes several, one of them holding the pole at w = 1
     rng = np.random.default_rng(3)
     n = 40
     m = singular_pencil_model(n, rng)
-    assert on_hessenberg(m)
+    assert kernel(m) == "modal"
     ws = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 1000), [1.0, math.inf]))
-    # the sweep's working set per point, as freq_response budgets it
-    assert ws.size > 4 * _CHUNK_BYTES // (16 * (2 * 2 + 4) * (n + 2))
+    # the sum's working set per point, as freq_response budgets it
+    assert ws.size > 4 * _CHUNK_BYTES // (8 * n * (2 * 2 * 2 + 8))
     vals, ok = freq_response(m, ws)
     assert np.flatnonzero(~ok).tolist() == [ws.size - 2]
     for w, v in zip(ws[ok], vals[ok]):
@@ -296,12 +304,12 @@ def test_freq_response_spans_chunks():
 
 
 def test_freq_response_spans_chunks_stacked_lu():
-    # the same below the Hessenberg kernel's state count, where the
+    # the same below the large-model kernels' state count, where the
     # stacked LU solves match numpy bit for bit
     rng = np.random.default_rng(3)
     n = _HESSENBERG_STATES - 1
     m = singular_pencil_model(n, rng)
-    assert not on_hessenberg(m)
+    assert kernel(m) == "lu"
     ws = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 1000), [1.0, math.inf]))
     assert ws.size > 4 * _CHUNK_BYTES // (16 * n * (2 * n + 2))
     vals, ok = freq_response(m, ws)
@@ -312,15 +320,17 @@ def test_freq_response_spans_chunks_stacked_lu():
 
 
 def test_hessenberg_kernel_flags_singular_pencil():
-    # a dense block that has to be reduced, and a [[0, 1], [-1, 0]] block
-    # the reduction leaves exact: the pivot at w = 1 is exactly zero
+    # a dense, defective block that has to be reduced, so the modal kernel
+    # rejects the model, and a [[0, 1], [-1, 0]] block the reduction
+    # leaves exact: the pivot at w = 1 is exactly zero
     rng = np.random.default_rng(8)
     n = _HESSENBERG_STATES
     A = np.zeros((n, n))
-    A[:-2, :-2] = rng.standard_normal((n - 2, n - 2)) - 3.0 * np.eye(n - 2)
+    Q, _ = np.linalg.qr(rng.standard_normal((n - 2, n - 2)))
+    A[:-2, :-2] = Q @ (np.eye(n - 2, k=1) - 3.0 * np.eye(n - 2)) @ Q.T
     A[-2:, -2:] = [[0.0, 1.0], [-1.0, 0.0]]
     m = ss(A, rng.standard_normal((n, 1)), rng.standard_normal((1, n)), [[0.5]])
-    assert on_hessenberg(m)
+    assert kernel(m) == "hessenberg"
     vals, ok = freq_response(m, [0.5, 1.0, -1.0, 2.0])
     assert ok.tolist() == [True, False, False, True]
     assert np.isnan(vals[1]) and np.isnan(vals[2])
@@ -328,13 +338,72 @@ def test_hessenberg_kernel_flags_singular_pencil():
         eval_freq(m, 1.0)
 
 
+def test_modal_kernel_flags_rounding_level_pole():
+    # the integrator 1/(s^3 + 0.0996 s^2 + s) in series with (s + 1)/(s + 1),
+    # with stable, decoupled modes to reach the modal kernel's size, in a
+    # random orthogonal basis: rounding keeps the pencil solvable at w = 0,
+    # where an LU solve or the Hessenberg sweep reads L(0) ~ -2e15
+    rng = np.random.default_rng(5)
+    loop = lti._ss_series(tf_to_ss(tf([1.0], [1.0, 0.0996, 1.0, 0.0])),
+                          tf_to_ss(tf([1.0, 1.0], [1.0, 1.0])))
+    k = _HESSENBERG_STATES - loop.nstates
+    A = np.zeros((_HESSENBERG_STATES, _HESSENBERG_STATES))
+    A[:-k, :-k] = loop.A
+    A[-k:, -k:] = np.diag(-rng.uniform(0.5, 50.0, k))
+    B = np.vstack([loop.B, rng.standard_normal((k, 1))])
+    C = np.hstack([loop.C, rng.standard_normal((1, k))])
+    Q, _ = np.linalg.qr(rng.standard_normal(A.shape))
+    m = ss(Q @ A @ Q.T, Q @ B, C @ Q.T, [[0.0]])
+    assert kernel(m) == "modal"
+    vals, ok = freq_response(m, [0.0, 1e-3, 1.0])
+    assert ok.tolist() == [False, True, True]
+    assert np.isnan(vals[0])
+    with pytest.raises(PoleOnAxisError):
+        eval_freq(m, 0.0)
+
+
+def test_modal_guard_sends_points_near_a_pole_to_the_hessenberg_sweep(monkeypatch):
+    # a mode at 1 rad/s with damping 1e-12, so w = 1 lies 1e-12 from the
+    # pole, beside real poles: there the rounding of the eigenvalues,
+    # eps ||A||_F over that distance, is far above the guard, and away
+    # from the pole it is not.  The block-diagonal A keeps numpy exact.
+    rng = np.random.default_rng(4)
+    n = _HESSENBERG_STATES
+    A = np.diag(-np.geomspace(2.0, 20.0, n))
+    A[:2, :2] = [[-1e-12, 1.0], [-1.0, -1e-12]]
+    m = ss(A, rng.standard_normal((n, 1)), rng.standard_normal((1, n)), [[0.0]])
+    assert kernel(m) == "modal"
+    swept = []
+    sweep = lti._sweep_hessenberg
+
+    def recording_sweep(h, w):
+        swept.extend(w.tolist())
+        return sweep(h, w)
+
+    monkeypatch.setattr(lti, "_sweep_hessenberg", recording_sweep)
+    ws = [0.01, 1.0, 10.0, 100.0]
+    vals, ok = freq_response(m, ws)
+    assert ok.all()
+    assert swept == [1.0]
+    for w, v in zip(ws, vals):
+        assert_is_numpy_response(m, w, v)
+    assert np.array_equal(vals[1], eval_freq(m, 1.0))
+
+
+def several_chunks(draw, n, p, m):
+    """A point count that takes two to four chunks of either large-model
+    kernel, as freq_response budgets them."""
+    per_chunk = _CHUNK_BYTES // min(8 * n * (2 * p * m + 8), 16 * (2 * p + 4) * (n + m))
+    return draw(st.integers(2 * per_chunk, 4 * per_chunk))
+
+
 @st.composite
 def flexible_model_and_grid(draw):
-    """A real model on the Hessenberg kernel, up to 80 states, in a random
-    orthogonal basis: lightly damped modes (damping down to 1e-3, as in
-    the dense-trace benchmark) and real poles.  The grid takes several
-    sweeps and holds every mode frequency, where the pencil is worst
-    conditioned."""
+    """A real model of 16 to 80 states in a random orthogonal basis:
+    lightly damped modes (damping down to 1e-3, as in the dense-trace
+    benchmark) and real poles.  The grid takes several chunks and holds
+    every mode frequency, where the pencil is worst conditioned; the
+    count of those last points comes third."""
     n = draw(st.integers(_HESSENBERG_STATES, 80))
     p, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -353,28 +422,71 @@ def flexible_model_and_grid(draw):
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     model = ss(Q @ A @ Q.T, Q @ rng.standard_normal((n, m)), rng.standard_normal((p, n)) @ Q.T,
                rng.standard_normal((p, m)))
-    per_sweep = _CHUNK_BYTES // (16 * (2 * p + 4) * (n + m))
-    npts = draw(st.integers(2 * per_sweep, 4 * per_sweep))
-    ws = np.concatenate((np.geomspace(1e-2, 1e3, npts), modes, [0.0, -1.0]))
-    return model, ws
+    ws = np.concatenate((np.geomspace(1e-2, 1e3, several_chunks(draw, n, p, m)), modes, [0.0, -1.0]))
+    return model, ws, len(modes) + 2
+
+
+def assert_matches_pointwise_solve(m, ws, tail):
+    # the oracle is numpy's LU solve of each pencil on its own, within
+    # 1e-10: the kernels lie up to some 5e-11 from a 40-digit solve at a
+    # lightly damped mode, so a bit-for-bit match cannot be asked
+    vals, ok = freq_response(m, ws)
+    assert ok.all()
+    for w, v in zip(ws, vals):
+        assert_is_numpy_response(m, w, v)
+    # eval_freq at a spread of points and at each mode, where the modal
+    # kernel's guard may send the point to the Hessenberg sweep
+    for i in [*range(0, ws.size, 97), *range(ws.size - tail, ws.size)]:
+        assert np.array_equal(vals[i], eval_freq(m, ws[i]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(flexible_model_and_grid())
+def test_modal_kernel_matches_pointwise_solve(case):
+    m, ws, tail = case
+    assert kernel(m) == "modal"
+    assert_matches_pointwise_solve(m, ws, tail)
 
 
 @settings(max_examples=20, deadline=None)
 @given(flexible_model_and_grid())
 def test_hessenberg_kernel_matches_pointwise_solve(case):
-    # the oracle is numpy's LU solve of each pencil on its own, within
-    # 1e-10: both kernels lie up to some 5e-11 from a 40-digit solve at a
-    # lightly damped mode, so a bit-for-bit match cannot be asked
-    m, ws = case
-    assert on_hessenberg(m)
-    vals, ok = freq_response(m, ws)
-    assert ok.all()
-    for w, v in zip(ws, vals):
-        assert_is_numpy_response(m, w, v)
-    for i in range(0, ws.size, 97):
-        assert np.array_equal(vals[i], eval_freq(m, ws[i]))
+    # the same models with the modal kernel turned off, so the Hessenberg
+    # sweep takes every point
+    m, ws, tail = case
+    with mock.patch.object(lti, "_MODAL_COND", 0.0):
+        assert kernel(m) == "hessenberg"
+        assert_matches_pointwise_solve(m, ws, tail)
+
+
+@st.composite
+def companion_model_and_grid(draw):
+    """tf_to_ss of 16 to 40 states whose poles come in pairs, so its
+    eigenvectors are far too ill-conditioned for the modal kernel, and
+    in a random orthogonal basis when drawn, so the reduction runs."""
+    n = draw(st.integers(_HESSENBERG_STATES, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    roots = -np.geomspace(0.1, 10.0, n // 2) * np.exp(rng.uniform(-0.1, 0.1, n // 2))
+    den = np.poly(np.concatenate((roots, roots, [-1.0] * (n % 2))))
+    r = tf_to_ss(tf(rng.standard_normal(n + 1), den))
+    if draw(st.booleans()):
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        r = StateSpace(Q @ r.A @ Q.T, Q @ r.B, r.C @ Q.T, r.D)
+    ws = np.concatenate((np.geomspace(1e-2, 1e2, several_chunks(draw, n, 1, 1)), [0.0, -1.0]))
+    return LtiModel(r), ws
+
+
+@settings(max_examples=10, deadline=None)
+@given(companion_model_and_grid())
+def test_hessenberg_form_is_kept_and_gives_the_model_values(case):
     # the form is kept on the model, is upper Hessenberg, and is its own
     # form, so freq_response gives it the model's values
+    m, ws = case
+    assert kernel(m) == "hessenberg"
+    vals, ok = freq_response(m, ws)
+    assert ok.all()
+    for i in range(0, ws.size, 97):
+        assert np.array_equal(vals[i], eval_freq(m, ws[i]))
     h = _hessenberg_form(m.representation)
     assert h is _hessenberg_form(m.representation)
     assert not np.tril(h.A, -2).any() and _hessenberg_form(h) is h

@@ -19,10 +19,14 @@ DATA = Path(__file__).parent / "data"
 def test_grid_validation():
     g = FrequencyGrid((0.0, 1.0, 2.0, math.inf))
     assert g.finite == (0.0, 1.0, 2.0)
-    with pytest.raises(InputError):
-        FrequencyGrid((1.0, 1.0))
-    with pytest.raises(InputError):
-        FrequencyGrid((-1.0, 2.0))
+    for pts, msg in [((), "non-empty"), ((1.0, 1.0), "strictly increasing"),
+                     ((1.0, math.inf, math.inf), "strictly increasing"),
+                     ((-1.0, 2.0), "non-negative"), ((1.0, math.nan), "non-negative")]:
+        with pytest.raises(InputError, match=msg):
+            FrequencyGrid(pts)
+    # any sequence of numbers is kept as a tuple of floats
+    g = FrequencyGrid(np.array([0, 1, 2]))
+    assert g.points == (0.0, 1.0, 2.0) and all(type(p) is float for p in g.points)
 
 
 def test_default_grid_spans_dynamics():

@@ -14,8 +14,10 @@ The report lists the commands whose exit code, stderr or output differ,
 counts the numeric fields that are byte-identical, and gives the largest
 relative difference among the rest.  For each key of a JSON document's
 "results" object it then gives the number of commands in which that
-key's value differs and the largest relative difference in it.  Last
-come each tree's largest certificate det_residual over the mimo
+key's value differs and the largest relative difference in it, and for
+each column of CSV output (the trace commands) the number of commands
+and of fields in which it differs and its largest relative difference.
+Last come each tree's largest certificate det_residual over the mimo
 commands, its largest alpha_upper / min(loop_at_a_time alpha_max) over
 the same commands (the simultaneous margin cannot exceed the
 loop-at-a-time one, so above 1 the mu sweep missed a peak), and the
@@ -41,6 +43,7 @@ import tempfile
 
 SEEDS = (1, 2, 3)
 TIMESTAMP = re.compile(r'"generated_at": "[^"]*"')
+CSV_HEADER = re.compile(r"\w+(?:,\w+)*")
 # a number not glued to a word: JSON and CSV fields, and numbers in messages
 NUMBER = re.compile(
     r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])|\b(?:inf|nan|Infinity|NaN)\b"
@@ -179,6 +182,39 @@ def results_breakdown(pairs):
     return keys
 
 
+def csv_table(text):
+    """(column names, rows of fields) of CSV output whose first line names
+    its columns, or None for other output."""
+    lines = text.splitlines()
+    if not lines or not CSV_HEADER.fullmatch(lines[0]):
+        return None
+    names = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    return (names, rows) if all(len(row) == len(names) for row in rows) else None
+
+
+def columns_breakdown(pairs):
+    """{column: [commands differing, fields differing, largest relative
+    difference]} over the CSV columns of the (parent, change) stdout
+    pairs whose tables have the same columns and row count."""
+    columns = {}
+    for a, b in pairs:
+        ta, tb = csv_table(a), csv_table(b)
+        if ta is None or tb is None or ta[0] != tb[0] or len(ta[1]) != len(tb[1]):
+            continue
+        for j, name in enumerate(ta[0]):
+            rels = []
+            for x, y in ((ra[j], rb[j]) for ra, rb in zip(ta[1], tb[1]) if ra[j] != rb[j]):
+                numbers = compare_numbers(x, y)
+                rels.append(math.inf if numbers is None else numbers[2])
+            if rels:
+                entry = columns.setdefault(name, [0, 0, 0.0])
+                entry[0] += 1
+                entry[1] += len(rels)
+                entry[2] = max(entry[2], max(rels))
+    return columns
+
+
 def main(argv):
     if len(argv) == 3 and argv[0] == "--worker":
         run_tree(argv[1], argv[2])
@@ -227,6 +263,11 @@ def main(argv):
     print("results keys that differ: {}".format(len(breakdown)))
     for key, (count, rel) in sorted(breakdown.items()):
         print("  {}: {} commands, largest relative difference {:.3g}".format(key, count, rel))
+    columns = columns_breakdown((p["stdout"], c["stdout"]) for p, c in zip(parent, change))
+    print("csv columns that differ: {}".format(len(columns)))
+    for name, (count, fields, rel) in sorted(columns.items()):
+        print("  {}: {} commands, {} fields, largest relative difference {:.3g}".format(
+            name, count, fields, rel))
     print("largest mimo certificate det_residual: {:.3g} -> {:.3g}".format(
         largest_det_residual(parent), largest_det_residual(change)))
     print("largest mimo alpha_upper / min loop-at-a-time alpha_max: {!r} -> {!r}".format(
