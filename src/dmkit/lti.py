@@ -9,14 +9,13 @@ ingestion, and stay there.
 
 Each primitive exists once.  freq_response evaluates every model on the
 imaginary axis, and eval_freq is its one-point form.  The model alone
-picks one of three state-space kernels.  A real model with at least
-_HESSENBERG_STATES states whose eigenvectors have cond(V) <= _MODAL_COND
-is summed over its modes, sum_k r_k / d_k with d_k = jw - lam_k: a point
-is a pole where min_k |d_k| <= n eps ||A||_F, and goes to the Hessenberg
-sweep (Laub, IEEE Trans. Automat. Control 26(2), 1981) where
-eps cond(V) sum_k |r_k| (1/|d_k| + ||A||_F/|d_k|^2) exceeds _MODAL_RTOL
-|value|.  That sweep takes every point of the other large real models,
-and stacked LU solves those of smaller or complex ones.
+picks one of two state-space kernels.  A real model with at least
+_MODAL_STATES states whose eigenvectors have cond(V) <= _MODAL_COND is
+summed over its modes, sum_k r_k / d_k with d_k = jw - lam_k: a point is
+a pole where min_k |d_k| <= n eps ||A||_F, and goes to the stacked LU
+solves where eps cond(V) sum_k |r_k| (1/|d_k| + ||A||_F/|d_k|^2) exceeds
+_MODAL_RTOL |value|.  The stacked LU solves of jwI - A take every point
+of the other models.
 
 A closure is well posed by one rule, the componentwise condition number
 of I + D (of 1 + L(inf) for a transfer function) below 1e12 (Demmel,
@@ -24,8 +23,6 @@ SIAM J. Matrix Anal. Appl. 13(1), 1992): _close applies it to state
 space, sensitivity_pair to transfer functions, and scalar_close goes
 through the two.
 """
-
-import math
 
 import numpy as np
 
@@ -41,16 +38,15 @@ from .errors import (
 
 # working-set budget, in bytes, of one chunk of frequencies in freq_response
 _CHUNK_BYTES = 1 << 20
-# state count from which freq_response takes a real model off the stacked
-# LU solves: the smallest at which the Hessenberg sweep, reduction
-# included, is no slower on a grid the size of hinf_norm's seed grid
-_HESSENBERG_STATES = 16
+# state count from which freq_response sums a real model over its modes:
+# below it every model keeps its stacked-LU values bit for bit
+_MODAL_STATES = 16
 # eigenvector condition number up to which freq_response sums a real
 # model's partial fractions; companion forms, far above it, stay on the
-# Hessenberg sweep
+# stacked LU solves
 _MODAL_COND = 1e4
 # error bound, relative to the value, above which a point of the modal
-# kernel is evaluated on the Hessenberg sweep instead
+# kernel is solved by stacked LU instead
 _MODAL_RTOL = 1e-10
 # relative rank tolerance of _minreal's reachable and observable projections
 _MINREAL_TOL = 1e-8
@@ -232,11 +228,10 @@ class StateSpace:
     """State-space model (A, B, C, D).  n = 0 static gains are allowed.
 
     The arrays are the model's own copies and are not changed after
-    construction: freq_response keeps the model's modal data and
-    Hessenberg form on it.
+    construction: freq_response keeps the model's modal data on it.
     """
 
-    __slots__ = ("A", "B", "C", "D", "_modal", "_hessenberg")
+    __slots__ = ("A", "B", "C", "D", "_modal")
 
     def __init__(self, A, B, C, D):
         A = np.asarray(A, dtype=float) if np.asarray(A).size == 0 else _as_matrix(A, "A")
@@ -257,7 +252,7 @@ class StateSpace:
                 "D must be {}x{}, got {}".format(C.shape[0], B.shape[1], D.shape)
             )
         self.A, self.B, self.C, self.D = A, B, C, D
-        self._modal = self._hessenberg = None
+        self._modal = None
 
     @property
     def nstates(self):
@@ -500,7 +495,7 @@ def _response_tf(r, ws):
 
 def _large_real(r):
     # the model alone picks the kernel, so no value depends on the grid
-    return r.nstates >= _HESSENBERG_STATES and not any(map(np.iscomplexobj, (r.A, r.B, r.C)))
+    return r.nstates >= _MODAL_STATES and not any(map(np.iscomplexobj, (r.A, r.B, r.C)))
 
 
 def _modal_form(r):
@@ -508,8 +503,8 @@ def _modal_form(r):
     kept on r: from lam, V = eig(A), the eigenvalues lam, the residues
     res[i, j, k] = (C V)_ik (V^-1 B)_kj with the mode axis last, their
     largest modulus per mode, cond(V) and ||A||_F.  None when cond(V)
-    exceeds _MODAL_COND or A is not finite: the Hessenberg sweep then
-    evaluates every point."""
+    exceeds _MODAL_COND or A is not finite: the stacked LU solves then
+    evaluate every point."""
     if r._modal is None:
         r._modal = False
         try:
@@ -527,7 +522,7 @@ def _sum_modes(modal, w, D):
     """sum_k res_k / d_k + D, d_k = jw - lam_k, at every w of a chunk as an
     (N, p, m) array, nan at the poles; and the mask of the points whose
     error bound exceeds _MODAL_RTOL times the largest entry of the value,
-    which go to the Hessenberg sweep.
+    which go to the stacked LU solves.
 
     The sum runs elementwise along the contiguous mode axis, so a value
     does not depend on the other points of the chunk.  A point is a pole
@@ -548,93 +543,6 @@ def _sum_modes(modal, w, D):
     return vals, ~pole & (err > _MODAL_RTOL * np.abs(vals).max(axis=(1, 2)))
 
 
-def _hessenberg_form(r):
-    """The realization the Hessenberg kernel sweeps for the state-space
-    model r: (Q^T A Q, Q^T B, C Q, D) with Q^T A Q upper Hessenberg, from
-    Householder reflections.  It is computed once per model and kept on
-    r; an A that is already upper Hessenberg is its own form."""
-    if r._hessenberg is not None:
-        return r._hessenberg
-    if not np.tril(r.A, -2).any():
-        return r
-    n, p = r.nstates, r.noutputs
-    # [A B; C 0]: a reflection from the left acts on [A B], from the right on [A; C]
-    G = np.zeros((n + p, n + r.ninputs))
-    G[:n, :n], G[:n, n:], G[n:, :n] = r.A, r.B, r.C
-    for k in range(n - 2):
-        x = G[k + 1 : n, k]
-        if not x[1:].any():
-            continue
-        alpha = -math.copysign(math.sqrt(x @ x), x[0])
-        v = x.copy()
-        v[0] -= alpha
-        v *= math.sqrt(2.0 / (v @ v))  # the reflection is I - v v^T
-        rows = G[k + 1 : n, k:]
-        rows -= v[:, None] * (v @ rows)
-        cols = G[:, k + 1 : n]
-        cols -= (cols @ v)[:, None] * v
-        G[k + 1, k], G[k + 2 : n, k] = alpha, 0.0
-    r._hessenberg = StateSpace(G[:n, :n], G[:n, n:], G[n:, :n], r.D)
-    return r._hessenberg
-
-
-def _sweep_hessenberg(h, w):
-    """C (jwI - H)^-1 B at every w of a chunk, H = h.A upper Hessenberg,
-    as a (p, m, N) array.
-
-    One top-down elimination of the rows [jwI - H | -B] runs over every w
-    at once.  Row k + 1 enters at step k, and swapping it with the row
-    being eliminated, decided per w on |.|_1 as LAPACK pivots, is the
-    only pivoting.  Each finished row of U updates R = C - g U over the
-    columns still open and adds g_k c_k to the value, g = C U^-1, so U is
-    never stored and nothing is solved backwards.  A zero pivot leaves
-    the value non-finite.
-
-    Every operation is elementwise in w, and a multiplier q enters its
-    products as q.real + 0j and 1j q.imag: numpy fuses a complex product
-    into FMAs on some memory layouts and not on others, and with a zero
-    term in each part both give the same rounding.  So a value does not
-    depend on the other points of the chunk.
-    """
-    n, m, p = h.nstates, h.ninputs, h.noutputs
-    s = 1j * w
-    rows = -np.hstack([h.A, h.B])
-    sub = np.abs(np.diag(h.A, -1))
-    # W: the row being eliminated, from column k on, then its right-hand side
-    W = np.empty((n + m, w.size), dtype=complex)
-    W[:] = rows[0, :, None]
-    W[0] += s
-    W_parts = W.view(float)
-    # X: the p rows of R, C - g U over the same columns and minus the
-    # values accumulated so far, then row k + 1 as it enters
-    X = np.zeros((p + 1, n + m, w.size), dtype=complex)
-    X[:p, :n] = h.C[:, :, None]
-    re, im = np.zeros((2, p + 1, 1, w.size), dtype=complex)
-    q_re, q_im = re.real[:, 0], im.imag[:, 0]
-    for k in range(n):
-        piv, last = W[k:], k == n - 1
-        if not last:
-            nxt = X[p, k:]
-            nxt[:] = rows[k + 1, k:, None]
-            nxt[1] += s
-            t = np.abs(W_parts[k])
-            swap = sub[k] > t[0::2] + t[1::2]
-            if swap.any():
-                # W[k:] is read no further, so only the entering row is moved
-                piv = np.where(swap, nxt, piv)
-                np.copyto(nxt, W[k:], where=swap)
-        rr = slice(None, p if last else p + 1)
-        xs = X[rr, k:]
-        q = xs[:, 0] / piv[0]
-        q_re[rr], q_im[rr] = q.real, q.imag
-        xs = xs[:, 1:]
-        xs -= re[rr] * piv[1:]
-        xs -= im[rr] * piv[1:]
-        if not last:
-            W[k + 1 :] = nxt[1:]
-    return X[:p, n:]
-
-
 def _response_ss(r, ws):
     p, m, n = r.noutputs, r.ninputs, r.nstates
     vals = np.empty((ws.size, p, m), dtype=complex)
@@ -643,44 +551,37 @@ def _response_ss(r, ws):
     fin = np.flatnonzero(~np.isinf(ws))
     if n == 0 or fin.size == 0:
         return vals, np.ones(ws.size, dtype=bool)
-    if _large_real(r):
-        modal, rest = _modal_form(r), fin
+    modal = _modal_form(r) if _large_real(r) else None
+    if modal is not None:
+        # points per sum: the pencil diagonals, the terms and the bound's
+        # temporaries, within the working-set budget
+        step = max(1, _CHUNK_BYTES // (8 * n * (2 * p * m + 8)))
+        guarded = np.empty(fin.size, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if modal is not None:
-                # points per sum: the pencil diagonals, the terms and the
-                # bound's temporaries, within the working-set budget
-                step = max(1, _CHUNK_BYTES // (8 * n * (2 * p * m + 8)))
-                sweep = np.empty(fin.size, dtype=bool)
-                for k in range(0, fin.size, step):
-                    idx = fin[k : k + step]
-                    vals[idx], sweep[k : k + step] = _sum_modes(modal, ws[idx], r.D)
-                rest = fin[sweep]
-            if rest.size:
-                h = _hessenberg_form(r)
-                # points per sweep: the two rows, R and its products, all complex
-                step = max(1, _CHUNK_BYTES // (16 * (2 * p + 4) * (n + m)))
-                for k in range(0, rest.size, step):
-                    idx = rest[k : k + step]
-                    vals[idx] = _sweep_hessenberg(h, ws[idx]).transpose(2, 0, 1) + r.D
-    else:
-        eye = np.eye(n)
-        # points per stacked solve: the pencils, LAPACK's copy of them and
-        # the solutions, all complex, within the working-set budget
-        step = max(1, _CHUNK_BYTES // (16 * n * (2 * n + m)))
-        for k in range(0, fin.size, step):
-            idx = fin[k : k + step]
-            M = (1j * ws[idx])[:, None, None] * eye - r.A
-            try:
-                X = np.linalg.solve(M, r.B)
-            except np.linalg.LinAlgError:
-                # some pencil in the chunk is exactly singular; find which
-                X = np.full((idx.size, n, m), np.nan + 0j)
-                for i in range(idx.size):
-                    try:
-                        X[i] = np.linalg.solve(M[i], r.B)
-                    except np.linalg.LinAlgError:
-                        pass
-            vals[idx] = r.C @ X + r.D
+            for k in range(0, fin.size, step):
+                idx = fin[k : k + step]
+                vals[idx], guarded[k : k + step] = _sum_modes(modal, ws[idx], r.D)
+        fin = fin[guarded]
+    # stacked LU solves the rest: every finite point of a model off the
+    # modal kernel, the guarded points of one on it.  Points per solve:
+    # the pencils, LAPACK's copy of them and the solutions, all complex,
+    # within the working-set budget
+    eye = np.eye(n)
+    step = max(1, _CHUNK_BYTES // (16 * n * (2 * n + m)))
+    for k in range(0, fin.size, step):
+        idx = fin[k : k + step]
+        M = (1j * ws[idx])[:, None, None] * eye - r.A
+        try:
+            X = np.linalg.solve(M, r.B)
+        except np.linalg.LinAlgError:
+            # some pencil in the chunk is exactly singular; find which
+            X = np.full((idx.size, n, m), np.nan + 0j)
+            for i in range(idx.size):
+                try:
+                    X[i] = np.linalg.solve(M[i], r.B)
+                except np.linalg.LinAlgError:
+                    pass
+        vals[idx] = r.C @ X + r.D
     ok = np.all(np.isfinite(vals), axis=(1, 2))
     vals[~ok] = np.nan
     return vals, ok
@@ -707,36 +608,31 @@ def freq_response(m, ws):
         |den(jw)| <= 1e-12 (|den|(|w|) + 1), with |den| the polynomial of
         absolute coefficients.  A state-space point is a pole when, on
         the modal kernel, min_k |jw - lam_k| <= n eps ||A||_F, and on the
-        other two when the pencil jwI - A is exactly singular (a zero
-        pivot); on all three when the value is not finite, and at a nan
+        stacked LU solves when the pencil jwI - A is exactly singular (a
+        zero pivot); on both when the value is not finite, and at a nan
         w.  A point's value and flag do not depend on the grid.
 
     Transfer functions are evaluated as num(jw)/den(jw).  State-space
-    models take one of three kernels, chosen from the model alone (its
+    models take one of two kernels, chosen from the model alone (its
     state count, complex coefficients and eigenvectors) and never from
     the grid:
-    - real models with at least _HESSENBERG_STATES states whose
-      eigenvectors V, from lam, V = eig(A), have cond(V) <= _MODAL_COND:
-      the modal kernel.  With the residues r_k = (C V)_k (V^-1 B)_k,
-      each point is the partial-fraction sum sum_k r_k / d_k + D,
-      d_k = jw - lam_k, in O(n) per frequency.  Its error is bounded to
-      first order by eps cond(V) sum_k |r_k| (1/|d_k| + ||A||_F/|d_k|^2),
-      the second term being the rounding of the eigenvalues; a point
-      where that exceeds _MODAL_RTOL times the largest entry of the value
-      goes to the Hessenberg sweep below.
-    - the other real models with at least _HESSENBERG_STATES states,
-      such as companion forms: A is reduced once to upper Hessenberg
-      form H = Q^T A Q, and one elimination sweep over all frequencies
-      then costs O(n^2) per frequency (Laub, "Efficient multivariable
-      frequency response computations", IEEE Trans. Automat. Control
-      26(2), 1981).  An A that is already upper Hessenberg, as tf_to_ss
-      builds it, is not reduced.
-    - smaller or complex models: stacked LU solves of jwI - A, O(n^3)
-      per frequency.
-    The eigendecomposition and the Hessenberg form are kept on the model,
-    so later calls do not compute them again.  Each kernel works in
-    chunks of at most _CHUNK_BYTES of working set, so memory stays flat
-    in the grid length.
+    - real models with at least _MODAL_STATES states whose eigenvectors
+      V, from lam, V = eig(A), have cond(V) <= _MODAL_COND: the modal
+      kernel.  With the residues r_k = (C V)_k (V^-1 B)_k, each point is
+      the partial-fraction sum sum_k r_k / d_k + D, d_k = jw - lam_k, in
+      O(n) per frequency.  Its error is bounded to first order by
+      eps cond(V) sum_k |r_k| (1/|d_k| + ||A||_F/|d_k|^2), the second
+      term being the rounding of the eigenvalues; a point where that
+      exceeds _MODAL_RTOL times the largest entry of the value goes to
+      the stacked LU solves below.
+    - every other model, and those points: stacked LU solves of
+      jwI - A, O(n^3) per frequency, each point's value the one numpy
+      solves for its pencil alone.  This covers smaller or complex
+      models and large real ones with ill-conditioned eigenvectors, such
+      as the companion forms tf_to_ss builds.
+    The eigendecomposition is kept on the model, so later calls do not
+    compute it again.  Each kernel works in chunks of at most
+    _CHUNK_BYTES of working set, so memory stays flat in the grid length.
     """
     m = _as_model(m)
     ws = np.asarray(ws, dtype=float).reshape(-1)

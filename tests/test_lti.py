@@ -34,9 +34,8 @@ from dmkit import (
 from dmkit import lti
 from dmkit.lti import (
     _CHUNK_BYTES,
-    _HESSENBERG_STATES,
+    _MODAL_STATES,
     _close,
-    _hessenberg_form,
     _large_real,
     _minreal,
     _modal_form,
@@ -203,20 +202,18 @@ def numpy_response(m, w):
 
 
 def kernel(m):
-    """The kernel freq_response runs m on: "tf", "lu", "modal", or
-    "hessenberg" where the modal kernel rejects the model."""
+    """The kernel freq_response runs m on: "tf", "modal", or "lu" for the
+    other state-space models, those the modal kernel rejects included."""
     r = m.representation
     if isinstance(r, TransferFunction):
         return "tf"
-    if not _large_real(r):
-        return "lu"
-    return "hessenberg" if _modal_form(r) is None else "modal"
+    return "modal" if _large_real(r) and _modal_form(r) is not None else "lu"
 
 
 def assert_is_numpy_response(m, w, v):
     """v is m at jw: bit for bit where freq_response solves the pencil
     as numpy does (transfer functions, stacked LU), and within 1e-10
-    relative to the largest entry on the modal and Hessenberg kernels."""
+    relative to the largest entry on the modal kernel."""
     want = numpy_response(m, w)
     if kernel(m) in ("tf", "lu"):
         assert np.array_equal(v, want)
@@ -304,10 +301,10 @@ def test_freq_response_spans_chunks():
 
 
 def test_freq_response_spans_chunks_stacked_lu():
-    # the same below the large-model kernels' state count, where the
-    # stacked LU solves match numpy bit for bit
+    # the same below the modal kernel's state count, where the stacked LU
+    # solves match numpy bit for bit
     rng = np.random.default_rng(3)
-    n = _HESSENBERG_STATES - 1
+    n = _MODAL_STATES - 1
     m = singular_pencil_model(n, rng)
     assert kernel(m) == "lu"
     ws = np.concatenate(([0.0], np.geomspace(1e-2, 1e2, 1000), [1.0, math.inf]))
@@ -319,18 +316,17 @@ def test_freq_response_spans_chunks_stacked_lu():
         assert np.array_equal(v, numpy_response(m, w))
 
 
-def test_hessenberg_kernel_flags_singular_pencil():
-    # a dense, defective block that has to be reduced, so the modal kernel
-    # rejects the model, and a [[0, 1], [-1, 0]] block the reduction
-    # leaves exact: the pivot at w = 1 is exactly zero
+def test_stacked_lu_flags_singular_pencil_of_a_model_the_modal_kernel_rejects():
+    # a dense, defective block, so the modal kernel rejects the model, and
+    # a [[0, 1], [-1, 0]] block: the pencil at w = 1 is exactly singular
     rng = np.random.default_rng(8)
-    n = _HESSENBERG_STATES
+    n = _MODAL_STATES
     A = np.zeros((n, n))
     Q, _ = np.linalg.qr(rng.standard_normal((n - 2, n - 2)))
     A[:-2, :-2] = Q @ (np.eye(n - 2, k=1) - 3.0 * np.eye(n - 2)) @ Q.T
     A[-2:, -2:] = [[0.0, 1.0], [-1.0, 0.0]]
     m = ss(A, rng.standard_normal((n, 1)), rng.standard_normal((1, n)), [[0.5]])
-    assert kernel(m) == "hessenberg"
+    assert kernel(m) == "lu"
     vals, ok = freq_response(m, [0.5, 1.0, -1.0, 2.0])
     assert ok.tolist() == [True, False, False, True]
     assert np.isnan(vals[1]) and np.isnan(vals[2])
@@ -342,12 +338,12 @@ def test_modal_kernel_flags_rounding_level_pole():
     # the integrator 1/(s^3 + 0.0996 s^2 + s) in series with (s + 1)/(s + 1),
     # with stable, decoupled modes to reach the modal kernel's size, in a
     # random orthogonal basis: rounding keeps the pencil solvable at w = 0,
-    # where an LU solve or the Hessenberg sweep reads L(0) ~ -2e15
+    # where an LU solve reads L(0) ~ -2e15
     rng = np.random.default_rng(5)
     loop = lti._ss_series(tf_to_ss(tf([1.0], [1.0, 0.0996, 1.0, 0.0])),
                           tf_to_ss(tf([1.0, 1.0], [1.0, 1.0])))
-    k = _HESSENBERG_STATES - loop.nstates
-    A = np.zeros((_HESSENBERG_STATES, _HESSENBERG_STATES))
+    k = _MODAL_STATES - loop.nstates
+    A = np.zeros((_MODAL_STATES, _MODAL_STATES))
     A[:-k, :-k] = loop.A
     A[-k:, -k:] = np.diag(-rng.uniform(0.5, 50.0, k))
     B = np.vstack([loop.B, rng.standard_normal((k, 1))])
@@ -362,38 +358,52 @@ def test_modal_kernel_flags_rounding_level_pole():
         eval_freq(m, 0.0)
 
 
-def test_modal_guard_sends_points_near_a_pole_to_the_hessenberg_sweep(monkeypatch):
-    # a mode at 1 rad/s with damping 1e-12, so w = 1 lies 1e-12 from the
-    # pole, beside real poles: there the rounding of the eigenvalues,
-    # eps ||A||_F over that distance, is far above the guard, and away
-    # from the pole it is not.  The block-diagonal A keeps numpy exact.
+def guard_model():
+    """A mode at 1 rad/s with damping 1e-12, so w = 1 lies 1e-12 from the
+    pole, beside real poles: there the rounding of the eigenvalues,
+    eps ||A||_F over that distance, is far above the modal kernel's
+    guard, and away from the pole it is not.  The block-diagonal A keeps
+    numpy exact."""
     rng = np.random.default_rng(4)
-    n = _HESSENBERG_STATES
+    n = _MODAL_STATES
     A = np.diag(-np.geomspace(2.0, 20.0, n))
     A[:2, :2] = [[-1e-12, 1.0], [-1.0, -1e-12]]
     m = ss(A, rng.standard_normal((n, 1)), rng.standard_normal((1, n)), [[0.0]])
     assert kernel(m) == "modal"
-    swept = []
-    sweep = lti._sweep_hessenberg
+    return m
 
-    def recording_sweep(h, w):
-        swept.extend(w.tolist())
-        return sweep(h, w)
 
-    monkeypatch.setattr(lti, "_sweep_hessenberg", recording_sweep)
+def test_modal_guard_sends_points_near_a_pole_to_stacked_lu(monkeypatch):
+    m = guard_model()
+    solved = []
+    solve = np.linalg.solve
+
+    def recording_solve(M, B):
+        # the stacked pencils jwI - A, read back at their first diagonal
+        solved.extend(M[:, 0, 0].imag.tolist())
+        return solve(M, B)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
     ws = [0.01, 1.0, 10.0, 100.0]
     vals, ok = freq_response(m, ws)
+    monkeypatch.undo()
     assert ok.all()
-    assert swept == [1.0]
+    assert solved == [1.0]
     for w, v in zip(ws, vals):
         assert_is_numpy_response(m, w, v)
     assert np.array_equal(vals[1], eval_freq(m, 1.0))
 
 
+def test_guarded_point_equals_numpy_solve():
+    # the point the guard turns away is solved as numpy solves its pencil
+    m = guard_model()
+    assert np.array_equal(freq_response(m, [0.01, 1.0])[0][1], numpy_response(m, 1.0))
+
+
 def several_chunks(draw, n, p, m):
-    """A point count that takes two to four chunks of either large-model
-    kernel, as freq_response budgets them."""
-    per_chunk = _CHUNK_BYTES // min(8 * n * (2 * p * m + 8), 16 * (2 * p + 4) * (n + m))
+    """A point count that takes two to four chunks of the modal kernel,
+    and more of the stacked LU solves, as freq_response budgets them."""
+    per_chunk = _CHUNK_BYTES // min(8 * n * (2 * p * m + 8), 16 * n * (2 * n + m))
     return draw(st.integers(2 * per_chunk, 4 * per_chunk))
 
 
@@ -404,7 +414,7 @@ def flexible_model_and_grid(draw):
     benchmark) and real poles.  The grid takes several chunks and holds
     every mode frequency, where the pencil is worst conditioned; the
     count of those last points comes third."""
-    n = draw(st.integers(_HESSENBERG_STATES, 80))
+    n = draw(st.integers(_MODAL_STATES, 80))
     p, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = np.zeros((n, n))
@@ -427,15 +437,16 @@ def flexible_model_and_grid(draw):
 
 
 def assert_matches_pointwise_solve(m, ws, tail):
-    # the oracle is numpy's LU solve of each pencil on its own, within
-    # 1e-10: the kernels lie up to some 5e-11 from a 40-digit solve at a
-    # lightly damped mode, so a bit-for-bit match cannot be asked
+    # the oracle is numpy's LU solve of each pencil on its own: bit for
+    # bit on the stacked LU solves, and within 1e-10 on the modal kernel,
+    # which lies up to some 5e-11 from a 40-digit solve at a lightly
+    # damped mode
     vals, ok = freq_response(m, ws)
     assert ok.all()
     for w, v in zip(ws, vals):
         assert_is_numpy_response(m, w, v)
     # eval_freq at a spread of points and at each mode, where the modal
-    # kernel's guard may send the point to the Hessenberg sweep
+    # kernel's guard may send the point to the stacked LU solves
     for i in [*range(0, ws.size, 97), *range(ws.size - tail, ws.size)]:
         assert np.array_equal(vals[i], eval_freq(m, ws[i]))
 
@@ -450,12 +461,12 @@ def test_modal_kernel_matches_pointwise_solve(case):
 
 @settings(max_examples=20, deadline=None)
 @given(flexible_model_and_grid())
-def test_hessenberg_kernel_matches_pointwise_solve(case):
-    # the same models with the modal kernel turned off, so the Hessenberg
-    # sweep takes every point
+def test_stacked_lu_matches_pointwise_solve_without_the_modal_kernel(case):
+    # the same models with the modal kernel turned off, so the stacked LU
+    # solves take every point
     m, ws, tail = case
     with mock.patch.object(lti, "_MODAL_COND", 0.0):
-        assert kernel(m) == "hessenberg"
+        assert kernel(m) == "lu"
         assert_matches_pointwise_solve(m, ws, tail)
 
 
@@ -463,8 +474,8 @@ def test_hessenberg_kernel_matches_pointwise_solve(case):
 def companion_model_and_grid(draw):
     """tf_to_ss of 16 to 40 states whose poles come in pairs, so its
     eigenvectors are far too ill-conditioned for the modal kernel, and
-    in a random orthogonal basis when drawn, so the reduction runs."""
-    n = draw(st.integers(_HESSENBERG_STATES, 40))
+    in a random orthogonal basis when drawn."""
+    n = draw(st.integers(_MODAL_STATES, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     roots = -np.geomspace(0.1, 10.0, n // 2) * np.exp(rng.uniform(-0.1, 0.1, n // 2))
     den = np.poly(np.concatenate((roots, roots, [-1.0] * (n % 2))))
@@ -478,19 +489,17 @@ def companion_model_and_grid(draw):
 
 @settings(max_examples=10, deadline=None)
 @given(companion_model_and_grid())
-def test_hessenberg_form_is_kept_and_gives_the_model_values(case):
-    # the form is kept on the model, is upper Hessenberg, and is its own
-    # form, so freq_response gives it the model's values
+def test_companion_forms_give_numpy_values(case):
+    # a large real model the modal kernel rejects is solved point by
+    # point as numpy solves it, whatever the chunk
     m, ws = case
-    assert kernel(m) == "hessenberg"
+    assert kernel(m) == "lu"
     vals, ok = freq_response(m, ws)
     assert ok.all()
+    for i, w in enumerate(ws):
+        assert np.array_equal(vals[i], numpy_response(m, w))
     for i in range(0, ws.size, 97):
         assert np.array_equal(vals[i], eval_freq(m, ws[i]))
-    h = _hessenberg_form(m.representation)
-    assert h is _hessenberg_form(m.representation)
-    assert not np.tril(h.A, -2).any() and _hessenberg_form(h) is h
-    assert np.array_equal(freq_response(h, ws)[0], vals)
 
 
 def test_sensitivity_pair_integrator():

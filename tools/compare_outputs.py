@@ -1,6 +1,6 @@
 """Compare the CLI outputs of two dmkit source trees on the benchmark commands.
 
-    python3 tools/compare_outputs.py [--rtol X] PARENT_DIR CHANGE_DIR
+    python3 tools/compare_outputs.py [--rtol X] [--noise K] PARENT_DIR CHANGE_DIR
 
 Each tree runs in its own subprocess, with the tree as working
 directory and its own src/ first on the import path.  There, the tree's
@@ -27,6 +27,21 @@ command matches exactly and 1 otherwise.  With --rtol X it is 0 when, in every
 command, the exit code, stderr and the text around the numbers match
 and each differing numeric field is within X relative; the report then
 also lists the commands outside that tolerance.
+
+With --noise K the parent tree also runs DRAWS more times, each with
+rounding-level noise on every value its freq_response returns (see
+add_noise).  A numeric field's spread is its largest relative move over
+the draws whose exit code, stderr and text around the numbers match the
+parent's (a move to or from a non-finite value counts as none).  The
+exit status is then 0 when, in every command, the exit code, stderr and
+the text around the numbers match, and each numeric field that differs
+in value is finite in both trees and within max(X, K x spread)
+relative; a CSV field may also move by one unit in its twelfth
+significant digit, the precision it prints.  So flagged (nan) rows,
+verdicts and messages stay exact, and a field moves only as far as
+rounding-level noise in the frequency response already moves it.  The
+report lists the commands outside that gate, and the largest ratio of a
+field's difference to its spread.
 Uses the stdlib and numpy only (numpy through bench/workloads.py).
 """
 
@@ -42,6 +57,10 @@ import sys
 import tempfile
 
 SEEDS = (1, 2, 3)
+# for --noise: the least relative noise add_noise puts on each value of
+# the parent's frequency responses, and the number of noisy parent runs
+NOISE = 1e-13
+DRAWS = 4
 TIMESTAMP = re.compile(r'"generated_at": "[^"]*"')
 CSV_HEADER = re.compile(r"\w+(?:,\w+)*")
 # a number not glued to a word: JSON and CSV fields, and numbers in messages
@@ -50,9 +69,40 @@ NUMBER = re.compile(
 )
 
 
-def run_tree(tree, out_path):
+def add_noise(draw):
+    """Multiply every value dmkit's freq_response returns by 1 + level u,
+    u drawn per value from numpy.random.default_rng(draw) with both parts
+    uniform in [-1, 1], in each dmkit module that holds the function.
+    level is NOISE, plus, for a state-space model at a finite w,
+    eps (|w| + ||A||_F) / min_k |jw - lam_k| over the eigenvalues lam_k
+    of A: to first order, the relative error a backward-stable solve of
+    jwI - A may make there."""
+    import numpy as np
+
+    exact = sys.modules["dmkit.lti"].freq_response
+    rng = np.random.default_rng(draw)
+
+    def noisy(m, ws):
+        vals, ok = exact(m, ws)
+        level = np.full(len(vals), NOISE)
+        r = getattr(m, "representation", m)
+        if hasattr(r, "A") and r.A.size:
+            w = np.asarray(ws, dtype=float).reshape(-1)
+            dist = np.abs(1j * w[:, None] - np.linalg.eigvals(r.A)).min(axis=1)
+            fin = np.isfinite(w)
+            level[fin] += np.finfo(float).eps * (np.abs(w[fin]) + np.linalg.norm(r.A)) / dist[fin]
+        u = rng.uniform(-1.0, 1.0, vals.shape) + 1j * rng.uniform(-1.0, 1.0, vals.shape)
+        return vals * (1.0 + level.reshape((-1,) + (1,) * (vals.ndim - 1)) * u), ok
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dmkit" and getattr(module, "freq_response", None) is exact:
+            module.freq_response = noisy
+
+
+def run_tree(tree, out_path, draw=None):
     """Run every command in this process, which sits in tree; write a JSON
-    list of {key, code, stdout, stderr} to out_path."""
+    list of {key, code, stdout, stderr} to out_path.  With a draw, the
+    frequency responses carry that draw's noise."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
     import dmkit.cli
     import workloads
@@ -60,6 +110,8 @@ def run_tree(tree, out_path):
     src = os.path.realpath(os.path.join(tree, "src"))
     if not os.path.realpath(dmkit.cli.__file__).startswith(src + os.sep):
         raise SystemExit("dmkit was imported from {}, not {}".format(dmkit.cli.__file__, src))
+    if draw is not None:
+        add_noise(draw)
     results = []
     with tempfile.TemporaryDirectory() as work:
 
@@ -84,10 +136,11 @@ def run_tree(tree, out_path):
         json.dump(results, fh)
 
 
-def collect(tree, out_path):
+def collect(tree, out_path, draw=None):
     tree = os.path.abspath(tree)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", tree, out_path],
+    extra = [] if draw is None else [str(draw)]
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--worker", tree, out_path, *extra],
                    cwd=tree, env=env, check=True)
     with open(out_path, encoding="utf-8") as fh:
         return json.load(fh)
@@ -105,6 +158,17 @@ def nonblank_lines(tree):
     return n
 
 
+def relative(x, y):
+    """Relative difference of two number fields, inf where they differ and
+    one is not finite."""
+    fx, fy = float(x), float(y)
+    if fx == fy:
+        return 0.0
+    if math.isfinite(fx) and math.isfinite(fy):
+        return abs(fx - fy) / max(abs(fx), abs(fy))
+    return math.inf
+
+
 def compare_numbers(a, b):
     """(byte-identical fields, differing fields, largest relative
     difference), or None when the text around the numbers differs."""
@@ -117,15 +181,46 @@ def compare_numbers(a, b):
             same += 1
             continue
         diff += 1
-        fx, fy = float(x), float(y)
-        if fx == fy:
-            rel = 0.0
-        elif math.isfinite(fx) and math.isfinite(fy):
-            rel = abs(fx - fy) / max(abs(fx), abs(fy))
-        else:
-            rel = math.inf
-        worst = max(worst, rel)
+        worst = max(worst, relative(x, y))
     return same, diff, worst
+
+
+def noise_spreads(parent, draws):
+    """Per command, the largest relative move of each numeric field of the
+    parent's stdout over the noisy draws whose exit code, stderr and text
+    around the numbers match the parent's."""
+    spreads = []
+    for i, p in enumerate(parent):
+        fields = NUMBER.findall(p["stdout"])
+        spread = [0.0] * len(fields)
+        for q in (runs[i] for runs in draws):
+            if (q["code"], q["stderr"]) != (p["code"], p["stderr"]) or (
+                    NUMBER.split(q["stdout"]) != NUMBER.split(p["stdout"])):
+                continue
+            for j, y in enumerate(NUMBER.findall(q["stdout"])):
+                rel = relative(fields[j], y)
+                if math.isfinite(rel):
+                    spread[j] = max(spread[j], rel)
+        spreads.append(spread)
+    return spreads
+
+
+def noise_moves(a, b, spread):
+    """(relative difference, spread) of each numeric field of b that
+    differs from a's in value.  CSV output prints 12 significant digits,
+    so the noisy runs cannot show a spread below one unit in the twelfth;
+    a CSV field that moved by at most that much is left out."""
+    csv = csv_table(a) is not None
+    moves = []
+    for x, y, sp in zip(NUMBER.findall(a), NUMBER.findall(b), spread):
+        rel = relative(x, y)
+        if not rel:
+            continue
+        size = max(abs(float(x)), abs(float(y)))
+        if not (csv and rel < math.inf and
+                abs(float(x) - float(y)) <= 1.5 * 10.0 ** (math.floor(math.log10(size)) - 11)):
+            moves.append((rel, sp))
+    return moves
 
 
 def results_of(text):
@@ -216,34 +311,48 @@ def columns_breakdown(pairs):
 
 
 def main(argv):
-    if len(argv) == 3 and argv[0] == "--worker":
-        run_tree(argv[1], argv[2])
+    if len(argv) in (3, 4) and argv[0] == "--worker":
+        run_tree(argv[1], argv[2], int(argv[3]) if len(argv) == 4 else None)
         return 0
     ap = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--rtol", type=float, default=0.0,
                     help="largest relative difference a numeric field may show (default 0: exact)")
+    ap.add_argument("--noise", type=float, metavar="K",
+                    help="let a numeric field move up to K times its spread under noise "
+                         "in the parent's frequency responses (default: off)")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         parent = collect(args.parent, os.path.join(tmp, "parent.json"))
         change = collect(args.change, os.path.join(tmp, "change.json"))
+        if args.noise is not None:
+            spreads = noise_spreads(parent, [
+                collect(args.parent, os.path.join(tmp, "draw.json"), draw) for draw in range(DRAWS)])
     if [r["key"] for r in parent] != [r["key"] for r in change]:
         print("the two trees generate different commands")
         return 1
     same = diff = 0
     worst, worst_key = 0.0, None
+    ratio, ratio_key = 0.0, None
     differing, outside = [], []
-    for p, c in zip(parent, change):
+    for i, (p, c) in enumerate(zip(parent, change)):
         what = [f for f in ("code", "stderr", "stdout") if p[f] != c[f]]
         numbers = compare_numbers(p["stdout"], c["stdout"])
         if numbers is None:
             what.append("text outside numeric fields")
         if what:
             differing.append("{}: {}".format(p["key"], ", ".join(what)))
-        # without --rtol, only byte-identical output passes
+        # without --rtol or --noise, only byte-identical output passes
         close = numbers is not None and (
             numbers[2] <= args.rtol if args.rtol else p["stdout"] == c["stdout"])
+        if args.noise is not None and numbers is not None:
+            moves = noise_moves(p["stdout"], c["stdout"], spreads[i])
+            close = all(rel <= max(args.rtol, args.noise * sp) for rel, sp in moves)
+            for rel, sp in moves:
+                r = rel / sp if sp else math.inf
+                if r > ratio:
+                    ratio, ratio_key = r, p["key"]
         if p["code"] != c["code"] or p["stderr"] != c["stderr"] or not close:
             outside.append(p["key"])
         if numbers is None:
@@ -274,8 +383,14 @@ def main(argv):
         largest_alpha_ratio(parent), largest_alpha_ratio(change)))
     print("src/dmkit non-blank lines: {} -> {}".format(
         nonblank_lines(args.parent), nonblank_lines(args.change)))
-    if args.rtol:
+    if args.noise is not None:
+        print("largest difference / spread over {} noisy parent runs: {:.3g}{}".format(
+            DRAWS, ratio, " ({})".format(ratio_key) if ratio_key else ""))
+        print("commands outside max(rtol {:g}, {:g} x spread): {}".format(
+            args.rtol, args.noise, len(outside)))
+    elif args.rtol:
         print("commands outside rtol {:g}: {}".format(args.rtol, len(outside)))
+    if args.rtol or args.noise is not None:
         for key in outside:
             print("  " + key)
     return 1 if outside else 0
