@@ -11,7 +11,10 @@ mu itself is only bracketed: a diagonally scaled largest singular value
 from above, the spectral radius under closed-form diagonal phases from
 below, with a phase ascent where those leave the bracket open; one
 descent routine serves the scaling and the ascent.  The margin inherits
-that bracket, [1/peak_upper, 1/peak_lower].
+that bracket, [1/peak_upper, 1/peak_lower].  log sigma_max(D M D^-1) is
+convex in log D (Sezginer & Overton 1990), so each zoom round of the
+peak search starts its descent from the scaling the last round found,
+and the lower bound at the peak reuses the sweep's bound and scaling.
 """
 
 import math
@@ -300,7 +303,7 @@ def _osborne_balance(absM):
     return np.log(d)
 
 
-def _mu_upper(Ms, sweep=False):
+def _mu_upper(Ms, sweep=False, x0=None):
     """inf over positive diagonal D of the largest singular value of
     D M D^-1, for every matrix of an (N, n, n) stack at once.
 
@@ -310,11 +313,13 @@ def _mu_upper(Ms, sweep=False):
     |m01|^2 s + |m10|^2 / s is least at s = |m10| / |m01|; so
     log D = (t, -t) with t = log(|m10| / |m01|) / 4, clipped to the
     descent's box (0 where both entries vanish), and one SVD gives the
-    bound.  For more channels it starts from Osborne balancing, then runs
-    _descend over log D, with d log sigma / d log d_i = |u_i|^2 - |v_i|^2
-    (Packard & Doyle 1993); its box keeps D M D^-1 finite where the
-    infimum is only approached as D degenerates.  Every iterate is a
-    valid bound, so the result bounds mu whatever the exit.
+    bound.  For more channels it starts from Osborne balancing, or from
+    the log D x0 (n,) in every row when given (the same infimum, as log
+    sigma_max is convex in log D), then runs _descend over log D, with
+    d log sigma / d log d_i = |u_i|^2 - |v_i|^2 (Packard & Doyle 1993);
+    its box keeps D M D^-1 finite where the infimum is only approached as
+    D degenerates.  Every iterate is a valid bound, so the result bounds
+    mu whatever the exit.
 
     sweep=True serves a caller that needs only the largest bound of the
     stack and where it lies.  Every bound is at least mu >= rho of its
@@ -343,7 +348,7 @@ def _mu_upper(Ms, sweep=False):
         g[f < floor] = 0.0  # _descend settles a row with a zero gradient
         return f, g
 
-    x = _osborne_balance(np.abs(Ms))
+    x = _osborne_balance(np.abs(Ms)) if x0 is None else np.tile(x0, (N, 1))
     x, f, _ = _descend(fg, x - x.mean(axis=1, keepdims=True))
     return f, x
 
@@ -395,7 +400,8 @@ def mu_diag(M0):
         result.  Otherwise the same descent maximizes the radius over
         the phases from six starts, that one, the uniform vector and four
         fixed random ones, and converged is False when the best start
-        hit the iteration cap.
+        hit the iteration cap.  multiloop_margin runs only this lower
+        bound at its peak, with the sweep's bound and scaling as upper.
     """
     M0 = np.atleast_2d(np.asarray(M0, dtype=complex))
     n = M0.shape[0]
@@ -406,6 +412,12 @@ def mu_diag(M0):
     if np.all(M0 == 0):
         return MuResult(upper=0.0, lower=0.0, delta_worst=None, converged=True)
     (upper,), (x,) = _mu_upper(M0[None])
+    return _mu_lower(M0, upper, x)
+
+
+def _mu_lower(M0, upper, x):
+    """mu_diag's lower bound and certificate for M0, given a D-scaled upper
+    bound and its log D x; upper is returned with them."""
     # angle(v_i) - angle(u_i) of the top singular pair at the upper bound's
     # scaling, the worst case where that bound is tight
     U, _, Vh = np.linalg.svd(M0 * np.exp(x[:, None] - x[None, :]))
@@ -415,6 +427,7 @@ def mu_diag(M0):
     if not 1.0 / f[0] >= upper * (1 - 1e-9):
         # the bracket stays open: ascend from that start and from
         # angle(b) - angle(M0 b) for the uniform and fixed random vectors b
+        n = M0.shape[0]
         z = np.random.default_rng(0).normal(size=(_RESTARTS - 1, 2, n))
         b = np.vstack([np.ones(n), z[:, 0] + 1j * z[:, 1]])
         theta = np.vstack([theta, np.angle(b) - np.angle(b @ M0.T)])
@@ -428,16 +441,17 @@ def mu_diag(M0):
     return MuResult(float(upper), float(lower), delta, converged=bool(settled[best]))
 
 
-def _upper_on(sys, ws):
-    """mu upper bound of M(jw) at each frequency; -inf where jw is a pole.
-    Only the largest bound and where it lies are those of the full
+def _upper_on(sys, ws, x0=None):
+    """mu upper bound of M(jw) at each frequency, -inf where jw is a pole,
+    and the log D that gives it (0 at a pole); descents start from x0 when
+    given.  Only the largest bound and where it lies are those of the full
     descent; other frequencies may hold looser valid bounds (the sweep
     floor of _mu_upper)."""
     vals, ok = freq_response(sys.M, ws)
-    out = np.full(len(ws), -math.inf)
+    out, x = np.full(len(ws), -math.inf), np.zeros((len(ws), sys.n))
     if ok.any():
-        out[ok] = _mu_upper(vals[ok].reshape(-1, sys.n, sys.n), sweep=True)[0]
-    return out
+        out[ok], x[ok] = _mu_upper(vals[ok].reshape(-1, sys.n, sys.n), sweep=True, x0=x0)
+    return out, x
 
 
 def multiloop_margin(sys):
@@ -458,36 +472,38 @@ def multiloop_margin(sys):
         batched frequency response and upper bound.  A zoom between the
         neighbours of the best sample then takes _ZOOM_ROUNDS rounds of
         _ZOOM_POINTS log-spaced samples, each narrowed to the two
-        spacings around the last round's best.  omega_crit is the best
-        sample of all, the lowest among exact ties.  alpha_lower is not
+        spacings around the last round's best and descending from its
+        scaling.  omega_crit is the best sample of all, the lowest among
+        exact ties; mu_diag's lower bound runs there with that sample's
+        bound and scaling, so no descent repeats.  alpha_lower is not
         certified: a peak narrower than the spacing away from the pole
         frequencies can still be missed.
     """
     pts = _peak_seed(sys.M, 400, sys.poles)
-    vals = _upper_on(sys, pts)
-    ws, us = [pts], [vals]
+    vals, x = _upper_on(sys, pts)
+    rounds = [(pts, vals, x)]
     i = int(np.argmax(vals))
     # the zoom needs finite positive neighbours (pts[0] = 0, pts[-1] = inf)
     if 1 < i < pts.size - 2:
         lo, hi = np.log(pts[[i - 1, i + 1]])
         for _ in range(_ZOOM_ROUNDS):
             z = np.exp(np.linspace(lo, hi, _ZOOM_POINTS))
-            ws.append(z)
-            us.append(_upper_on(sys, z))
+            vals, x = _upper_on(sys, z, x[np.argmax(vals)])
+            rounds.append((z, vals, x))
             half = (hi - lo) / (_ZOOM_POINTS - 1)
-            c = np.log(z[np.argmax(us[-1])])
+            c = np.log(z[np.argmax(vals)])
             lo, hi = c - half, c + half
-    ws, us = np.concatenate(ws), np.concatenate(us)
+    ws, us, xs = map(np.concatenate, zip(*rounds))
     peak_ub = float(us.max())
-    omega_crit = float(ws[us == peak_ub].min())
+    k = np.flatnonzero(us == peak_ub)
+    k = k[np.argmin(ws[k])]
+    omega_crit = float(ws[k])
 
-    M0 = np.atleast_2d(eval_freq(sys.M, omega_crit))
-    mu = mu_diag(M0)
-    # mu lower <= mu <= every D-scaled bound; clamping against the sweep's
-    # own peak keeps the bracket ordered through rounding
-    peak_lb = min(mu.lower, peak_ub)
+    # mu lower <= mu <= every D-scaled bound; _mu_lower clamps against the
+    # sweep's own peak, which keeps the bracket ordered through rounding
+    mu = _mu_lower(np.atleast_2d(eval_freq(sys.M, omega_crit)), peak_ub, xs[k])
     alpha_lower = 1.0 / peak_ub if peak_ub > 0 else math.inf
-    alpha_upper = 1.0 / peak_lb if peak_lb > 0 else math.inf
+    alpha_upper = 1.0 / mu.lower if mu.lower > 0 else math.inf
     gap = (
         math.isfinite(alpha_upper)
         and alpha_upper - alpha_lower > 0.10 * alpha_lower

@@ -350,9 +350,9 @@ def test_multiloop_zooms_one_bracket(monkeypatch):
     sizes = []
     upper_on = multiloop._upper_on
 
-    def recording(sys, ws):
+    def recording(sys, ws, x0=None):
         sizes.append(len(ws))
-        return upper_on(sys, ws)
+        return upper_on(sys, ws, x0)
 
     monkeypatch.setattr(multiloop, "_upper_on", recording)
     multiloop_margin(build_m(*satellite(), "io", 0.0))
@@ -445,6 +445,92 @@ def test_three_channel_bracket_is_ordered(seed):
     res = multiloop_margin(build_m(P, K, "input", 0.0))
     assert res.alpha_lower <= res.alpha_upper
     assert res.converged
+
+
+def heavy_system(name):
+    """The 4-channel satellite io loop, or a 3-channel pair at the input."""
+    if name == "satellite io":
+        return build_m(*satellite(), "io", 0.0)
+    return build_m(*_three_channel_pair(int(name.split()[-1])), "input", 0.0)
+
+
+@pytest.mark.parametrize("name", ["satellite io", "pair 46"])
+def test_one_balance_and_one_descent_per_sweep_and_zoom_round(name, monkeypatch):
+    # the zoom rounds start from the scaling of the last round's best
+    # sample, and the bracket at omega_crit reuses the sweep's scaling:
+    # Osborne balancing runs for the sweep alone, and no descent follows
+    # the zoom's last round
+    sysm = heavy_system(name)
+    calls = count_descents(monkeypatch)
+    balances = []
+    balance = multiloop._osborne_balance
+
+    def counting(absM):
+        balances.append(len(absM))
+        return balance(absM)
+
+    monkeypatch.setattr(multiloop, "_osborne_balance", counting)
+    multiloop_margin(sysm)
+    assert len(balances) == 1
+    assert len(calls) == 1 + multiloop._ZOOM_ROUNDS
+
+
+@pytest.mark.parametrize("name", ["satellite io", "pair 46", "pair 69"])
+def test_zoom_scalings_give_their_bounds(name, monkeypatch):
+    sysm = heavy_system(name)
+    rounds = []
+    upper_on = multiloop._upper_on
+
+    def recording(sys, ws, x0=None):
+        out = upper_on(sys, ws, x0)
+        rounds.append((ws, out))
+        return out
+
+    monkeypatch.setattr(multiloop, "_upper_on", recording)
+    multiloop_margin(sysm)
+    assert len(rounds) == 1 + multiloop._ZOOM_ROUNDS
+    for ws, (bounds, xs) in rounds[1:]:
+        vals, ok = freq_response(sysm.M, ws)
+        assert ok.all()
+        floor = np.max(np.abs(np.linalg.eigvals(vals)))
+        for M, bound, x in zip(vals, bounds, xs):
+            # each returned log D reproduces its bound bit for bit
+            assert np.linalg.svd(M * np.exp(x[:, None] - x[None, :]))[1][0] == bound
+            cold = _mu_upper(M[None])[0][0]
+            # a warm start reaches the cold start's infimum, except in rows
+            # the sweep floor settled, which hold looser valid bounds
+            if bound >= floor:
+                assert_allclose(bound, cold, rtol=1e-9)
+            else:
+                assert bound >= cold * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("name", ["satellite io", "pair 46", "pair 53", "pair 69"])
+def test_warm_zoom_agrees_with_cold_starts(name, monkeypatch):
+    sysm = heavy_system(name)
+    warm = multiloop_margin(sysm)
+    mu_upper = multiloop._mu_upper
+    monkeypatch.setattr(multiloop, "_mu_upper",
+                        lambda Ms, sweep=False, x0=None: mu_upper(Ms, sweep))
+    cold = multiloop_margin(sysm)
+    assert_allclose(warm.alpha_lower, cold.alpha_lower, rtol=1e-9)
+    assert warm.alpha_lower <= warm.alpha_upper
+    assert cold.alpha_lower <= cold.alpha_upper
+
+
+@pytest.mark.parametrize("points", ["input", "output"])
+def test_two_channel_margin_is_pinned(points):
+    # two-channel bounds are in closed form and take no start, so a zoom
+    # start cannot move these bits (numpy 2.4, OpenBLAS, x86-64)
+    res = multiloop_margin(build_m(*satellite(), points, 0.0))
+    assert res.alpha_lower == float.fromhex("0x1.9894c2329f030p-4")
+    assert res.alpha_upper == float.fromhex("0x1.9894c2329f031p-4")
+    assert res.omega_crit == float.fromhex("0x1.9894b7b8d5f2ep-5")
+    want = [complex(float.fromhex(re), float.fromhex(im)) for re, im in [
+        ("-0x1.0b8589f4ded9fp-29", "-0x1.9894c2329f02fp-4"),
+        ("-0x1.0b804f4b7b969p-29", "-0x1.9894c2329f02fp-4"),
+    ]]
+    assert np.array_equal(res.delta_worst, np.diag(want))
 
 
 def test_batched_upper_bound_brackets_mu():

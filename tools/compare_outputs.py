@@ -41,8 +41,15 @@ significant digit, the precision it prints.  So flagged (nan) rows,
 verdicts and messages stay exact, and a field moves only as far as
 rounding-level noise in the frequency response already moves it.  The
 report lists the commands outside that gate, and the largest ratio of a
-field's difference to its spread.
-Uses the stdlib and numpy only (numpy through bench/workloads.py).
+field's difference to its spread.  A mimo command's certificate, its
+"delta_worst" and "certificate" results, is judged by validity there,
+not by value: with more than one worst-case perturbation, two trees may
+find different ones.  When the change's certificate is valid (see
+certificate_valid), those fields pass whatever their values; otherwise
+they take the gate like any other field.  alpha_upper, the size of the
+certificate, always takes it.
+Uses the stdlib and numpy only (numpy through bench/workloads.py and
+bench/oracles.py).
 """
 
 import argparse
@@ -99,9 +106,37 @@ def add_noise(draw):
             module.freq_response = noisy
 
 
+def certificate_valid(cmd, text):
+    """Whether a mimo command's output carries a valid certificate: with M0
+    rebuilt by bench/oracles._m0 from the model file at the output's
+    omega_crit, |det(I - M0 delta)| is at most 1e-12 max(1, ||M0||_F),
+    and max |delta_i| equals alpha_upper within 1e-12 relative.  None for
+    other output, and where omega_crit is not finite (_m0 evaluates
+    finite frequencies only)."""
+    import numpy as np
+    import oracles
+
+    res = results_of(text)
+    if (cmd.argv[0] != "mimo" or not isinstance(res, dict) or not res.get("delta_worst")
+            or not math.isfinite(float(res["omega_crit"]))):
+        return None
+    deltas = np.array([complex(float(d["delta"]["re"]), float(d["delta"]["im"]))
+                       for d in res["delta_worst"]])
+    points = cmd.argv[cmd.argv.index("--points") + 1]
+    M0 = oracles._m0(cmd.model, points, oracles._skew(cmd.argv), float(res["omega_crit"]))
+    if M0.shape != (len(deltas), len(deltas)):
+        return False
+    resid = abs(np.linalg.det(np.eye(len(deltas)) - M0 @ np.diag(deltas)))
+    alpha = float(res["alpha_upper"])
+    size = float(np.max(np.abs(deltas)))
+    return bool(resid <= 1e-12 * max(1.0, np.linalg.norm(M0))
+                and abs(size - alpha) <= 1e-12 * alpha)
+
+
 def run_tree(tree, out_path, draw=None):
     """Run every command in this process, which sits in tree; write a JSON
-    list of {key, code, stdout, stderr} to out_path.  With a draw, the
+    list of {key, code, stdout, stderr, certificate} to out_path, where
+    certificate is certificate_valid of the output.  With a draw, the
     frequency responses carry that draw's noise."""
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "bench")]
     import dmkit.cli
@@ -131,7 +166,8 @@ def run_tree(tree, out_path, draw=None):
                         code = "{}: {}".format(type(e).__name__, e)
                     results.append({"key": clean(cmd.key), "code": code,
                                     "stdout": clean(out.getvalue()),
-                                    "stderr": clean(err.getvalue())})
+                                    "stderr": clean(err.getvalue()),
+                                    "certificate": certificate_valid(cmd, out.getvalue())})
     with open(out_path, "w", encoding="utf-8") as fh:
         json.dump(results, fh)
 
@@ -221,6 +257,21 @@ def noise_moves(a, b, spread):
                 abs(float(x) - float(y)) <= 1.5 * 10.0 ** (math.floor(math.log10(size)) - 11)):
             moves.append((rel, sp))
     return moves
+
+
+def with_certificate_of(text, source):
+    """text with the values of its delta_worst and certificate keys replaced
+    by source's (each key once in both), so that those fields compare as
+    equal."""
+    decoder = json.JSONDecoder()
+    for key in ("delta_worst", "certificate"):
+        mark = '"{}": '.format(key)
+        if text.count(mark) != 1 or source.count(mark) != 1:
+            continue
+        i, j = text.index(mark) + len(mark), source.index(mark) + len(mark)
+        end_i, end_j = decoder.raw_decode(text, i)[1], decoder.raw_decode(source, j)[1]
+        text = text[:i] + source[j:end_j] + text[end_i:]
+    return text
 
 
 def results_of(text):
@@ -335,6 +386,7 @@ def main(argv):
     same = diff = 0
     worst, worst_key = 0.0, None
     ratio, ratio_key = 0.0, None
+    by_validity = 0
     differing, outside = [], []
     for i, (p, c) in enumerate(zip(parent, change)):
         what = [f for f in ("code", "stderr", "stdout") if p[f] != c[f]]
@@ -347,7 +399,11 @@ def main(argv):
         close = numbers is not None and (
             numbers[2] <= args.rtol if args.rtol else p["stdout"] == c["stdout"])
         if args.noise is not None and numbers is not None:
-            moves = noise_moves(p["stdout"], c["stdout"], spreads[i])
+            judged = c["stdout"]
+            if c["certificate"] and p["stdout"] != c["stdout"]:
+                judged = with_certificate_of(judged, p["stdout"])
+                by_validity += 1
+            moves = noise_moves(p["stdout"], judged, spreads[i])
             close = all(rel <= max(args.rtol, args.noise * sp) for rel, sp in moves)
             for rel, sp in moves:
                 r = rel / sp if sp else math.inf
@@ -386,6 +442,9 @@ def main(argv):
     if args.noise is not None:
         print("largest difference / spread over {} noisy parent runs: {:.3g}{}".format(
             DRAWS, ratio, " ({})".format(ratio_key) if ratio_key else ""))
+        print("differing mimo commands whose certificate passed as valid: {} of {}".format(
+            by_validity, sum(1 for p, c in zip(parent, change)
+                             if c["certificate"] is not None and p["stdout"] != c["stdout"])))
         print("commands outside max(rtol {:g}, {:g} x spread): {}".format(
             args.rtol, args.noise, len(outside)))
     elif args.rtol:
