@@ -99,10 +99,11 @@ def _geometry_fields(g):
     }
 
 
-def _gamma_m(gm):
-    lo, hi = gm
-    inv = 1.0 / lo if lo > 0.0 else math.inf
-    return min(inv, hi)
+def _gamma_m(lo, hi):
+    """Symmetric gain margin min(1/lo, hi) of gain intervals (lo, hi), 1/0 = inf."""
+    with np.errstate(divide="ignore"):
+        inv = np.where(lo > 0.0, np.divide(1.0, lo), math.inf)
+    return np.where(hi < inv, hi, inv)
 
 
 def _parse_tf_entry(obj, what):
@@ -226,7 +227,7 @@ def cmd_diskmargin(args):
         "geometry": _geometry_fields(d.geometry),
         "guaranteed_gm": {"lower": _gain_field(gm_lo), "upper": _gain_field(gm_hi)},
         "guaranteed_pm": _angle_field(d.guaranteed_pm),
-        "gamma_m": _jnum(_gamma_m(d.guaranteed_gm)),
+        "gamma_m": _jnum(_gamma_m(gm_lo, gm_hi)),
     }
     diagnostics = []
     if args.skew == 1.0:
@@ -300,13 +301,10 @@ def _csv_text(columns, rows):
 
 
 def _trace_rows(tr):
-    # _gamma_m and the phase in degrees over the whole grid; a flagged row
-    # is nan after omega
+    # a flagged row is nan after omega
     alpha, pm = np.array(tr.alpha_of_omega), np.array(tr.pm_of_omega)
     lo, hi = np.array(tr.gm_of_omega).reshape(-1, 2).T
-    with np.errstate(divide="ignore"):
-        inv = np.where(lo > 0.0, 1.0 / lo, math.inf)
-    rows = np.column_stack([tr.grid.points, alpha, lo, hi, np.where(hi < inv, hi, inv),
+    rows = np.column_stack([tr.grid.points, alpha, lo, hi, _gamma_m(lo, hi),
                             np.where(np.isfinite(pm), np.degrees(pm), pm)])
     rows[np.isnan(alpha), 1:] = math.nan
     return list(map(tuple, rows.tolist()))
@@ -412,7 +410,7 @@ def cmd_exclusion(args):
     P, K, path, digest = _load_model_file(args.model)
     L = siso_loop(P, K)
     d = disk_margin(L, args.skew)
-    ex = nyquist_exclusion(d.spec)
+    ex = nyquist_exclusion(d)
     results = {
         "skew": _jnum(args.skew),
         "alpha_max": _jnum(d.spec.alpha),

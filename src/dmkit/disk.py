@@ -15,9 +15,15 @@ Conventions used throughout:
   the excluded region and may be negative.
 - Reported guaranteed gain ranges are clipped to physical gains: lower
   end at least 0, upper end math.inf when unbounded.
-- Guaranteed phase comes from cos(phi) = (1 + gamma_min gamma_max) /
-  (gamma_min + gamma_max); when that has no solution (half plane
-  included) the guarantee is math.inf.
+- Guaranteed phase is the phi with cos(phi) = (1 + gamma_min gamma_max)
+  / (gamma_min + gamma_max) = (4 - (1 + sigma^2) alpha^2) / (4 + (1 -
+  sigma^2) alpha^2), in closed form phi = 2 atan(alpha / sqrt(4 - sigma^2
+  alpha^2)), since tan(phi/2) = sin(phi) / (1 + cos(phi)); 2 atan(alpha/2)
+  at sigma = 0.  Where the root is imaginary, on the half plane and at
+  alpha = inf, phi is math.inf.
+
+One array kernel holds these conventions: a single disk is a one-element
+call of it, and a margin trace one call over the whole grid.
 """
 
 import cmath
@@ -201,20 +207,59 @@ def disk_map_inv(f, sigma):
     return 2.0 * (f - 1.0) / den
 
 
-def _raw_intercepts(alpha, sigma):
-    """Intercepts straight from the boundary map, plus the region kind; off the 1e-12
-    knife edge but inside disk_map's 1e-9 pole test a disk has a huge finite intercept."""
-    b = alpha * (1.0 + sigma)
-    if abs(abs(b) - 2.0) <= 1e-12 * 2.0:
-        # classification asserts the knife edge |b| = 2, so evaluate the
-        # remaining intercept there too instead of leaking alpha noise
+def _disk_numbers(alpha, sigma):
+    """The disk conventions element by element over an array of radii alpha
+    at skew sigma: intercepts gmin, gmax = disk_map(-+alpha, sigma), region
+    kind, reported gain interval (lo, hi) and phase phi.  Within 1e-12 of
+    |alpha (1 + sigma)| = 2 the region is a half plane whose one finite
+    intercept is evaluated on the edge itself (off it but inside disk_map's
+    1e-9 pole test a disk has a huge finite intercept).  alpha = inf has nan
+    intercepts, so the exterior rule reports (0, inf) for it.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b = alpha * (1.0 + sigma)
+        num, den = _disk_map_terms(np.multiply.outer((-1.0, 1.0), alpha), sigma)
+        gmin, gmax = num / den
+        # nan where the root is imaginary
+        p = sigma * alpha
+        phi = 2.0 * np.arctan(alpha / np.sqrt(4.0 - p * p))
+    # |b| - 2 is exact near the edge
+    e = np.abs(b) - 2.0
+    half, interior = np.abs(e) <= 1e-12 * 2.0, e < -1e-12 * 2.0
+    kind = np.where(interior, INTERIOR_DISK, EXTERIOR_DISK)
+    if np.count_nonzero(half):
         a_star = 2.0 / abs(1.0 + sigma) * (1.0 - sigma)
-        if b > 0:
-            return (2.0 - a_star) / 4.0, math.inf, HALF_PLANE
-        return -math.inf, (2.0 + a_star) / 4.0, HALF_PLANE
-    (n1, d1), (n2, d2) = _disk_map_terms(-alpha, sigma), _disk_map_terms(alpha, sigma)
-    kind = INTERIOR_DISK if abs(b) < 2.0 else EXTERIOR_DISK
-    return n1 / d1, n2 / d2, kind
+        up, down = half & (b > 0), half & ~(b > 0)
+        gmin[up], gmax[up] = (2.0 - a_star) / 4.0, math.inf
+        gmin[down], gmax[down] = -math.inf, (2.0 + a_star) / 4.0
+        kind[half], phi[half] = HALF_PLANE, math.inf
+    # an interior disk or half plane reports [max(0, gmin), gmax]
+    lo, hi = np.maximum(gmin, 0.0), gmax.copy()
+    ext = ~(interior | half)
+    if np.count_nonzero(ext):
+        # the excluded disk sits on the real axis between the sorted
+        # intercepts; report the connected admissible interval around 1
+        lo_ex, hi_ex = np.minimum(gmin, gmax), np.maximum(gmin, gmax)
+        lo[ext] = np.where((0.0 < hi_ex) & (hi_ex < 1.0), hi_ex, 0.0)[ext]
+        hi[ext] = np.where(lo_ex > 1.0, lo_ex, math.inf)[ext]
+    phi[np.isnan(phi)] = math.inf
+    return gmin, gmax, kind, lo, hi, phi
+
+
+def _disk_report(alpha, sigma):
+    """DiskGeometry, reported (lo, hi) and phase of one disk, from one kernel call."""
+    gmin, gmax, kind, lo, hi, phi = (a.item() for a in _disk_numbers(np.array([float(alpha)]), sigma))
+    if kind == HALF_PLANE:
+        return DiskGeometry(gmin, gmax, math.inf, math.inf, math.inf, kind), (lo, hi), phi
+    center = 0.5 * (gmin + gmax)
+    radius = 0.5 * abs(gmax - gmin)
+    if kind == INTERIOR_DISK and 0.0 < radius < center:
+        phi_max = math.asin(radius / center)
+    elif kind == INTERIOR_DISK and radius == center:
+        phi_max = 0.5 * math.pi
+    else:
+        phi_max = math.inf
+    return DiskGeometry(gmin, gmax, center, radius, phi_max, kind), (lo, hi), phi
 
 
 def disk_geometry(spec):
@@ -224,47 +269,18 @@ def disk_geometry(spec):
     are first class: alpha (1 + sigma) = 2 gives a half plane, larger
     alpha an exterior region.
     """
-    gmin, gmax, kind = _raw_intercepts(spec.alpha, spec.sigma)
-    if kind == HALF_PLANE:
-        return DiskGeometry(gmin, gmax, math.inf, math.inf, math.inf, kind)
-    center = 0.5 * (gmin + gmax)
-    radius = 0.5 * abs(gmax - gmin)
-    if kind == INTERIOR_DISK and 0.0 < radius < center:
-        phi_max = math.asin(radius / center)
-    elif kind == INTERIOR_DISK and radius == center:
-        phi_max = 0.5 * math.pi
+    return _disk_report(spec.alpha, spec.sigma)[0]
+
+
+def _interior_intercepts(x, what):
+    """Intercepts of a DiskSpec's region, or of a DiskMarginResult's own, if interior."""
+    if isinstance(x, DiskMarginResult) and x.geometry is not None:
+        g = x.geometry
     else:
-        phi_max = math.inf
-    return DiskGeometry(gmin, gmax, center, radius, phi_max, kind)
-
-
-def _phase_from_intercepts(gmin, gmax):
-    s = gmin + gmax
-    if s == 0.0 or not (math.isfinite(gmin) and math.isfinite(gmax)):
-        return math.inf
-    x = (1.0 + gmin * gmax) / s
-    if abs(x) > 1.0:
-        return math.inf
-    return math.acos(x)
-
-
-def _reported_gm_pm(alpha, sigma):
-    """Sanitized guaranteed gain interval around 1 and phase in radians."""
-    if math.isinf(alpha):
-        return (0.0, math.inf), math.inf
-    gmin, gmax, kind = _raw_intercepts(alpha, sigma)
-    if kind == INTERIOR_DISK:
-        return (max(0.0, gmin), gmax), _phase_from_intercepts(gmin, gmax)
-    if kind == HALF_PLANE:
-        lo = max(0.0, gmin) if math.isfinite(gmin) else 0.0
-        hi = gmax if math.isfinite(gmax) else math.inf
-        return (lo, hi), math.inf
-    # exterior: the excluded disk sits on the real axis between the
-    # sorted intercepts; report the connected admissible interval around 1
-    lo_ex, hi_ex = sorted((gmin, gmax))
-    lo = hi_ex if 0.0 < hi_ex < 1.0 else 0.0
-    hi = lo_ex if lo_ex > 1.0 else math.inf
-    return (lo, hi), _phase_from_intercepts(gmin, gmax)
+        g = disk_geometry(x.spec if isinstance(x, DiskMarginResult) else x)
+    if g.kind != INTERIOR_DISK:
+        raise UnsupportedCaseError("{} requires an interior disk, got {}".format(what, g.kind))
+    return g.gamma_min, g.gamma_max
 
 
 def guaranteed_gm_pm(x):
@@ -272,16 +288,17 @@ def guaranteed_gm_pm(x):
 
     Parameters
     ----------
-    x : DiskSpec or DiskMarginResult
+    x : DiskSpec, or DiskMarginResult (returns its own numbers)
 
     Returns
     -------
     ((g_lo, g_hi), phi)
         Gains are clipped to [0, inf); phi is radians, math.inf when the
-        intercept arithmetic admits no bound (half plane and beyond).
+        disk admits no rotation bound (half plane and beyond).
     """
-    spec = x.spec if isinstance(x, DiskMarginResult) else x
-    return _reported_gm_pm(spec.alpha, spec.sigma)
+    if isinstance(x, DiskMarginResult):
+        return x.guaranteed_gm, x.guaranteed_pm
+    return _disk_report(x.alpha, x.sigma)[1:]
 
 
 def _shifted_sensitivity(L, sigma):
@@ -333,14 +350,13 @@ def disk_margin(L, sigma=0.0):
     g0 = eval_freq(shifted, w0)
     delta0 = 1.0 / g0
     f0 = disk_map(delta0, sigma)
-    spec = DiskSpec(alpha, sigma)
-    gm, pm = _reported_gm_pm(alpha, sigma)
+    geometry, gm, pm = _disk_report(alpha, sigma)
     return DiskMarginResult(
-        spec=spec,
+        spec=DiskSpec(alpha, sigma),
         omega_crit=w0,
         delta0=complex(delta0),
         f0=f0,
-        geometry=disk_geometry(spec),
+        geometry=geometry,
         guaranteed_gm=gm,
         guaranteed_pm=pm,
         peak_gain=pk,
@@ -350,6 +366,7 @@ def disk_margin(L, sigma=0.0):
 def gain_phase_tradeoff(x, gain=None, phase=None):
     """Combined gain/phase slack inside an interior disk.
 
+    x is a DiskSpec or a DiskMarginResult, whose geometry is used.
     Exactly one of gain (> 0) or phase (radians in [0, pi)) must be
     given.  With a gain, returns the largest simultaneous rotation phi
     such that (gain, +-phi) stays in the disk, or None when the gain
@@ -357,12 +374,7 @@ def gain_phase_tradeoff(x, gain=None, phase=None):
     (g_low, g_high) gain interval at that rotation, or None when the
     rotation alone exhausts the disk.
     """
-    spec = x.spec if isinstance(x, DiskMarginResult) else x
-    gmin, gmax, kind = _raw_intercepts(spec.alpha, spec.sigma)
-    if kind != INTERIOR_DISK:
-        raise UnsupportedCaseError(
-            "gain/phase trade-off requires an interior disk, got {}".format(kind)
-        )
+    gmin, gmax = _interior_intercepts(x, "gain/phase trade-off")
     if (gain is None) == (phase is None):
         raise InputError("give exactly one of gain or phase")
     p = gmin * gmax
@@ -412,20 +424,17 @@ def safe_region_curve(spec, n=361):
     return out
 
 
-def nyquist_exclusion(spec):
+def nyquist_exclusion(x):
     """Disk around the critical point that the Nyquist plot of L must avoid.
 
+    x is a DiskSpec or a DiskMarginResult, whose geometry is used.
     Requires the typical interior geometry 0 < gamma_min < 1 <
     gamma_max < inf; anything else raises UnsupportedCaseError naming
     the violated precondition.  The region {-1/f} has real intercepts
     (-1/gamma_min, -1/gamma_max); for sigma = +1 it reduces to the disk
     of radius alpha centered at -1.
     """
-    gmin, gmax, kind = _raw_intercepts(spec.alpha, spec.sigma)
-    if kind != INTERIOR_DISK:
-        raise UnsupportedCaseError(
-            "nyquist exclusion requires an interior disk, got {}".format(kind)
-        )
+    gmin, gmax = _interior_intercepts(x, "nyquist exclusion")
     if not 0.0 < gmin < 1.0:
         raise UnsupportedCaseError(
             "nyquist exclusion requires 0 < gamma_min < 1, got {:.6g}".format(gmin)
@@ -473,37 +482,11 @@ def freq_margin_trace(L, sigma=0.0, grid=None):
 
 
 def _trace_margins(gains, ok, sigma):
-    """alpha = 1/gain and _reported_gm_pm's (lo, hi) and phase, as arrays
-    over a grid that equal the scalar forms element for element (alpha =
-    inf at zero gain); nan in all four where ok is False."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    """alpha = 1/gain (inf at zero gain) and _disk_numbers' (lo, hi) and phase
+    over a whole grid in one call; nan in all four where ok is False."""
+    with np.errstate(divide="ignore", over="ignore"):
         alpha = 1.0 / gains
-        b = alpha * (1.0 + sigma)
-        (n1, d1), (n2, d2) = _disk_map_terms(-alpha, sigma), _disk_map_terms(alpha, sigma)
-        gmin, gmax = n1 / d1, n2 / d2
-        s = gmin + gmax
-        x = (1.0 + gmin * gmax) / s
-    # _raw_intercepts' 1e-12 knife edge; beyond it |b| < 2 is an interior disk
-    half = np.abs(np.abs(b) - 2.0) <= 1e-12 * 2.0
-    interior = ~half & (np.abs(b) < 2.0)
-    exterior = ~half & ~interior
-    # interior: [max(0, gmin), gmax]; exterior: the connected admissible
-    # interval around 1, between the sorted intercepts
-    lo_ex, hi_ex = np.where(gmax < gmin, gmax, gmin), np.where(gmax < gmin, gmin, gmax)
-    lo = np.select([interior & (gmin > 0.0), exterior & (0.0 < hi_ex) & (hi_ex < 1.0)],
-                   [gmin, hi_ex], 0.0)
-    hi = np.select([interior, exterior & (lo_ex > 1.0)], [gmax, lo_ex], math.inf)
-    if half.any():
-        # the intercept that stays finite, evaluated on the edge itself
-        a_star = 2.0 / abs(1.0 + sigma) * (1.0 - sigma)
-        lo[half & (b > 0)] = max(0.0, (2.0 - a_star) / 4.0)
-        hi[half & ~(b > 0)] = (2.0 + a_star) / 4.0
-    # _phase_from_intercepts; math.acos, as np.arccos rounds differently
-    pm = np.full(gains.shape, math.inf)
-    acos = ~half & (s != 0.0) & np.isfinite(gmin) & np.isfinite(gmax) & ~(np.abs(x) > 1.0)
-    pm[acos] = list(map(math.acos, x[acos].tolist()))
-    zero = alpha == math.inf
-    lo[zero], hi[zero], pm[zero] = 0.0, math.inf, math.inf
+    lo, hi, pm = _disk_numbers(alpha, sigma)[3:]
     for a in (alpha, lo, hi, pm):
         a[~ok] = math.nan
     return alpha, lo, hi, pm

@@ -60,7 +60,7 @@ class FrequencyGrid:
 
 
 def _log_grid(m, n, pole_set):
-    """default_grid for a model whose poles are already known."""
+    """default_grid's points as an array, for a model whose poles are already known."""
     if n < 2:
         raise InputError("grid needs at least 2 points")
     mags = [abs(p) for p in pole_set]
@@ -71,8 +71,7 @@ def _log_grid(m, n, pole_set):
         lo, hi = min(mags) / 100.0, max(mags) * 100.0
     else:
         lo, hi = 1e-2, 1e2
-    pts = np.geomspace(lo, hi, int(n))
-    return FrequencyGrid((0.0,) + tuple(float(p) for p in pts) + (math.inf,))
+    return np.concatenate(([0.0], np.geomspace(lo, hi, int(n)), [math.inf]))
 
 
 def _peak_seed(m, n, pole_set):
@@ -80,7 +79,7 @@ def _peak_seed(m, n, pole_set):
     the n-point log grid of _log_grid (0 and inf included) and the
     positive imaginary part of each pole, near which a resonance too
     narrow for the grid peaks."""
-    return np.unique(np.concatenate([_log_grid(m, n, pole_set).points,
+    return np.unique(np.concatenate([_log_grid(m, n, pole_set),
                                      pole_set.imag[pole_set.imag > 0.0]]))
 
 
@@ -94,7 +93,7 @@ def default_grid(m, n=400):
     endpoints.
     """
     m = _as_model(m)
-    return _log_grid(m, n, poles(m))
+    return FrequencyGrid(_log_grid(m, n, poles(m)))
 
 
 def _gains(m, ws):

@@ -101,6 +101,17 @@ def test_diskmargin_with_worst_case(capsys):
     assert wc["f_hat"]["den"][1] == pytest.approx(2.0297207755, rel=1e-6)
 
 
+def test_diskmargin_gamma_m_with_zero_lower_gain(capsys, tmp_path):
+    # skew -1 gives gamma_min = 1 - alpha, and alpha = 1/||T|| = 3 here, so
+    # the reported lower gain is clipped to 0 and gamma_m is the upper gain
+    path = write_model(tmp_path, "small.json", {"model": {"tf": {"num": [0.5], "den": [1, 1]}}})
+    code, doc = run_json(capsys, ["diskmargin", path, "--skew", "-1"])
+    assert code == 0
+    r = doc["results"]
+    assert r["guaranteed_gm"]["lower"]["abs"] == 0.0
+    assert r["gamma_m"] == r["guaranteed_gm"]["upper"]["abs"] == pytest.approx(4.0, rel=1e-9)
+
+
 def test_diskmargin_skew_one_consistency(capsys):
     code, doc = run_json(capsys, ["diskmargin", "ex1_loop.json", "--skew", "1.0"])
     assert code == 0

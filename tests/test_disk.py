@@ -41,8 +41,8 @@ from dmkit import (
     verify_destabilizing,
     worst_perturbation_lti,
 )
-from dmkit.cli import _gamma_m, _trace_rows
-from dmkit.disk import EXTERIOR_DISK, HALF_PLANE, INTERIOR_DISK, MarginTrace, _raw_intercepts, _reported_gm_pm, _trace_margins
+from dmkit.cli import _trace_rows
+from dmkit.disk import EXTERIOR_DISK, HALF_PLANE, INTERIOR_DISK, MarginTrace, _trace_margins
 from dmkit.lti import LtiModel, TransferFunction
 from dmkit.specnorm import FrequencyGrid
 
@@ -265,44 +265,68 @@ def test_trace_minimum_matches_global_margin():
     assert min(finite) >= d.spec.alpha * (1 - 1e-4)
 
 
-def same_float(a, b):
-    return a == b or (math.isnan(a) and math.isnan(b))
-
-
-def scalar_trace_rows(gains, ok, sigma):
-    """freq_margin_trace's and the CLI's rows one at a time, from the
-    scalar _reported_gm_pm, as they were computed before the grid form."""
-    rows = []
-    for g, good in zip(gains, ok):
-        if not good:
-            rows.append((math.nan,) * 5)
-            continue
-        alpha = math.inf if g == 0.0 else 1.0 / g
-        (lo, hi), pm = _reported_gm_pm(alpha, sigma)
-        rows.append((alpha, lo, hi, _gamma_m((lo, hi)), math.degrees(pm) if math.isfinite(pm) else pm))
-    return rows
+def check_map_radius(f, sigma, alpha, on_boundary):
+    """|disk_map_inv(f, sigma)| equals alpha (on_boundary) or is not above it,
+    within 1e-8 plus 1e-14 over f's relative distance to -(1 - sigma)/(1 +
+    sigma), the point no finite d reaches, near which the map amplifies
+    rounding in f; inside the map's own 1e-9 pole band it reports inf and
+    is not judged."""
+    near = abs((1.0 + sigma) * f + (1.0 - sigma)) / (abs(1.0 + sigma) + abs(1.0 - sigma))
+    r = abs(disk_map_inv(f, sigma))
+    if r == math.inf:
+        assert near <= 1e-9, (f, sigma, alpha)
+        return
+    err = abs(r - alpha) if on_boundary else max(r - alpha, 0.0)
+    assert err * near <= (1e-8 * near + 1e-14) * alpha, (f, sigma, alpha, r)
 
 
 def check_trace_rows(gains, ok, sigma):
+    """_trace_margins' rows against the public disk map, row by row: a finite
+    phase puts e^{j phi} on the disk boundary and smaller rotations inside;
+    an infinite one off the half-plane band leaves every rotation inside;
+    finite gain ends lie on the boundary, and gains between them and 1
+    inside.  Each row also equals guaranteed_gm_pm of its own DiskSpec, and
+    the CLI's row is that plus gamma_m = min(1/lo, hi) and degrees."""
     gains, ok = np.asarray(gains, dtype=float), np.asarray(ok)
     alpha, lo, hi, pm = _trace_margins(gains, ok, sigma)
-    want = scalar_trace_rows(gains.tolist(), ok.tolist(), sigma)
     grid = FrequencyGrid(tuple(range(gains.size)))
     tr = MarginTrace(grid, tuple(alpha.tolist()), tuple(zip(lo.tolist(), hi.tolist())), tuple(pm.tolist()))
-    for i, (row, w) in enumerate(zip(_trace_rows(tr), want)):
+    rows = zip(_trace_rows(tr), alpha.tolist(), lo.tolist(), hi.tolist(), pm.tolist())
+    for i, (row, a, g_lo, g_hi, phi) in enumerate(rows):
         assert row[0] == grid.points[i]
-        assert all(same_float(a, b) for a, b in zip(row[1:], w)), (i, row, w)
-        if ok[i]:
-            (wlo, whi), wpm = _reported_gm_pm(alpha[i], sigma)
-            assert same_float(lo[i], wlo) and same_float(hi[i], whi) and same_float(pm[i], wpm)
+        if not ok[i]:
+            assert all(math.isnan(v) for v in (a, g_lo, g_hi, phi) + row[1:])
+            continue
+        (s_lo, s_hi), s_pm = guaranteed_gm_pm(DiskSpec(a, sigma))
+        assert (s_lo, s_hi, s_pm) == (g_lo, g_hi, phi), i
+        gamma_m = min(1.0 / g_lo if g_lo > 0.0 else math.inf, g_hi)
+        assert row[1:] == (a, g_lo, g_hi, gamma_m, math.degrees(phi) if phi < math.inf else phi), i
+        if a == math.inf:
+            assert (g_lo, g_hi, phi) == (0.0, math.inf, math.inf)
+            continue
+        band = abs(abs(a * (1.0 + sigma)) - 2.0) <= 2e-12
+        assert 0.0 <= g_lo <= 1.0 <= g_hi and (phi == math.inf or 0.0 <= phi <= math.pi), i
+        if phi < math.inf:
+            check_map_radius(cmath.exp(1j * phi), sigma, a, True)
+            for k in (0.5, 0.9, 0.99):
+                check_map_radius(cmath.exp(1j * k * phi), sigma, a, False)
+        else:
+            assert band or abs(sigma * a) > 2.0 * (1.0 - 1e-15), i
+            if not band:
+                for t in np.linspace(0.0, math.pi, 9):
+                    check_map_radius(cmath.exp(1j * t), sigma, a, False)
+        check_map_radius(1.0, sigma, a, False)
+        for end in (g_lo, g_hi):
+            if 0.0 < end < math.inf:
+                check_map_radius(end, sigma, a, True)
+        check_map_radius(0.5 * (g_lo + 1.0), sigma, a, False)
+        check_map_radius(0.5 * (g_hi + 1.0) if g_hi < math.inf else 2.0, sigma, a, False)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -3.0])
 def test_trace_rows_match_scalar_margins(sigma):
-    # the grid form of alpha, the gain interval and the phase equals the
-    # scalar _reported_gm_pm row by row: interior, half-plane (alpha (1 +
-    # sigma) = 2 within 1e-12, on either side of the edge), exterior,
-    # zero gain and flagged rows
+    # interior, half-plane (alpha (1 + sigma) = 2 within 1e-12, on either
+    # side of the edge), exterior, zero gain and flagged rows in one grid
     gains = [0.0, 1e-3, 0.1, 0.3, 0.5, 0.7, 1.0, 2.0, 50.0, 1e6]
     if sigma != -1.0:
         edge = abs(1.0 + sigma) / 2.0
@@ -310,7 +334,7 @@ def test_trace_rows_match_scalar_margins(sigma):
     ok = [True] * len(gains)
     gains += [0.4, math.nan]
     ok += [False, False]
-    kinds = {_raw_intercepts(1.0 / g, sigma)[2] for g, good in zip(gains, ok) if good and g}
+    kinds = {disk_geometry(DiskSpec(1.0 / g, sigma)).kind for g, good in zip(gains, ok) if good and g}
     # sigma = -1 has no disk-map pole, so every disk is interior
     assert kinds == ({INTERIOR_DISK} if sigma == -1.0 else {INTERIOR_DISK, HALF_PLANE, EXTERIOR_DISK})
     check_trace_rows(gains, ok, sigma)
@@ -320,6 +344,28 @@ def test_trace_rows_match_scalar_margins(sigma):
 @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=30), st.floats(-5.0, 5.0))
 def test_trace_rows_match_scalar_margins_random(gains, sigma):
     check_trace_rows(gains, [True] * len(gains), sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, -0.9, 2.0])
+def test_guaranteed_pm_matches_mpmath(sigma):
+    # cos(phi) = (1 + gmin gmax)/(gmin + gmax) from the intercepts, in 40
+    # digits; the acos of the rounded intercepts lost about eps/phi^2
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for alpha in (1e-2, 1e-3, 1e-4, 1e-6):
+            a, s = mpmath.mpf(alpha), mpmath.mpf(sigma)
+            gmin, gmax = (2 - (1 - s) * a) / (2 + (1 + s) * a), (2 + (1 - s) * a) / (2 - (1 + s) * a)
+            want = mpmath.acos((1 + gmin * gmax) / (gmin + gmax))
+            phi = guaranteed_gm_pm(DiskSpec(alpha, sigma))[1]
+            assert abs(phi - want) <= 1e-15 * want, (alpha, sigma)
+
+
+def test_guaranteed_pm_pin_satellite_io():
+    # satellite io's alpha_lower at skew 0; 2 atan(alpha/2) in degrees to 40
+    # digits is 2.8552965687497116034...; the acos form printed 2.855296568749704
+    alpha = 0.04984464227081897
+    pm = math.degrees(guaranteed_gm_pm(DiskSpec(alpha, 0.0))[1])
+    assert abs(pm - 2.8552965687497116034) <= 1e-15 * 2.8552965687497116034
 
 
 def test_guaranteed_margins_inside_classical():
@@ -374,6 +420,9 @@ def test_safe_region_curve_contains_tradeoff_points():
 def test_nyquist_exclusion_example2():
     d = disk_margin(L1, 0.0)
     ex = nyquist_exclusion(d.spec)
+    # a result is read through its own geometry, with the same answers
+    assert nyquist_exclusion(d) == ex
+    assert gain_phase_tradeoff(d, gain=1.0) == gain_phase_tradeoff(d.spec, gain=1.0)
     assert_allclose(ex.intercepts, (-1.0 / GM1[0], -1.0 / GM1[1]), rtol=1e-8)
     assert_allclose(ex.center, -(1 / GM1[0] + 1 / GM1[1]) / 2, rtol=1e-8)
     # the loop never enters the excluded disk
