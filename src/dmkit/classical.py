@@ -12,9 +12,10 @@ The crossings are exact.  With L = N/D (state space through ss_to_tf)
 they are the positive real roots of two real polynomials in w:
 Im(N(jw) conj D(jw)) for real-axis crossings and |N(jw)|^2 - |D(jw)|^2
 for unit-modulus ones.  Each root is Newton-polished, then verified on
-the model with one freq_response call over all the roots, masked by
-the poles that the transfer function flags.  One call computes them,
-and the closure, once.
+the model, masked by the poles that the transfer function flags, with
+one freq_response call on each over the roots, w = 0 and w = inf.  One
+call computes them, and the closure, once.  A static gain g closes a
+state-space loop as the autonomous _close(StateSpace(A, B, g C, g D), []).
 """
 
 import math
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DmkitError, InputError, NominalInstabilityError
-from .lti import TransferFunction, _as_model, _trim, freq_response, is_stable, scalar_close, ss_to_tf
+from .lti import (StateSpace, TransferFunction, _as_model, _close, _trim, freq_response, is_stable,
+                  scalar_close, ss_to_tf)
 
 __all__ = ["ClassicalMargins", "gain_margins", "phase_margin", "classical_margins"]
 
@@ -104,6 +106,14 @@ def _transfer_function(L):
     return r if isinstance(r, TransferFunction) else ss_to_tf(r)
 
 
+def _stable_closure(L, g):
+    """Whether the normalized SISO loop L closed with the static gain g is stable."""
+    r = L.representation
+    if isinstance(r, TransferFunction):
+        return is_stable(scalar_close(L, g))
+    return is_stable(_close(StateSpace(r.A, r.B, g * r.C, g * r.D), []))
+
+
 def _crossings(L):
     """Normalize and check L once, then find every candidate boundary:
     L normalized, the (g, w) pairs at which closing with gain g puts a
@@ -112,7 +122,7 @@ def _crossings(L):
     L = _as_model(L).normalized()
     if not L.is_siso:
         raise InputError("classical margins are defined for SISO loops")
-    if not is_stable(scalar_close(L, 1.0)):
+    if not _stable_closure(L, 1.0):
         raise NominalInstabilityError("nominal closed loop is unstable")
     t = _transfer_function(L)
     n, d = _on_axis(t.num.coeffs), _on_axis(t.den.coeffs)
@@ -122,26 +132,28 @@ def _crossings(L):
         # in p's expanded coefficients
         return _positive_roots(p, lambda w: form(t.num(1j * w), t.den(1j * w)))
 
-    def verified(ws):
-        # t also flags axis poles that rounding hides from a state-space pencil
-        ws = np.asarray(ws, dtype=float)
-        vals, ok = freq_response(L, ws)
-        ok &= freq_response(t, ws)[1]
-        return zip(ws[ok].tolist(), vals[ok].tolist())
-
-    gains = []
     # n and d keep Polynomial's nonzero leading coefficient
     real_axis = roots(np.convolve(n, d.conj()).imag, lambda nv, dv: (nv * dv.conjugate()).imag)
-    for w, lc in verified(real_axis):
+    unit_circle = roots(np.polysub(_abs2(n), _abs2(d)), lambda nv, dv: abs(nv) ** 2 - abs(dv) ** 2)
+    ws = np.array(real_axis + [0.0, math.inf] + unit_circle)
+    vals, ok = freq_response(L, ws)
+    # t also flags axis poles that rounding hides from a state-space pencil
+    ok &= freq_response(t, ws)[1]
+
+    def verified(lo, hi):
+        return zip(ws[lo:hi][ok[lo:hi]].tolist(), vals[lo:hi][ok[lo:hi]].tolist())
+
+    k = len(real_axis)
+    gains = []
+    for w, lc in verified(0, k):
         if abs(lc.imag) <= 1e-6 * abs(lc) and lc.real < 0.0:
             gains.append((-1.0 / lc.real, w))
-    for w, lv in verified((0.0, math.inf)):
+    for w, lv in verified(k, k + 2):
         if abs(lv.imag) <= 1e-12 * (1.0 + abs(lv)) and lv.real < 0.0:
             gains.append((-1.0 / lv.real, w))
 
     phases = []
-    unit_circle = roots(np.polysub(_abs2(n), _abs2(d)), lambda nv, dv: abs(nv) ** 2 - abs(dv) ** 2)
-    for w, lc in verified(unit_circle):
+    for w, lc in verified(k + 2, None):
         phi = abs(np.angle(-lc))
         # phi = 0 would mean L = -1 exactly, excluded by the nominal
         # stability precondition
@@ -229,7 +241,7 @@ def _extra_stable_intervals(L, gains):
         else:
             test = math.sqrt(a * b)
         try:
-            if is_stable(scalar_close(L, test)):
+            if _stable_closure(L, test):
                 extra.append((a, b))
         except DmkitError:
             continue

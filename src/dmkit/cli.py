@@ -32,18 +32,16 @@ import numpy as np
 from . import __version__
 from .classical import classical_margins, critical_distance
 from .disk import (
-    DiskSpec,
     disk_map,
     disk_margin,
     freq_margin_trace,
-    guaranteed_gm_pm,
     nyquist_exclusion,
     verify_destabilizing,
     worst_perturbation_lti,
 )
 from .errors import ConstructionError, DmkitError, DomainError, InputError
 from .lti import LtiModel, StateSpace, TransferFunction, eval_freq, freq_response
-from .multiloop import build_m, loop_at_a_time, multiloop_margin, resolve_points, siso_loop
+from .multiloop import build_m, multiloop_margin, single_loop_margins, siso_loop
 from .specnorm import FrequencyGrid, default_grid
 
 SCHEMA_VERSION = 1
@@ -354,7 +352,6 @@ def cmd_mimo(args):
     points = _points_argument(args.points)
     sys_md = build_m(P, K, points, args.skew)
     res = multiloop_margin(sys_md)
-    gm, pm = guaranteed_gm_pm(DiskSpec(res.alpha_lower, args.skew))
     deltas = []
     if res.delta_worst is not None:
         for d in np.diag(res.delta_worst):
@@ -365,8 +362,9 @@ def cmd_mimo(args):
         "alpha_lower": _jnum(res.alpha_lower),
         "alpha_upper": _jnum(res.alpha_upper),
         "omega_crit": _jnum(res.omega_crit),
-        "guaranteed_gm": {"lower": _gain_field(gm[0]), "upper": _gain_field(gm[1])},
-        "guaranteed_pm": _angle_field(pm),
+        "guaranteed_gm": {"lower": _gain_field(res.guaranteed_gm[0]),
+                          "upper": _gain_field(res.guaranteed_gm[1])},
+        "guaranteed_pm": _angle_field(res.guaranteed_pm),
         "geometry": _geometry_fields(res.geometry),
         "delta_worst": deltas,
     }
@@ -379,9 +377,8 @@ def cmd_mimo(args):
         }
     table = []
     m = P.ninputs
-    for i in resolve_points(points, m, P.noutputs):
+    for i, (cm, dm) in zip(sys_md.points, single_loop_margins(sys_md)):
         loc, ch = ("input", i) if i < m else ("output", i - m)
-        cm, dm = loop_at_a_time(P, K, ch, loc, args.skew)
         table.append({
             "location": loc,
             "channel": ch + 1,

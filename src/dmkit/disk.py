@@ -328,6 +328,7 @@ def disk_margin(L, sigma=0.0):
         image f0 (math.inf sentinel in the trivial case L(j w0) = 0,
         where delta0 = 2/(1 + sigma) and the loop is simply switched
         off), the region geometry, and the guaranteed classical numbers.
+        After the shifted sensitivity, this is _disk_result.
 
     Raises
     ------
@@ -336,7 +337,12 @@ def disk_margin(L, sigma=0.0):
     L = _as_model(L).normalized()
     if not L.is_siso:
         raise InputError("disk_margin takes a SISO loop; use multiloop_margin for MIMO")
-    shifted = _shifted_sensitivity(L, sigma)
+    return _disk_result(_shifted_sensitivity(L, sigma), sigma)
+
+
+def _disk_result(shifted, sigma):
+    """disk_margin's result from a loop's shifted sensitivity S + (sigma - 1)/2,
+    as built there or as the diagonal entry of multiloop's M."""
     try:
         pk = hinf_norm(shifted)
     except DomainError as e:
@@ -383,12 +389,14 @@ def gain_phase_tradeoff(x, gain=None, phase=None):
         g = float(gain)
         if g <= 0.0:
             raise InputError("gain must be positive")
-        x_val = (g * g + p) / (g * s)
-        if x_val > 1.0:
+        # phi = acos(x), x = (g^2 + p) / (g s), from the exact factors 1 - x = a / (g s)
+        # and 1 + x = b / (g s), which keep their digits near the gain ends
+        a, b = (g - gmin) * (gmax - g), (g + gmin) * (g + gmax)
+        if a * s < 0.0:
             return None
-        if x_val < -1.0:
+        if b * s <= 0.0:
             return math.pi
-        return math.acos(x_val)
+        return 2.0 * math.atan(math.sqrt(a / b))
     phi = float(phase)
     if not 0.0 <= phi < math.pi:
         raise InputError("phase must lie in [0, pi)")

@@ -225,7 +225,8 @@ def _as_matrix(x, name):
 
 
 class StateSpace:
-    """State-space model (A, B, C, D).  n = 0 static gains are allowed.
+    """State-space model (A, B, C, D).  n = 0 static gains are allowed, and
+    models with states and no inputs or outputs ((n, 0) B, (0, n) C).
 
     The arrays are the model's own copies and are not changed after
     construction: freq_response keeps the model's modal data on it.
@@ -237,10 +238,11 @@ class StateSpace:
         A = np.asarray(A, dtype=float) if np.asarray(A).size == 0 else _as_matrix(A, "A")
         if A.size == 0:
             A = A.reshape(0, 0)
-        B = _as_matrix(B, "B") if np.asarray(B).size else np.zeros((0, np.atleast_2d(D).shape[1]))
-        C = _as_matrix(C, "C") if np.asarray(C).size else np.zeros((np.atleast_2d(D).shape[0], 0))
-        D = _as_matrix(D, "D")
         n = A.shape[0]
+        # without states an empty B or C takes its shape from D; with states, its own
+        B = _as_matrix(B, "B") if n or np.asarray(B).size else np.zeros((0, np.atleast_2d(D).shape[1]))
+        C = _as_matrix(C, "C") if n or np.asarray(C).size else np.zeros((np.atleast_2d(D).shape[0], 0))
+        D = _as_matrix(D, "D")
         if A.shape != (n, n):
             raise InputError("A must be square, got {}".format(A.shape))
         if B.shape[0] != n:
@@ -780,6 +782,7 @@ def _ss_series(first, second):
 def _close(sys, keep):
     """Negative unity feedback around the channels of a square state-space
     loop not in keep: the loop seen from the kept break points, in order.
+    With keep empty it is the autonomous closed loop.
 
     WellPosednessError when I + D over the closed channels is singular or
     its componentwise (Bauer-Skeel) condition number,

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import (DiskSpec, _allpass, _shifted_sensitivity, disk_geometry, disk_margin,
-                   disk_map_inv, worst_perturbation_lti)
+from .disk import (_allpass, _disk_report, _disk_result, _shifted_sensitivity, disk_map_inv,
+                   worst_perturbation_lti)
 from .classical import classical_margins
 from .errors import ConstructionError, InputError, NominalInstabilityError, WellPosednessError
 from .lti import (LtiModel, StateSpace, TransferFunction, _as_model, _blkdiag, _close,
@@ -44,6 +44,7 @@ __all__ = [
     "multiloop_margin",
     "loop_at_a_time",
     "resolve_points",
+    "single_loop_margins",
     "siso_loop",
     "verify_multiloop_destabilizing",
 ]
@@ -52,12 +53,15 @@ __all__ = [
 @dataclass(frozen=True)
 class MDeltaSystem:
     """Stable M in feedback with a diagonal perturbation of size n; poles
-    are M's poles."""
+    are M's poles.  loop is the normalized io interconnection (the open
+    loop at every break point) and points index M's channels into it."""
 
     M: LtiModel
     n: int
     sigma: float
     poles: np.ndarray
+    loop: StateSpace
+    points: list
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,8 @@ class MultiLoopResult:
     alpha_lower is 1 over the largest mu upper bound the sweep sampled,
     not certified between samples; alpha_upper comes with a certificate
     perturbation delta_worst at omega_crit.
-    geometry describes the disk of radius alpha_lower.  inconclusive_gap
+    geometry describes the disk of radius alpha_lower (None when infinite),
+    guaranteed_gm and guaranteed_pm its gains and phase.  inconclusive_gap
     is set when the bracket is wider than 10 percent.  converged is False
     when the fallback mu lower-bound ascent behind alpha_upper hit its
     cap."""
@@ -93,6 +98,8 @@ class MultiLoopResult:
     omega_crit: float
     delta_worst: object
     geometry: object
+    guaranteed_gm: tuple
+    guaranteed_pm: float
     inconclusive_gap: bool
     converged: bool = True
 
@@ -201,10 +208,11 @@ def resolve_points(points, m, p):
 
 def _broken_loop(P, K, points):
     """The open loop seen from the resolved break points, every other
-    break point closed, and the resolved point list."""
+    break point closed, the resolved point list and the io loop."""
     Pss, Kss = _normalized_pair(P, K)
+    io = _io_loop(Pss, Kss)
     sel = resolve_points(points, Pss.ninputs, Pss.noutputs)
-    return _close(_io_loop(Pss, Kss), sel), sel
+    return _close(io, sel), sel, io
 
 
 def build_m(P, K, points="input", sigma=0.0):
@@ -224,19 +232,20 @@ def build_m(P, K, points="input", sigma=0.0):
     -------
     MDeltaSystem
         with M = (I + L_sel)^-1 + (sigma - 1)/2 I, where L_sel is the
-        open loop restricted to the selected break points, and its poles.
+        open loop restricted to the selected break points, its poles, the
+        io interconnection and the selected points.
 
     Raises
     ------
     NominalInstabilityError
         If the nominal closed loop is unstable (M would be unstable).
     """
-    loop, sel = _broken_loop(P, K, points)
+    loop, sel, io = _broken_loop(P, K, points)
     Msys = _shifted_sensitivity(LtiModel(loop), sigma)
     p = poles(Msys)
     if not np.all(p.real < 0.0):
         raise NominalInstabilityError("nominal closed loop is unstable")
-    return MDeltaSystem(M=Msys, n=len(sel), sigma=sigma, poles=p)
+    return MDeltaSystem(M=Msys, n=len(sel), sigma=sigma, poles=p, loop=io, points=sel)
 
 
 def _sv_and_gradient(Ms, x):
@@ -508,16 +517,32 @@ def multiloop_margin(sys):
         math.isfinite(alpha_upper)
         and alpha_upper - alpha_lower > 0.10 * alpha_lower
     ) or not math.isfinite(alpha_upper)
-    geometry = disk_geometry(DiskSpec(alpha_lower, sys.sigma)) if math.isfinite(alpha_lower) else None
+    geometry, gm, pm = _disk_report(alpha_lower, sys.sigma)
     return MultiLoopResult(
         alpha_lower=alpha_lower,
         alpha_upper=alpha_upper,
         omega_crit=omega_crit,
         delta_worst=mu.delta_worst,
-        geometry=geometry,
+        geometry=geometry if math.isfinite(alpha_lower) else None,
+        guaranteed_gm=gm,
+        guaranteed_pm=pm,
         inconclusive_gap=bool(gap),
         converged=mu.converged,
     )
+
+
+def single_loop_margins(sys):
+    """Loop-at-a-time (ClassicalMargins, DiskMarginResult) of each channel j
+    of an MDeltaSystem, in order: classical_margins of sys.loop broken at
+    sys.points[j] alone, and the disk margin of M_jj = S_j + (sigma - 1)/2,
+    M's diagonal entry, with S_j the sensitivity of that same loop.  So
+    no loop is rebuilt; a one-channel M is exactly the shifted
+    sensitivity disk_margin builds for its loop.
+    """
+    r = sys.M.representation
+    return [(classical_margins(_close(sys.loop, [i])),
+             _disk_result(StateSpace(r.A, r.B[:, [j]], r.C[[j], :], r.D[[j]][:, [j]]), sys.sigma))
+            for j, i in enumerate(sys.points)]
 
 
 def loop_at_a_time(P, K, channel, location="input", sigma=0.0):
@@ -532,7 +557,8 @@ def loop_at_a_time(P, K, channel, location="input", sigma=0.0):
     Returns
     -------
     (ClassicalMargins, DiskMarginResult) of the SISO loop seen from that
-    single break point.
+    single break point: single_loop_margins of build_m at that point,
+    the same as classical_margins and disk_margin of the loop.
     """
     P = _as_model(P)
     m, p = P.ninputs, P.noutputs
@@ -544,8 +570,7 @@ def loop_at_a_time(P, K, channel, location="input", sigma=0.0):
         raise InputError("location must be 'input' or 'output'")
     if not 0 <= int(channel) < size:
         raise InputError("channel must lie in [0, {})".format(size))
-    L = LtiModel(_broken_loop(P, K, [offset + int(channel)])[0])
-    return classical_margins(L), disk_margin(L, sigma)
+    return single_loop_margins(build_m(P, K, [offset + int(channel)], sigma))[0]
 
 
 def _realize_f(f, omega, sigma):
@@ -584,7 +609,7 @@ def verify_multiloop_destabilizing(P, K, points, f_list, omega=None, sigma=0.0):
         to the axis, and when omega was given the distance from j omega
         to the nearest pole.
     """
-    loop, sel = _broken_loop(P, K, points)
+    loop, sel, _ = _broken_loop(P, K, points)
     if len(f_list) != len(sel):
         raise InputError("expected {} perturbations, got {}".format(len(sel), len(f_list)))
     factors = [_realize_f(f, omega, sigma) for f in f_list]

@@ -10,6 +10,8 @@ from dmkit import classical
 from dmkit import (
     InputError,
     NominalInstabilityError,
+    StateSpace,
+    WellPosednessError,
     classical_margins,
     gain_margins,
     phase_margin,
@@ -291,6 +293,49 @@ def test_spurious_small_gain_root_is_not_a_boundary(monkeypatch):
     cm = classical_margins(tf([8e-8], [1, 3, 3, 1]))
     assert 1.0 not in cm.phase_crossover_freqs
     assert_allclose(cm.g_upper, 1e8, rtol=1e-9)
+
+
+def test_crossings_evaluate_each_model_once(monkeypatch):
+    # the loop and its transfer function, each once over every candidate:
+    # the real-axis roots, w = 0, w = inf and the unit-circle roots
+    sizes = []
+    evaluate = classical.freq_response
+    monkeypatch.setattr(classical, "freq_response",
+                        lambda m, ws: sizes.append(len(ws)) or evaluate(m, ws))
+    for L in (L1, BADL, tf_to_ss(BADL.representation)):
+        sizes.clear()
+        classical_margins(L)
+        assert len(sizes) == 2 and sizes[0] == sizes[1] >= 2
+
+
+def test_static_closure_agrees_with_scalar_close():
+    # a state-space loop closes as the autonomous _close(StateSpace(A, B,
+    # g C, g D), []): scalar_close's closed-loop A, bit for bit
+    gains = np.concatenate([[0.0, 1.0], np.geomspace(1e-3, 1e3, 25), -np.geomspace(1e-2, 1e2, 9)])
+    verdicts = []
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 4) * 2:
+        A = rng.standard_normal((n, n)) - 1.5 * np.eye(n)
+        B, C, D = rng.standard_normal((n, 1)), rng.standard_normal((1, n)), rng.standard_normal((1, 1))
+        L = ss(A, B, C, D)
+        for g in gains:
+            closed = scalar_close(L, g).representation
+            assert np.array_equal(classical._close(StateSpace(A, B, g * C, g * D), []).A, closed.A)
+            verdicts.append(classical._stable_closure(L, g))
+            assert verdicts[-1] == is_stable(closed)
+    assert 0 < sum(verdicts) < len(verdicts)
+    t = tf([1.0, 2.0], [1.0, 0.5, 3.0])
+    for g in gains:
+        assert classical._stable_closure(t, g) == is_stable(scalar_close(t, g))
+
+
+@pytest.mark.parametrize("L", [ss([[-1.0]], [[1.0]], [[1.0]], [[0.5]]), tf([1.0, 0.0], [2.0, 1.0])])
+def test_static_closure_rejects_an_ill_posed_gain(L):
+    # 1 + g d = 0 at g = -2 for d = 0.5, by either route
+    with pytest.raises(WellPosednessError):
+        scalar_close(L, -2.0)
+    with pytest.raises(WellPosednessError):
+        classical._stable_closure(L, -2.0)
 
 
 # ---- property test: margins against closure and dense-grid oracles ---------

@@ -405,6 +405,32 @@ def test_gain_phase_tradeoff():
     assert_allclose(g, (5.0 / 11.0, 11.0 / 5.0), rtol=1e-9)
 
 
+def test_gain_phase_tradeoff_keeps_its_digits_near_the_gain_ends():
+    # gains t^4-close to an interior disk's ends, against a 50-digit acos
+    # of the same float inputs; acos((g^2 + gmin gmax) / (g (gmin + gmax)))
+    # in floats loses all the digits of a small phase there
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2024)
+    checked = 0
+    with mpmath.workdps(50):
+        while checked < 300:
+            spec = DiskSpec(rng.uniform(0.01, 1.5), rng.uniform(-1.0, 1.0))
+            geo = disk_geometry(spec)
+            if geo.kind != INTERIOR_DISK or geo.gamma_min <= 0.0:
+                continue
+            gmin, gmax = geo.gamma_min, geo.gamma_max
+            step = rng.uniform() ** 4 * (gmax - gmin)
+            gain = gmin + step if rng.integers(2) else gmax - step
+            g = mpmath.mpf(gain)
+            want = mpmath.acos((g * g + mpmath.mpf(gmin) * gmax) / (g * (mpmath.mpf(gmin) + gmax)))
+            got = gain_phase_tradeoff(spec, gain=gain)
+            assert abs(got - want) <= 1e-15 * want
+            checked += 1
+    # the branches: outside the disk, and a gain whose rotation is unbounded
+    assert gain_phase_tradeoff(DiskSpec(0.75, 0.0), gain=2.3) is None
+    assert gain_phase_tradeoff(DiskSpec(1.5, -1.0), gain=0.25) == math.pi
+
+
 def test_safe_region_curve_contains_tradeoff_points():
     # rows are (gain_dB, phase_deg); sigma = 0 peaks its phase at 0 dB
     d = DiskSpec(0.75, 0.0)

@@ -611,6 +611,36 @@ def test_scalar_close_complex_factor():
     assert_allclose(eval_freq(closed, w), want, rtol=1e-9)
 
 
+def test_close_with_nothing_kept_is_the_autonomous_closed_loop():
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((4, 4)) - 3.0 * np.eye(4)
+    B, C = rng.standard_normal((4, 2)), rng.standard_normal((2, 4))
+    D = 0.3 * rng.standard_normal((2, 2))
+    closed = _close(StateSpace(A, B, C, D), [])
+    assert (closed.B.shape, closed.C.shape, closed.D.shape) == ((4, 0), (0, 4), (0, 0))
+    # the state matrix A - B (I + D)^-1 C of the sensitivity, bit for bit
+    S = sensitivity_pair(ss(A, B, C, D))[0].representation
+    assert np.array_equal(closed.A, S.A)
+    assert_allclose(closed.A, A - B @ np.linalg.solve(np.eye(2) + D, C), rtol=1e-12)
+    with pytest.raises(WellPosednessError):
+        _close(StateSpace(A, B, C, -np.eye(2)), [])
+
+
+def test_state_space_with_states_and_no_inputs_or_outputs():
+    A = np.array([[-1.0, 2.0], [0.0, -3.0]])
+    m = StateSpace(A, np.zeros((2, 0)), np.zeros((0, 2)), np.zeros((0, 0)))
+    assert (m.nstates, m.noutputs, m.ninputs) == (2, 0, 0)
+    assert_allclose(poles(m), [-3.0, -1.0])
+    # an empty B or C is still rejected where D has columns or rows
+    for B, C in ((np.zeros((2, 0)), [[1.0, 0.0]]), ([], [[1.0, 0.0]]),
+                 ([[1.0], [0.0]], np.zeros((0, 2)))):
+        with pytest.raises(InputError):
+            StateSpace(A, B, C, [[0.5]])
+    # without states an empty B and C are those of the static gain D
+    g = StateSpace([], [], [], [[1.0, 2.0]])
+    assert (g.B.shape, g.C.shape) == ((0, 2), (1, 0))
+
+
 def test_feedback_sign_normalization():
     # positive feedback on L is negative feedback on -L
     m = tf([1], [1, 1], feedback_sign="positive")

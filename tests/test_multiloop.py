@@ -30,14 +30,15 @@ from dmkit import (
     multiloop_margin,
     poles,
     scalar_close,
+    single_loop_margins,
     siso_loop,
     ss,
     tf,
     tfm,
     verify_multiloop_destabilizing,
 )
-from dmkit import multiloop
-from dmkit.multiloop import MDeltaSystem, _mu_upper
+from dmkit import DiskSpec, classical_margins, guaranteed_gm_pm, multiloop
+from dmkit.multiloop import MDeltaSystem, _broken_loop, _mu_upper
 from dmkit.specnorm import _peak_seed
 
 
@@ -423,25 +424,25 @@ def test_mdelta_system_fields():
     assert np.array_equal(sysm.poles, poles(sysm.M))
 
 
-def _three_channel_pair(seed):
-    """Stable 6-state 3x3 plant under a static gain near its inverse DC gain,
-    with a random coupling."""
+def _random_pair(seed, nch=3):
+    """Stable 2 nch-state plant with nch channels under a static gain near
+    its inverse DC gain, with a random coupling."""
     rng = np.random.default_rng(seed)
-    A = np.diag(-rng.uniform(0.2, 5.0, 6))
-    B = rng.standard_normal((6, 3))
-    C = rng.standard_normal((3, 6))
+    A = np.diag(-rng.uniform(0.2, 5.0, 2 * nch))
+    B = rng.standard_normal((2 * nch, nch))
+    C = rng.standard_normal((nch, 2 * nch))
     G0 = C @ np.linalg.solve(-A, B)
     K = np.linalg.pinv(G0) * rng.uniform(0.3, 1.0)
-    K = K + 0.2 * np.abs(K).max() * rng.standard_normal((3, 3))
-    return (ss(A, B, C, np.zeros((3, 3))),
-            ss(np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((3, 0)), K))
+    K = K + 0.2 * np.abs(K).max() * rng.standard_normal((nch, nch))
+    return (ss(A, B, C, np.zeros((nch, nch))),
+            ss(np.zeros((0, 0)), np.zeros((0, nch)), np.zeros((nch, 0)), K))
 
 
 @pytest.mark.parametrize("seed", [46, 53, 69])
 def test_three_channel_bracket_is_ordered(seed):
     # these loops have mu lower equal to the peak upper bound up to
     # rounding; the bracket must stay ordered with no tolerance at all
-    P, K = _three_channel_pair(seed)
+    P, K = _random_pair(seed)
     res = multiloop_margin(build_m(P, K, "input", 0.0))
     assert res.alpha_lower <= res.alpha_upper
     assert res.converged
@@ -451,7 +452,7 @@ def heavy_system(name):
     """The 4-channel satellite io loop, or a 3-channel pair at the input."""
     if name == "satellite io":
         return build_m(*satellite(), "io", 0.0)
-    return build_m(*_three_channel_pair(int(name.split()[-1])), "input", 0.0)
+    return build_m(*_random_pair(int(name.split()[-1])), "input", 0.0)
 
 
 @pytest.mark.parametrize("name", ["satellite io", "pair 46"])
@@ -575,7 +576,7 @@ def test_two_channel_upper_bound_with_a_zero_coupling(M, mu):
 
 @pytest.mark.parametrize("make", [
     lambda: build_m(*satellite(), "io", 0.0),
-    lambda: build_m(*_three_channel_pair(46), "input", 0.0),
+    lambda: build_m(*_random_pair(46), "input", 0.0),
 ], ids=["satellite io", "three channels"])
 def test_sweep_floor_keeps_the_largest_bound(make, monkeypatch):
     sysm = make()
@@ -626,6 +627,57 @@ def test_build_m_accepts_small_or_badly_scaled_i_plus_d(D, inv):
 def test_build_m_rejects_singular_i_plus_d(D):
     with pytest.raises(WellPosednessError):
         build_m(static_plant(D), None, "input", 0.0)
+
+
+LOOP_CASES = {
+    "satellite input": (satellite, "input"),
+    "satellite output": (satellite, "output"),
+    "satellite io": (satellite, "io"),
+    "2-channel pair io": (lambda: _random_pair(4, 2), "io"),
+    "3-channel pair input": (lambda: _random_pair(46), "input"),
+}
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+def test_single_loop_margins_read_the_diagonal_of_m(case, sigma):
+    # each row is the loop broken at its point alone: classical margins
+    # field for field, and M_jj = S_j + (sigma - 1)/2 for the disk margin,
+    # a different realization of the same function
+    make, points = LOOP_CASES[case]
+    P, K = make()
+    sysm = build_m(P, K, points, sigma)
+    rows = single_loop_margins(sysm)
+    assert len(rows) == sysm.n == len(sysm.points)
+    for i, (cm, dm) in zip(sysm.points, rows):
+        L = LtiModel(_broken_loop(P, K, [i])[0])
+        assert cm == classical_margins(L)
+        assert dm.spec.alpha == pytest.approx(disk_margin(L, sigma).spec.alpha, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, -0.5])
+def test_loop_at_a_time_equals_the_margins_of_its_loop(sigma):
+    # a one-point M is bit for bit the shifted sensitivity disk_margin builds
+    for P, K in (satellite(), _random_pair(4, 2), _random_pair(46)):
+        m = P.ninputs
+        for loc, offset, size in (("input", 0, m), ("output", m, P.noutputs)):
+            for ch in range(size):
+                L = LtiModel(_broken_loop(P, K, [offset + ch])[0])
+                cm, dm = loop_at_a_time(P, K, ch, loc, sigma)
+                assert cm == classical_margins(L)
+                assert dm == disk_margin(L, sigma)
+
+
+@pytest.mark.parametrize("make, sigma", [
+    (satellite, 0.0), (satellite, 1.0), (lambda: _random_pair(46), -0.5),
+    # M = S - I = 0 for a zero plant at sigma = -1: an infinite alpha_lower
+    (lambda: (static_plant(np.zeros((2, 2))), None), -1.0),
+])
+def test_multiloop_result_carries_its_disk(make, sigma):
+    res = multiloop_margin(build_m(*make(), "input", sigma))
+    gm, pm = guaranteed_gm_pm(DiskSpec(res.alpha_lower, sigma))
+    assert (res.guaranteed_gm, res.guaranteed_pm) == (gm, pm)
+    assert (res.geometry is None) == math.isinf(res.alpha_lower)
 
 
 def test_siso_loop_entry_point():

@@ -95,9 +95,10 @@ def add_noise(draw):
         r = getattr(m, "representation", m)
         if hasattr(r, "A") and r.A.size:
             w = np.asarray(ws, dtype=float).reshape(-1)
-            dist = np.abs(1j * w[:, None] - np.linalg.eigvals(r.A)).min(axis=1)
             fin = np.isfinite(w)
-            level[fin] += np.finfo(float).eps * (np.abs(w[fin]) + np.linalg.norm(r.A)) / dist[fin]
+            # finite w only: 1j * inf is nan + inf j, with a RuntimeWarning
+            dist = np.abs(1j * w[fin, None] - np.linalg.eigvals(r.A)).min(axis=1)
+            level[fin] += np.finfo(float).eps * (np.abs(w[fin]) + np.linalg.norm(r.A)) / dist
         u = rng.uniform(-1.0, 1.0, vals.shape) + 1j * rng.uniform(-1.0, 1.0, vals.shape)
         return vals * (1.0 + level.reshape((-1,) + (1,) * (vals.ndim - 1)) * u), ok
 
