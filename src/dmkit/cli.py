@@ -40,7 +40,7 @@ from .disk import (
     worst_perturbation_lti,
 )
 from .errors import ConstructionError, DmkitError, DomainError, InputError
-from .lti import LtiModel, StateSpace, TransferFunction, eval_freq, freq_response
+from .lti import LtiModel, StateSpace, TransferFunction, freq_response
 from .multiloop import build_m, multiloop_margin, single_loop_margins, siso_loop
 from .specnorm import FrequencyGrid, default_grid
 
@@ -369,8 +369,7 @@ def cmd_mimo(args):
         "delta_worst": deltas,
     }
     if res.delta_worst is not None:
-        M0 = np.atleast_2d(eval_freq(sys_md.M, res.omega_crit))
-        resid = abs(np.linalg.det(np.eye(sys_md.n) - M0 @ res.delta_worst))
+        resid = abs(np.linalg.det(np.eye(sys_md.n) - res.m0 @ res.delta_worst))
         results["certificate"] = {
             "det_residual": _jnum(resid),
             "delta_norm": _jnum(float(np.max(np.abs(np.diag(res.delta_worst))))),

@@ -54,7 +54,7 @@ from .lti import (
     scalar_close,
     sensitivity_pair,
 )
-from .specnorm import FrequencyGrid, PeakGain, default_grid, hinf_norm
+from .specnorm import FrequencyGrid, PeakGain, _peak_gain, default_grid, hinf_norm
 
 __all__ = [
     "DiskSpec",
@@ -323,7 +323,7 @@ def disk_margin(L, sigma=0.0):
     -------
     DiskMarginResult
         alpha_max = 1 / peak gain of S + (sigma - 1)/2, the frequency
-        where the peak occurs (lowest such frequency on ties), the
+        where the peak occurs (the lowest of distinct peaks that tie), the
         boundary perturbation delta0 = 1/(S(j w0) + (sigma - 1)/2), its
         image f0 (math.inf sentinel in the trivial case L(j w0) = 0,
         where delta0 = 2/(1 + sigma) and the loop is simply switched
@@ -340,11 +340,12 @@ def disk_margin(L, sigma=0.0):
     return _disk_result(_shifted_sensitivity(L, sigma), sigma)
 
 
-def _disk_result(shifted, sigma):
+def _disk_result(shifted, sigma, pole_set=None):
     """disk_margin's result from a loop's shifted sensitivity S + (sigma - 1)/2,
-    as built there or as the diagonal entry of multiloop's M."""
+    as built there or as the diagonal entry of multiloop's M, whose poles
+    the caller passes as pole_set when it already holds them."""
     try:
-        pk = hinf_norm(shifted)
+        pk = hinf_norm(shifted) if pole_set is None else _peak_gain(_as_model(shifted), pole_set)
     except DomainError as e:
         raise NominalInstabilityError("nominal closed loop is unstable") from e
     if pk.value == 0.0:

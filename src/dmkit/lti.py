@@ -48,6 +48,8 @@ _MODAL_COND = 1e4
 # error bound, relative to the value, above which a point of the modal
 # kernel is solved by stacked LU instead
 _MODAL_RTOL = 1e-10
+# unit roundoff of the floats every kernel works in
+_EPS = np.finfo(float).eps
 # relative rank tolerance of _minreal's reachable and observable projections
 _MINREAL_TOL = 1e-8
 
@@ -113,7 +115,7 @@ class Polynomial:
         return self.coeffs.size == 1 and self.coeffs[0] == 0
 
     def __call__(self, s):
-        return np.polyval(self.coeffs, s)
+        return _horner(self.coeffs, s)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -485,14 +487,26 @@ def _response_tf(r, ws):
     else:
         vals[inf] = np.nan
         ok[inf] = False
-    w = ws[~inf]
+    fin = ~inf
+    w = ws[fin]
     s = 1j * w
     dv = r.den(s)
-    hit = np.isnan(w) | (np.abs(dv) <= 1e-12 * (np.polyval(np.abs(r.den.coeffs), np.abs(w)) + 1.0))
+    hit = np.isnan(w) | (np.abs(dv) <= 1e-12 * (_horner(np.abs(r.den.coeffs), np.abs(w)) + 1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals[~inf] = np.where(hit, np.nan, r.num(s) / dv)
-    ok[~inf] = ~hit
+        vals[fin] = np.where(hit, np.nan, r.num(s) / dv)
+    ok[fin] = ~hit
     return vals, ok
+
+
+def _horner(coeffs, x):
+    """np.polyval(coeffs, x) bit for bit, its recurrence y = y x + c from
+    y = 0, over the coefficients as Python numbers: a short grid pays for
+    the arithmetic, not for numpy scalars."""
+    x = np.asanyarray(x)
+    y = np.zeros_like(x)
+    for c in coeffs.tolist():
+        y = y * x + c
+    return y
 
 
 def _large_real(r):
@@ -504,11 +518,13 @@ def _modal_form(r):
     """The modal data of the real state-space model r, computed once and
     kept on r: from lam, V = eig(A), the eigenvalues lam, the residues
     res[i, j, k] = (C V)_ik (V^-1 B)_kj with the mode axis last, their
-    largest modulus per mode, cond(V) and ||A||_F.  None when cond(V)
-    exceeds _MODAL_COND or A is not finite: the stacked LU solves then
-    evaluate every point."""
+    largest modulus per mode, cond(V) and ||A||_F.  None when r is not
+    _large_real, when cond(V) exceeds _MODAL_COND or when A is not
+    finite: the stacked LU solves then evaluate every point."""
     if r._modal is None:
         r._modal = False
+        if not _large_real(r):
+            return None
         try:
             lam, V = np.linalg.eig(r.A)
         except np.linalg.LinAlgError:
@@ -534,14 +550,13 @@ def _sum_modes(modal, w, D):
     themselves, which dominates within rounding distance of a pole.
     """
     lam, res, size, cond, norm = modal
-    eps = np.finfo(float).eps
     d = np.empty((w.size, lam.size), dtype=complex)
     d.real, d.imag = -lam.real, w[:, None] - lam.imag
     vals = (res / d[:, None, None, :]).sum(axis=-1) + D
     dist = np.abs(d)
-    pole = dist.min(axis=1) <= lam.size * eps * norm
+    pole = dist.min(axis=1) <= lam.size * _EPS * norm
     vals[pole] = np.nan
-    err = eps * cond * (size / dist * (1.0 + norm / dist)).sum(axis=1)
+    err = _EPS * cond * (size / dist * (1.0 + norm / dist)).sum(axis=1)
     return vals, ~pole & (err > _MODAL_RTOL * np.abs(vals).max(axis=(1, 2)))
 
 
@@ -550,10 +565,10 @@ def _response_ss(r, ws):
     vals = np.empty((ws.size, p, m), dtype=complex)
     vals[...] = r.D
     # only w = +-inf reads the feedthrough; a nan pencil gives a nan value
-    fin = np.flatnonzero(~np.isinf(ws))
+    fin = (~np.isinf(ws)).nonzero()[0]
     if n == 0 or fin.size == 0:
         return vals, np.ones(ws.size, dtype=bool)
-    modal = _modal_form(r) if _large_real(r) else None
+    modal = _modal_form(r)
     if modal is not None:
         # points per sum: the pencil diagonals, the terms and the bound's
         # temporaries, within the working-set budget
@@ -568,11 +583,10 @@ def _response_ss(r, ws):
     # modal kernel, the guarded points of one on it.  Points per solve:
     # the pencils, LAPACK's copy of them and the solutions, all complex,
     # within the working-set budget
-    eye = np.eye(n)
     step = max(1, _CHUNK_BYTES // (16 * n * (2 * n + m)))
     for k in range(0, fin.size, step):
         idx = fin[k : k + step]
-        M = (1j * ws[idx])[:, None, None] * eye - r.A
+        M = (1j * ws[idx])[:, None, None] * np.eye(n) - r.A
         try:
             X = np.linalg.solve(M, r.B)
         except np.linalg.LinAlgError:
@@ -584,8 +598,9 @@ def _response_ss(r, ws):
                 except np.linalg.LinAlgError:
                     pass
         vals[idx] = r.C @ X + r.D
-    ok = np.all(np.isfinite(vals), axis=(1, 2))
-    vals[~ok] = np.nan
+    ok = np.isfinite(vals).all(axis=(1, 2))
+    if not ok.all():
+        vals[~ok] = np.nan
     return vals, ok
 
 

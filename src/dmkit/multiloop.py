@@ -86,7 +86,8 @@ class MultiLoopResult:
 
     alpha_lower is 1 over the largest mu upper bound the sweep sampled,
     not certified between samples; alpha_upper comes with a certificate
-    perturbation delta_worst at omega_crit.
+    perturbation delta_worst at omega_crit, and m0 is M(j omega_crit),
+    the response it was computed from.
     geometry describes the disk of radius alpha_lower (None when infinite),
     guaranteed_gm and guaranteed_pm its gains and phase.  inconclusive_gap
     is set when the bracket is wider than 10 percent.  converged is False
@@ -97,6 +98,7 @@ class MultiLoopResult:
     alpha_upper: float
     omega_crit: float
     delta_worst: object
+    m0: object
     geometry: object
     guaranteed_gm: tuple
     guaranteed_pm: float
@@ -510,7 +512,8 @@ def multiloop_margin(sys):
 
     # mu lower <= mu <= every D-scaled bound; _mu_lower clamps against the
     # sweep's own peak, which keeps the bracket ordered through rounding
-    mu = _mu_lower(np.atleast_2d(eval_freq(sys.M, omega_crit)), peak_ub, xs[k])
+    m0 = np.atleast_2d(eval_freq(sys.M, omega_crit))
+    mu = _mu_lower(m0, peak_ub, xs[k])
     alpha_lower = 1.0 / peak_ub if peak_ub > 0 else math.inf
     alpha_upper = 1.0 / mu.lower if mu.lower > 0 else math.inf
     gap = (
@@ -523,6 +526,7 @@ def multiloop_margin(sys):
         alpha_upper=alpha_upper,
         omega_crit=omega_crit,
         delta_worst=mu.delta_worst,
+        m0=m0,
         geometry=geometry if math.isfinite(alpha_lower) else None,
         guaranteed_gm=gm,
         guaranteed_pm=pm,
@@ -537,11 +541,13 @@ def single_loop_margins(sys):
     sys.points[j] alone, and the disk margin of M_jj = S_j + (sigma - 1)/2,
     M's diagonal entry, with S_j the sensitivity of that same loop.  So
     no loop is rebuilt; a one-channel M is exactly the shifted
-    sensitivity disk_margin builds for its loop.
+    sensitivity disk_margin builds for its loop.  Each M_jj shares M's A,
+    so its peak search takes sys.poles instead of solving for them again.
     """
     r = sys.M.representation
     return [(classical_margins(_close(sys.loop, [i])),
-             _disk_result(StateSpace(r.A, r.B[:, [j]], r.C[[j], :], r.D[[j]][:, [j]]), sys.sigma))
+             _disk_result(StateSpace(r.A, r.B[:, [j]], r.C[[j], :], r.D[[j]][:, [j]]), sys.sigma,
+                          sys.poles))
             for j, i in enumerate(sys.points)]
 
 

@@ -1,5 +1,6 @@
-"""The noise helper of the same-answers gate, tools/compare_outputs.py."""
+"""Helpers of the same-answers gate, tools/compare_outputs.py."""
 
+import json
 import os
 import subprocess
 import sys
@@ -24,3 +25,20 @@ def test_noisy_response_is_quiet_at_infinite_frequency():
     out = subprocess.run([sys.executable, "-W", "error", "-c", probe],
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_largest_peak_fall_reports_the_command():
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    try:
+        import compare_outputs
+    finally:
+        sys.path.remove(os.path.join(ROOT, "tools"))
+
+    def doc(value):
+        return json.dumps({"results": {"peak_gain": {"value": value, "frequency": 1.0}}})
+
+    pairs = [("rise", doc(3.0), doc(3.1)), ("fall", doc(2.0), doc(2.0 * (1 - 1e-11))),
+             ("csv", "w,alpha\n1.0,2.0", "w,alpha\n1.0,2.0"), ("no peak", "{}", "{}")]
+    fall, key = compare_outputs.largest_peak_fall(pairs)
+    assert key == "fall" and abs(fall - 1e-11) <= 1e-15
+    assert compare_outputs.largest_peak_fall(pairs[:1]) == (0.0, None)

@@ -56,6 +56,24 @@ def test_polynomial_basic():
     assert_allclose(z.coeffs, [0.0])
 
 
+def test_polynomial_evaluation_is_polyval_bit_for_bit():
+    # the evaluator behind every transfer-function response: np.polyval's
+    # values and types, at scalars and arrays, real and complex
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        c = rng.standard_normal(rng.integers(1, 12)) * 10.0 ** rng.uniform(-6, 6)
+        if rng.random() < 0.3:
+            c = c + 1j * rng.standard_normal(c.size)
+        p = Polynomial(c)
+        for x in (rng.uniform(-50, 50), 1j * rng.uniform(0, 50), 3,
+                  rng.uniform(-50, 50, rng.integers(1, 6)),
+                  1j * rng.uniform(0, 1e4, rng.integers(1, 6)), np.array([np.nan, 0.0])):
+            want, got = np.polyval(p.coeffs, x), p(x)
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_polynomial_arithmetic():
     a = Polynomial([1, 1])      # s + 1
     b = Polynomial([1, -1])     # s - 1

@@ -37,7 +37,7 @@ from dmkit import (
     tfm,
     verify_multiloop_destabilizing,
 )
-from dmkit import DiskSpec, classical_margins, guaranteed_gm_pm, multiloop
+from dmkit import DiskSpec, classical_margins, guaranteed_gm_pm, multiloop, specnorm
 from dmkit.multiloop import MDeltaSystem, _broken_loop, _mu_upper
 from dmkit.specnorm import _peak_seed
 
@@ -678,6 +678,27 @@ def test_multiloop_result_carries_its_disk(make, sigma):
     gm, pm = guaranteed_gm_pm(DiskSpec(res.alpha_lower, sigma))
     assert (res.guaranteed_gm, res.guaranteed_pm) == (gm, pm)
     assert (res.geometry is None) == math.isinf(res.alpha_lower)
+
+
+@pytest.mark.parametrize("points", ["input", "io"])
+def test_single_loop_margins_reuse_the_poles_of_m(monkeypatch, points):
+    # each M_jj shares M's A, so its peak search takes sys.poles instead of
+    # solving for them again, and the rows stay the same
+    sysm = build_m(*satellite(), points, 0.0)
+    want = single_loop_margins(sysm)
+
+    def no_poles(m):
+        raise AssertionError("the poles of M were solved again")
+
+    monkeypatch.setattr(specnorm, "poles", no_poles)
+    assert single_loop_margins(sysm) == want
+
+
+@pytest.mark.parametrize("make, points", [(satellite, "io"), (lambda: _random_pair(46), "input")])
+def test_multiloop_result_carries_m_at_omega_crit(make, points):
+    sysm = build_m(*make(), points, 0.0)
+    res = multiloop_margin(sysm)
+    assert np.array_equal(res.m0, np.atleast_2d(eval_freq(sysm.M, res.omega_crit)))
 
 
 def test_siso_loop_entry_point():

@@ -3,6 +3,7 @@ import math
 from importlib import resources
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from numpy.testing import assert_allclose
 from dmkit import (FrequencyGrid, InputError, default_grid, disk_margin, hinf_norm,
                    sensitivity_pair, ss, tf)
 from dmkit import specnorm
+from dmkit.disk import _shifted_sensitivity
 
 DATA = Path(__file__).parent / "data"
 
@@ -172,6 +174,100 @@ def test_disk_margin_takes_few_hamiltonian_solves(monkeypatch, name):
         calls.clear()
         disk_margin(L, sigma)
         assert 1 <= len(calls) <= 8, (sigma, len(calls))
+
+
+@pytest.mark.parametrize("name", ["ex1_loop", "resonant_loop"])
+@pytest.mark.parametrize("sigma", [0.0, 1.0, -1.0])
+def test_hinf_certifies_its_climb_with_one_hamiltonian_solve(monkeypatch, name, sigma):
+    # the climb lands on the peak, so the first level above it is already
+    # crossing-free: one eigenvalue solve certifies the answer
+    shifted = _shifted_sensitivity(_bundled_loop(name), sigma)
+    calls = _record_crossings(monkeypatch)
+    pk = hinf_norm(shifted)
+    assert len(calls) == 1
+    gamma, freqs = calls[0]
+    assert gamma == pk.value * (1.0 + 0.5 * specnorm._TOL)
+    assert freqs is not None and freqs.size == 0
+
+
+def _mp_peak(gain, lo, hi):
+    """Largest of the mpmath function gain on [lo, hi], where it is
+    unimodal: golden-section search to 40 digits."""
+    mpmath.mp.dps = 50
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+    r = (mpmath.sqrt(5) - 1) / 2
+    a, b = hi - r * (hi - lo), lo + r * (hi - lo)
+    ga, gb = gain(a), gain(b)
+    while hi - lo > mpmath.mpf(10) ** -40 * hi:
+        if ga > gb:
+            hi, b, gb = b, a, ga
+            a = hi - r * (hi - lo)
+            ga = gain(a)
+        else:
+            lo, a, ga = a, b, gb
+            b = lo + r * (hi - lo)
+            gb = gain(b)
+    return a, ga
+
+
+def test_hinf_climbs_a_resonance_above_the_seed():
+    # bench/known_defects.py's hinf-misses-peak loop (diskmargin --skew 1,
+    # so the peak of |S|): a closed-loop resonance at 5.9388 rad/s with
+    # Re p = -0.0948, closed-loop coefficients up to 7e10.  The level set
+    # from the seed's best gain stopped 4.8e-6 short of it; the climb
+    # from the pole's frequency reaches the top
+    num = [7981092143.5604315, 11869338118.6599, 3856923210.7540092]
+    den = [1.0, 104.98983713954811, 4999.2253545562735, 142055.37792726152,
+           2668932.4999136375, 34909952.17696232, 327218175.7664827,
+           2213242515.9045606, 10570562935.472857, 33544213774.16935,
+           61915225445.53178, 47322729456.04601]
+    pk = hinf_norm(sensitivity_pair(tf(num, den))[0])
+    # oracle: |den / (den + num)| at jw in 50-digit arithmetic, searched
+    # across the resonance of the closed-loop pole numpy's roots give
+    closed = np.roots(np.polyadd(den, num))
+    p = closed[np.argmin(np.where(closed.imag > 0, -closed.real, np.inf))]
+    dm, cm = ([mpmath.mpf(c) for c in den], [mpmath.mpf(c) for c in np.polyadd(den, num)])
+
+    def gain(w):
+        s = mpmath.mpc(0, w)
+        return abs(mpmath.polyval(dm, s) / mpmath.polyval(cm, s))
+
+    w_peak, want = _mp_peak(gain, p.imag + 2 * p.real, p.imag - 2 * p.real)
+    assert_allclose(pk.value, float(want), rtol=1e-6)
+    assert pk.value <= float(want) * (1 + 1e-12)
+    assert_allclose(pk.frequency, float(w_peak), rtol=1e-6)
+
+
+def test_pick_lowest_chooses_between_distinct_peaks_only():
+    # two peaks within 1e-9 of each other, apart from a lower sample: the
+    # lower frequency wins, though the upper one is higher
+    cand = [(0.0, 0.5), (1.0, 2.0 * (1 - 1e-11)), (1.1, 2.0 * (1 - 5e-10)), (3.0, 1.0),
+            (10.0, 2.0), (math.inf, 0.5)]
+    assert specnorm._pick_lowest(cand, 2.0) == 1.0
+    # one flat peak, every sample near its top within 1e-9 of the best:
+    # its best sample wins, not its lowest
+    cand = [(0.0, 0.5), (0.99, 2.0 * (1 - 5e-10)), (1.0, 2.0 * (1 - 1e-10)), (1.01, 2.0),
+            (1.02, 2.0 * (1 - 3e-10)), (3.0, 1.0)]
+    assert specnorm._pick_lowest(cand, 2.0) == 1.01
+    # exact ties on one peak go to the lower frequency
+    assert specnorm._pick_lowest([(1.0, 2.0), (1.5, 2.0), (2.0, 1.0)], 2.0) == 1.0
+
+
+def test_hinf_reports_the_lower_of_two_equal_peaks():
+    # diag(G(s), (1 + 1e-11) G(s/10)), G = 1/(s^2 + 0.02 s + 1): the peak
+    # at 10 rad/s is 1e-11 higher, within the 1e-9 tie, so the one near
+    # 1 rad/s is reported, on its own top sqrt(1 - 2 zeta^2)
+    A = np.zeros((4, 4))
+    A[:2, :2] = [[0.0, 1.0], [-1.0, -0.02]]
+    A[2:, 2:] = [[0.0, 1.0], [-100.0, -0.2]]
+    B = np.zeros((4, 2))
+    B[1, 0] = B[3, 1] = 1.0
+    C = np.zeros((2, 4))
+    C[0, 0], C[1, 2] = 1.0, 100.0 * (1 + 1e-11)
+    pk = hinf_norm(ss(A, B, C, np.zeros((2, 2))))
+    zeta = 0.01
+    assert_allclose(pk.value, 1.0 / (2 * zeta * math.sqrt(1 - zeta * zeta)), rtol=1e-10)
+    assert_allclose(pk.frequency, math.sqrt(1 - 2 * zeta * zeta), rtol=1e-9)
 
 
 def test_hinf_stops_at_near_double_crossing(monkeypatch):

@@ -17,7 +17,10 @@ relative difference among the rest.  For each key of a JSON document's
 key's value differs and the largest relative difference in it, and for
 each column of CSV output (the trace commands) the number of commands
 and of fields in which it differs and its largest relative difference.
-Last come each tree's largest certificate det_residual over the mimo
+Then comes the largest relative fall of results.peak_gain.value (the
+diskmargin commands) from the parent to the change, with its command:
+an attained gain, which a same-answers change should not lower.  Last
+come each tree's largest certificate det_residual over the mimo
 commands, its largest alpha_upper / min(loop_at_a_time alpha_max) over
 the same commands (the simultaneous margin cannot exceed the
 loop-at-a-time one, so above 1 the mu sweep missed a peak), and the
@@ -296,6 +299,22 @@ def largest_det_residual(runs):
     return max(residuals, default=math.nan)
 
 
+def largest_peak_fall(pairs):
+    """(largest relative fall of results.peak_gain.value from the parent
+    to the change, key of its command) over the (key, parent stdout,
+    change stdout) triples; (0.0, None) when no value fell."""
+    worst, worst_key = 0.0, None
+    for key, a, b in pairs:
+        ra, rb = results_of(a), results_of(b)
+        try:
+            va, vb = float(ra["peak_gain"]["value"]), float(rb["peak_gain"]["value"])
+        except (TypeError, KeyError):
+            continue
+        if vb < va and relative(va, vb) > worst:
+            worst, worst_key = relative(va, vb), key
+    return worst, worst_key
+
+
 def largest_alpha_ratio(runs):
     """The largest results.alpha_upper / min(results.loop_at_a_time
     alpha_max) among the commands whose output carries both (the mimo
@@ -434,6 +453,9 @@ def main(argv):
     for name, (count, fields, rel) in sorted(columns.items()):
         print("  {}: {} commands, {} fields, largest relative difference {:.3g}".format(
             name, count, fields, rel))
+    fall, fall_key = largest_peak_fall((p["key"], p["stdout"], c["stdout"]) for p, c in zip(parent, change))
+    print("largest relative fall of peak_gain.value: {:.3g}{}".format(
+        fall, " ({})".format(fall_key) if fall_key else ""))
     print("largest mimo certificate det_residual: {:.3g} -> {:.3g}".format(
         largest_det_residual(parent), largest_det_residual(change)))
     print("largest mimo alpha_upper / min loop-at-a-time alpha_max: {!r} -> {!r}".format(
