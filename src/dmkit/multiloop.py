@@ -11,10 +11,10 @@ mu itself is only bracketed: a diagonally scaled largest singular value
 from above, the spectral radius under closed-form diagonal phases from
 below, with a phase ascent where those leave the bracket open; one
 descent routine serves the scaling and the ascent.  The margin inherits
-that bracket, [1/peak_upper, 1/peak_lower].  log sigma_max(D M D^-1) is
-convex in log D (Sezginer & Overton 1990), so each zoom round of the
-peak search starts its descent from the scaling the last round found,
-and the lower bound at the peak reuses the sweep's bound and scaling.
+that bracket, [1/peak_upper, 1/peak_lower].  The peak is found as in
+hinf_norm: sweep, then climb.  log sigma_max(D M D^-1) is convex in
+log D (Sezginer & Overton 1990), so each step of the climb descends from
+the scaling of the highest sample so far.
 """
 
 import math
@@ -27,12 +27,10 @@ from .disk import (_allpass, _disk_report, _disk_result, _shifted_sensitivity, d
 from .classical import classical_margins
 from .errors import ConstructionError, InputError, NominalInstabilityError, WellPosednessError
 from .lti import (LtiModel, StateSpace, TransferFunction, _as_model, _blkdiag, _close,
-                  eval_freq, freq_response, poles, scalar_close, tf_to_ss)
-from .specnorm import _peak_seed
+                  freq_response, poles, scalar_close, tf_to_ss)
+from .specnorm import _climb_peaks, _peak_seed, _pick_lowest
 
 _RESTARTS = 5  # uniform and fixed random starts of the mu lower bound's fallback ascent
-# samples per round and narrowing rounds of the peak zoom
-_ZOOM_POINTS, _ZOOM_ROUNDS = 9, 12
 
 __all__ = [
     "MDeltaSystem",
@@ -84,10 +82,10 @@ class MuResult:
 class MultiLoopResult:
     """Simultaneous margin bracket [alpha_lower, alpha_upper].
 
-    alpha_lower is 1 over the largest mu upper bound the sweep sampled,
+    alpha_lower is 1 over the largest mu upper bound the search sampled,
     not certified between samples; alpha_upper comes with a certificate
     perturbation delta_worst at omega_crit, and m0 is M(j omega_crit),
-    the response it was computed from.
+    the search's own sample it was computed from.
     geometry describes the disk of radius alpha_lower (None when infinite),
     guaranteed_gm and guaranteed_pm its gains and phase.  inconclusive_gap
     is set when the bracket is wider than 10 percent.  converged is False
@@ -412,7 +410,8 @@ def mu_diag(M0):
         the phases from six starts, that one, the uniform vector and four
         fixed random ones, and converged is False when the best start
         hit the iteration cap.  multiloop_margin runs only this lower
-        bound at its peak, with the sweep's bound and scaling as upper.
+        bound at its peak, with its highest sample's bound and scaling as
+        upper.
     """
     M0 = np.atleast_2d(np.asarray(M0, dtype=complex))
     n = M0.shape[0]
@@ -454,19 +453,20 @@ def _mu_lower(M0, upper, x):
 
 def _upper_on(sys, ws, x0=None):
     """mu upper bound of M(jw) at each frequency, -inf where jw is a pole,
-    and the log D that gives it (0 at a pole); descents start from x0 when
-    given.  Only the largest bound and where it lies are those of the full
-    descent; other frequencies may hold looser valid bounds (the sweep
-    floor of _mu_upper)."""
+    the log D that gives it (0 at a pole) and the (N, n, n) stack M(jw);
+    descents start from x0 when given.  Only the largest bound and where
+    it lies are those of the full descent; other frequencies may hold
+    looser valid bounds (the sweep floor of _mu_upper)."""
     vals, ok = freq_response(sys.M, ws)
-    out, x = np.full(len(ws), -math.inf), np.zeros((len(ws), sys.n))
+    Ms = vals.reshape(-1, sys.n, sys.n)
+    out, x = np.full(len(Ms), -math.inf), np.zeros((len(Ms), sys.n))
     if ok.any():
-        out[ok], x[ok] = _mu_upper(vals[ok].reshape(-1, sys.n, sys.n), sweep=True, x0=x0)
-    return out, x
+        out[ok], x[ok] = _mu_upper(Ms[ok], sweep=True, x0=x0)
+    return out, x, Ms
 
 
 def multiloop_margin(sys):
-    """Peak-mu sweep giving the simultaneous disk-margin bracket.
+    """Peak-mu search giving the simultaneous disk-margin bracket.
 
     Parameters
     ----------
@@ -477,43 +477,39 @@ def multiloop_margin(sys):
     MultiLoopResult
         alpha_lower = 1/(the largest mu upper bound sampled) and
         alpha_upper = 1/(mu lower at omega_crit), with the certificate
-        delta_worst; alpha_lower <= alpha_upper holds exactly.  The sweep
-        starts from hinf_norm's peak seed, 400 log-spaced points over the
-        dynamics of M plus the imaginary part of each pole of M, in one
-        batched frequency response and upper bound.  A zoom between the
-        neighbours of the best sample then takes _ZOOM_ROUNDS rounds of
-        _ZOOM_POINTS log-spaced samples, each narrowed to the two
-        spacings around the last round's best and descending from its
-        scaling.  omega_crit is the best sample of all, the lowest among
-        exact ties; mu_diag's lower bound runs there with that sample's
-        bound and scaling, so no descent repeats.  alpha_lower is not
-        certified: a peak narrower than the spacing away from the pole
-        frequencies can still be missed.
+        delta_worst; alpha_lower <= alpha_upper holds exactly.  Sweep,
+        then climb, as in hinf_norm: one batched frequency response and
+        upper bound on hinf_norm's peak seed (400 log-spaced points over
+        the dynamics of M, and each pole's frequency), then
+        specnorm._climb_peaks, each 3-point stencil descending from the
+        scaling of the highest sample so far.  omega_crit is
+        specnorm._pick_lowest of all samples; mu_diag's lower bound runs
+        there with that sample's M, bound and scaling, so no response or
+        descent repeats.  alpha_lower is not certified: a peak narrower
+        than the spacing away from the pole frequencies can be missed.
     """
+    # seen: frequency -> (bound, log D, M) of its highest sample; top:
+    # bound and log D of the highest sample of all
+    seen, top = {}, [-math.inf, None]
+
+    def bounds(ws):
+        out, x, Ms = _upper_on(sys, ws, top[1])
+        for w, b, xk, mk in zip(ws.tolist(), out.tolist(), x, Ms):
+            if b > seen.get(w, (-math.inf,))[0]:
+                seen[w] = b, xk, mk
+            if b > top[0]:
+                top[:] = b, xk
+        return out
+
     pts = _peak_seed(sys.M, 400, sys.poles)
-    vals, x = _upper_on(sys, pts)
-    rounds = [(pts, vals, x)]
-    i = int(np.argmax(vals))
-    # the zoom needs finite positive neighbours (pts[0] = 0, pts[-1] = inf)
-    if 1 < i < pts.size - 2:
-        lo, hi = np.log(pts[[i - 1, i + 1]])
-        for _ in range(_ZOOM_ROUNDS):
-            z = np.exp(np.linspace(lo, hi, _ZOOM_POINTS))
-            vals, x = _upper_on(sys, z, x[np.argmax(vals)])
-            rounds.append((z, vals, x))
-            half = (hi - lo) / (_ZOOM_POINTS - 1)
-            c = np.log(z[np.argmax(vals)])
-            lo, hi = c - half, c + half
-    ws, us, xs = map(np.concatenate, zip(*rounds))
-    peak_ub = float(us.max())
-    k = np.flatnonzero(us == peak_ub)
-    k = k[np.argmin(ws[k])]
-    omega_crit = float(ws[k])
+    cand = list(zip(pts.tolist(), bounds(pts).tolist()))
+    peak_ub = _climb_peaks(bounds, cand, sys.poles)
+    omega_crit = _pick_lowest(cand, peak_ub)
+    ub, x, m0 = seen[omega_crit]
 
     # mu lower <= mu <= every D-scaled bound; _mu_lower clamps against the
-    # sweep's own peak, which keeps the bracket ordered through rounding
-    m0 = np.atleast_2d(eval_freq(sys.M, omega_crit))
-    mu = _mu_lower(m0, peak_ub, xs[k])
+    # sample's own bound, which keeps the bracket ordered through rounding
+    mu = _mu_lower(m0, ub, x)
     alpha_lower = 1.0 / peak_ub if peak_ub > 0 else math.inf
     alpha_upper = 1.0 / mu.lower if mu.lower > 0 else math.inf
     gap = (

@@ -163,7 +163,7 @@ def hinf_norm(m):
     times (1 + _TOL/2) certifies it when it finds no crossings, which is
     the common case: one eigenvalue solve.  Crossings send the search to
     the best gain between them, climbed in turn.  The mu sweep of
-    multiloop_margin starts from the same seed.
+    multiloop_margin shares the seed and the climb (_climb_peaks).
 
     Parameters
     ----------
@@ -210,25 +210,8 @@ def _peak_gain(m, pole_set):
         w0 = _pick_lowest(cand, lo)
         return PeakGain(lo, 0.0 if w0 == math.inf else w0)
 
-    # a climb from a pole's frequency starts at the width of its
-    # resonance, |Re p|; any other at a quarter of the distance to the
-    # nearest sample
-    width = {}
-    for p in pole_set[pole_set.imag > 0.0].tolist():
-        width[p.imag] = min(width.get(p.imag, math.inf), -p.real)
-
-    def climb(best):
-        for w in _peaks(cand, best):
-            if w < math.inf:
-                h = width.get(w)
-                if h is None:
-                    fs = np.array([x for x, _ in cand])
-                    h = 0.25 * np.abs(fs[fs != w] - w).min()
-                _climb(m, cand, w, h)
-        return max(g for _, g in cand)
-
-    lo = climb(lo)
     for _ in range(_MAX_LEVELS):
+        lo = _climb_peaks(lambda ws: _gains(m, ws), cand, pole_set)
         level = lo * (1.0 + 0.5 * _TOL)
         freqs = _axis_crossings(A, B, C, D, level)
         # the gain peaks between paired crossings of a level it exceeds
@@ -242,15 +225,33 @@ def _peak_gain(m, pole_set):
         # the eigenvalue test reports next to the peak
         if best <= level:
             return PeakGain(best, _pick_lowest(cand, best))
-        lo = climb(best)
     raise NumericalError("peak-gain level set did not settle")
 
 
-def _climb(m, cand, w, h):
-    """Climb the gain g from frequency w to the top of its peak; every
-    sample joins the (w, gain) candidates cand.
+def _climb_peaks(gains, cand, pole_set):
+    """_climb the gain, gains(ws) at each frequency of an array ws, up
+    each distinct peak of the (w, gain) candidates cand within 1e-9 of
+    their best (_peaks); return the best gain.  From a pole's frequency
+    (of pole_set) the first h is its resonance width |Re p|; from any
+    other sample, a quarter of the distance to the nearest one."""
+    width = {}
+    for p in pole_set[pole_set.imag > 0.0].tolist():
+        width[p.imag] = min(width.get(p.imag, math.inf), -p.real)
+    for w in _peaks(cand, max(g for _, g in cand)):
+        if w < math.inf:
+            h = width.get(w)
+            if h is None:
+                fs = np.array([x for x, _ in cand])
+                h = 0.25 * np.abs(fs[fs != w] - w).min()
+            _climb(gains, cand, w, h)
+    return max(g for _, g in cand)
 
-    Each step samples the stencil [w - h, w, w + h] (one _gains call;
+
+def _climb(gains, cand, w, h):
+    """Climb the gain g = gains(ws) from frequency w to the top of its
+    peak; every sample joins the (w, gain) candidates cand.
+
+    Each step samples the stencil [w - h, w, w + h] (one gains call;
     mirrored at w = 0, as the gain of a real model is even in w), fits a
     parabola to f = 1/g^2 there and moves w to its vertex, with the next
     h the length of that step, but at most 16 times narrower.  Next to one
@@ -270,7 +271,7 @@ def _climb(m, cand, w, h):
     top, narrow = 0.0, False
     for _ in range(_CLIMB_STEPS):
         ws = np.abs([w - h, w, w + h])
-        g = _gains(m, ws)
+        g = gains(ws)
         cand.extend(zip(ws.tolist(), g.tolist()))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             f = 1.0 / (g * g)

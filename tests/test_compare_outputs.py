@@ -8,6 +8,15 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _tool():
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    try:
+        import compare_outputs
+    finally:
+        sys.path.remove(os.path.join(ROOT, "tools"))
+    return compare_outputs
+
+
 def test_noisy_response_is_quiet_at_infinite_frequency():
     # a warning would land in the captured stderr of the command being
     # compared, and the gate discards a noisy run whose stderr differs
@@ -28,17 +37,28 @@ def test_noisy_response_is_quiet_at_infinite_frequency():
 
 
 def test_largest_peak_fall_reports_the_command():
-    sys.path.insert(0, os.path.join(ROOT, "tools"))
-    try:
-        import compare_outputs
-    finally:
-        sys.path.remove(os.path.join(ROOT, "tools"))
+    compare_outputs = _tool()
 
     def doc(value):
         return json.dumps({"results": {"peak_gain": {"value": value, "frequency": 1.0}}})
 
     pairs = [("rise", doc(3.0), doc(3.1)), ("fall", doc(2.0), doc(2.0 * (1 - 1e-11))),
              ("csv", "w,alpha\n1.0,2.0", "w,alpha\n1.0,2.0"), ("no peak", "{}", "{}")]
-    fall, key = compare_outputs.largest_peak_fall(pairs)
+    fall, key = compare_outputs.largest_move(pairs, ("peak_gain", "value"))
     assert key == "fall" and abs(fall - 1e-11) <= 1e-15
-    assert compare_outputs.largest_peak_fall(pairs[:1]) == (0.0, None)
+    assert compare_outputs.largest_move(pairs[:1], ("peak_gain", "value")) == (0.0, None)
+
+
+def test_largest_alpha_lower_rise_reports_the_command():
+    compare_outputs = _tool()
+
+    def doc(value):
+        return json.dumps({"results": {"alpha_lower": value, "alpha_upper": 1.0}})
+
+    pairs = [("fall", doc(0.5), doc(0.4)), ("rise", doc(0.5), doc(0.5 * (1 + 4e-13))),
+             ("peak", json.dumps({"results": {"peak_gain": {"value": 2.0}}}),
+              json.dumps({"results": {"peak_gain": {"value": 3.0}}})),
+             ("csv", "w,alpha\n1.0,2.0", "w,alpha\n1.0,3.0"), ("no bound", "{}", "{}")]
+    rise, key = compare_outputs.largest_move(pairs, ("alpha_lower",), rise=True)
+    assert key == "rise" and abs(rise - 4e-13) <= 1e-16
+    assert compare_outputs.largest_move(pairs[:1], ("alpha_lower",), rise=True) == (0.0, None)

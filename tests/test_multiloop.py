@@ -13,6 +13,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize_scalar
 
@@ -347,18 +349,26 @@ def test_multiloop_sweep_finds_resonance_between_grid_points():
 
 
 def test_multiloop_zooms_one_bracket(monkeypatch):
-    # the sweep is followed by one zoom bracket, _ZOOM_POINTS samples a round
-    sizes = []
-    upper_on = multiloop._upper_on
+    # the sweep is followed by the climb of each distinct peak, one
+    # 3-point stencil a step and at most _CLIMB_STEPS steps a peak
+    calls, climbs = [], []
+    upper_on, climb = multiloop._upper_on, specnorm._climb
 
     def recording(sys, ws, x0=None):
-        sizes.append(len(ws))
+        calls.append((len(climbs), len(ws)))
         return upper_on(sys, ws, x0)
 
+    def counting(gains, cand, w, h):
+        climbs.append(w)
+        return climb(gains, cand, w, h)
+
     monkeypatch.setattr(multiloop, "_upper_on", recording)
+    monkeypatch.setattr(specnorm, "_climb", counting)
     multiloop_margin(build_m(*satellite(), "io", 0.0))
-    assert sizes[0] > 400
-    assert sizes[1:] == [multiloop._ZOOM_POINTS] * multiloop._ZOOM_ROUNDS
+    assert calls[0][0] == 0 and calls[0][1] > 400
+    assert climbs and all(n == 3 for _, n in calls[1:])
+    for k in range(1, len(climbs) + 1):
+        assert 1 <= sum(c == k for c, _ in calls) <= specnorm._CLIMB_STEPS
 
 
 def test_multiloop_worst_case_closes_to_axis():
@@ -448,6 +458,43 @@ def test_three_channel_bracket_is_ordered(seed):
     assert res.converged
 
 
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def damped_pairs(draw):
+    """A 2- or 3-channel pair built like _random_pair, but with a plant of
+    nch mode pairs whose damping is drawn down to 1e-4, under the static
+    gain halved until the loop is stable (the plant is)."""
+    nch = draw(st.sampled_from([2, 3]))
+    modes = draw(st.lists(st.tuples(_log_uniform(0.3, 10.0), _log_uniform(1e-4, 0.7)),
+                          min_size=nch, max_size=nch))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = np.zeros((2 * nch, 2 * nch))
+    for i, (w, z) in enumerate(modes):
+        A[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[0.0, w], [-w, -2.0 * z * w]]
+    B = rng.standard_normal((2 * nch, nch))
+    C = rng.standard_normal((nch, 2 * nch))
+    G0 = C @ np.linalg.solve(-A, B)
+    K = np.linalg.pinv(G0) * rng.uniform(0.3, 1.0)
+    K = K + 0.2 * np.abs(K).max() * rng.standard_normal((nch, nch))
+    while not np.all(np.linalg.eigvals(A - B @ K @ C).real < 0):
+        K = 0.5 * K
+    return (ss(A, B, C, np.zeros((nch, nch))),
+            ss(np.zeros((0, 0)), np.zeros((0, nch)), np.zeros((nch, 0)), K))
+
+
+@settings(max_examples=25, deadline=None)
+@given(damped_pairs())
+def test_mu_climb_reaches_the_top_of_its_peak(pair):
+    # no sample of a dense sweep around omega_crit lies above the climbed peak
+    sysm = build_m(*pair, "input", 0.0)
+    res = multiloop_margin(sysm)
+    vals, ok = freq_response(sysm.M, np.linspace(0.98, 1.02, 2001) * res.omega_crit)
+    assert res.alpha_lower <= (1 + 1e-9) / np.max(_mu_upper(vals[ok])[0])
+
+
 def heavy_system(name):
     """The 4-channel satellite io loop, or a 3-channel pair at the input."""
     if name == "satellite io":
@@ -457,23 +504,29 @@ def heavy_system(name):
 
 @pytest.mark.parametrize("name", ["satellite io", "pair 46"])
 def test_one_balance_and_one_descent_per_sweep_and_zoom_round(name, monkeypatch):
-    # the zoom rounds start from the scaling of the last round's best
-    # sample, and the bracket at omega_crit reuses the sweep's scaling:
-    # Osborne balancing runs for the sweep alone, and no descent follows
-    # the zoom's last round
+    # each stencil of the climb starts from the scaling of the highest
+    # sample so far, and the bracket at omega_crit reuses its sample's
+    # scaling: Osborne balancing runs for the sweep alone, and there is
+    # one descent per _upper_on call and none after the last
     sysm = heavy_system(name)
     calls = count_descents(monkeypatch)
-    balances = []
-    balance = multiloop._osborne_balance
+    balances, stencils = [], []
+    balance, upper_on = multiloop._osborne_balance, multiloop._upper_on
 
     def counting(absM):
         balances.append(len(absM))
         return balance(absM)
 
+    def recording(sys, ws, x0=None):
+        stencils.append(len(ws))
+        return upper_on(sys, ws, x0)
+
     monkeypatch.setattr(multiloop, "_osborne_balance", counting)
+    monkeypatch.setattr(multiloop, "_upper_on", recording)
     multiloop_margin(sysm)
     assert len(balances) == 1
-    assert len(calls) == 1 + multiloop._ZOOM_ROUNDS
+    assert len(stencils) > 1
+    assert len(calls) == len(stencils)
 
 
 @pytest.mark.parametrize("name", ["satellite io", "pair 46", "pair 69"])
@@ -489,10 +542,12 @@ def test_zoom_scalings_give_their_bounds(name, monkeypatch):
 
     monkeypatch.setattr(multiloop, "_upper_on", recording)
     multiloop_margin(sysm)
-    assert len(rounds) == 1 + multiloop._ZOOM_ROUNDS
-    for ws, (bounds, xs) in rounds[1:]:
+    assert len(rounds) > 1
+    for ws, (bounds, xs, Ms) in rounds[1:]:
+        assert len(ws) == 3
         vals, ok = freq_response(sysm.M, ws)
         assert ok.all()
+        assert np.array_equal(Ms, vals)
         floor = np.max(np.abs(np.linalg.eigvals(vals)))
         for M, bound, x in zip(vals, bounds, xs):
             # each returned log D reproduces its bound bit for bit
@@ -507,7 +562,7 @@ def test_zoom_scalings_give_their_bounds(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["satellite io", "pair 46", "pair 53", "pair 69"])
-def test_warm_zoom_agrees_with_cold_starts(name, monkeypatch):
+def test_warm_climb_agrees_with_cold_starts(name, monkeypatch):
     sysm = heavy_system(name)
     warm = multiloop_margin(sysm)
     mu_upper = multiloop._mu_upper
@@ -521,17 +576,22 @@ def test_warm_zoom_agrees_with_cold_starts(name, monkeypatch):
 
 @pytest.mark.parametrize("points", ["input", "output"])
 def test_two_channel_margin_is_pinned(points):
-    # two-channel bounds are in closed form and take no start, so a zoom
+    # two-channel bounds are in closed form and take no start, so a warm
     # start cannot move these bits (numpy 2.4, OpenBLAS, x86-64)
-    res = multiloop_margin(build_m(*satellite(), points, 0.0))
-    assert res.alpha_lower == float.fromhex("0x1.9894c2329f030p-4")
-    assert res.alpha_upper == float.fromhex("0x1.9894c2329f031p-4")
-    assert res.omega_crit == float.fromhex("0x1.9894b7b8d5f2ep-5")
+    sysm = build_m(*satellite(), points, 0.0)
+    res = multiloop_margin(sysm)
+    assert res.alpha_lower == float.fromhex("0x1.9894c2329f033p-4")
+    assert res.alpha_upper == float.fromhex("0x1.9894c2329f033p-4")
+    assert res.omega_crit == float.fromhex("0x1.9894b4767639dp-5")
     want = [complex(float.fromhex(re), float.fromhex(im)) for re, im in [
-        ("-0x1.0b8589f4ded9fp-29", "-0x1.9894c2329f02fp-4"),
-        ("-0x1.0b804f4b7b969p-29", "-0x1.9894c2329f02fp-4"),
+        ("-0x1.5ec085ea05369p-29", "-0x1.9894c2329f02fp-4"),
+        ("-0x1.5ebb007064e43p-29", "-0x1.9894c2329f02fp-4"),
     ]]
     assert np.array_equal(res.delta_worst, np.diag(want))
+    # the climbed peak is the top of a dense sweep around it
+    vals, ok = freq_response(sysm.M, np.linspace(0.98, 1.02, 2001) * res.omega_crit)
+    assert ok.all()
+    assert 1.0 / res.alpha_lower >= np.max(_mu_upper(vals)[0]) * (1 - 1e-15)
 
 
 def test_batched_upper_bound_brackets_mu():
@@ -694,8 +754,12 @@ def test_single_loop_margins_reuse_the_poles_of_m(monkeypatch, points):
     assert single_loop_margins(sysm) == want
 
 
-@pytest.mark.parametrize("make, points", [(satellite, "io"), (lambda: _random_pair(46), "input")])
+@pytest.mark.parametrize("make, points", [
+    (satellite, "io"), (satellite, "input"), (lambda: _random_pair(46), "input"),
+])
 def test_multiloop_result_carries_m_at_omega_crit(make, points):
+    # m0 is the search's own sample at omega_crit, and a point's response
+    # does not depend on the grid it was evaluated on
     sysm = build_m(*make(), points, 0.0)
     res = multiloop_margin(sysm)
     assert np.array_equal(res.m0, np.atleast_2d(eval_freq(sysm.M, res.omega_crit)))

@@ -19,7 +19,10 @@ each column of CSV output (the trace commands) the number of commands
 and of fields in which it differs and its largest relative difference.
 Then comes the largest relative fall of results.peak_gain.value (the
 diskmargin commands) from the parent to the change, with its command:
-an attained gain, which a same-answers change should not lower.  Last
+an attained gain, which a same-answers change should not lower; and the
+largest relative rise of results.alpha_lower (the mimo commands), with
+its command: 1 over a sampled peak, which a search that samples nearer
+the top lowers.  Last
 come each tree's largest certificate det_residual over the mimo
 commands, its largest alpha_upper / min(loop_at_a_time alpha_max) over
 the same commands (the simultaneous margin cannot exceed the
@@ -57,9 +60,11 @@ bench/oracles.py).
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -299,18 +304,18 @@ def largest_det_residual(runs):
     return max(residuals, default=math.nan)
 
 
-def largest_peak_fall(pairs):
-    """(largest relative fall of results.peak_gain.value from the parent
-    to the change, key of its command) over the (key, parent stdout,
-    change stdout) triples; (0.0, None) when no value fell."""
+def largest_move(pairs, path, rise=False):
+    """(largest relative fall, or with rise=True rise, of the "results"
+    value at path, a tuple of keys, from the parent to the change, key of
+    its command) over the (key, parent stdout, change stdout) triples;
+    (0.0, None) when no value moved that way."""
     worst, worst_key = 0.0, None
     for key, a, b in pairs:
-        ra, rb = results_of(a), results_of(b)
         try:
-            va, vb = float(ra["peak_gain"]["value"]), float(rb["peak_gain"]["value"])
+            va, vb = (float(functools.reduce(operator.getitem, path, results_of(t))) for t in (a, b))
         except (TypeError, KeyError):
             continue
-        if vb < va and relative(va, vb) > worst:
+        if (vb > va if rise else vb < va) and relative(va, vb) > worst:
             worst, worst_key = relative(va, vb), key
     return worst, worst_key
 
@@ -453,9 +458,12 @@ def main(argv):
     for name, (count, fields, rel) in sorted(columns.items()):
         print("  {}: {} commands, {} fields, largest relative difference {:.3g}".format(
             name, count, fields, rel))
-    fall, fall_key = largest_peak_fall((p["key"], p["stdout"], c["stdout"]) for p, c in zip(parent, change))
-    print("largest relative fall of peak_gain.value: {:.3g}{}".format(
-        fall, " ({})".format(fall_key) if fall_key else ""))
+    triples = [(p["key"], p["stdout"], c["stdout"]) for p, c in zip(parent, change)]
+    for what, path, rise in (("fall of peak_gain.value", ("peak_gain", "value"), False),
+                             ("rise of alpha_lower", ("alpha_lower",), True)):
+        move, move_key = largest_move(triples, path, rise)
+        print("largest relative {}: {:.3g}{}".format(
+            what, move, " ({})".format(move_key) if move_key else ""))
     print("largest mimo certificate det_residual: {:.3g} -> {:.3g}".format(
         largest_det_residual(parent), largest_det_residual(change)))
     print("largest mimo alpha_upper / min loop-at-a-time alpha_max: {!r} -> {!r}".format(
