@@ -169,7 +169,8 @@ def _load_model_file(path):
 
 
 def _document(command, path, digest, options, results, diagnostics):
-    return {
+    """The JSON text of a command's output document."""
+    return json.dumps({
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "dmkit", "version": __version__},
         "command": command,
@@ -178,11 +179,10 @@ def _document(command, path, digest, options, results, diagnostics):
         "options": options,
         "results": results,
         "diagnostics": list(diagnostics),
-    }
+    }, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(doc, out_path):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _emit(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -284,7 +284,7 @@ def _parse_grid(spec_str, L):
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
             if not (0.0 < lo < hi) or n < 2:
                 raise InputError("grid range needs 0 < lo < hi and n >= 2")
-            return FrequencyGrid(tuple(np.geomspace(lo, hi, n)))
+            return FrequencyGrid(np.geomspace(lo, hi, n))
     except ValueError as e:
         raise InputError("bad --grid {!r}: use N or lo:hi:N".format(spec_str)) from e
     raise InputError("bad --grid {!r}: use N or lo:hi:N".format(spec_str))
@@ -293,21 +293,21 @@ def _parse_grid(spec_str, L):
 TRACE_COLUMNS = ("omega", "alpha", "gamma_min", "gamma_max", "gamma_m", "phi_m_deg")
 
 
-def _csv_text(columns, rows):
-    """CSV with a header line and one "%.12g" field per value (nan, inf
-    and -inf print as such)."""
-    fmt = ",".join(["%.12g"] * len(columns)) + "\n"
-    return ",".join(columns) + "\n" + "".join(fmt % row for row in rows)
+def _csv_text(columns, table):
+    """CSV with a header line and one "%.12g" field per value of the
+    (N, len(columns)) float array table (nan, inf and -inf print as such)."""
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
+    return ",".join(columns) + "\n" + row * len(table) % tuple(table.ravel().tolist())
 
 
-def _trace_rows(tr):
-    # a flagged row is nan after omega
-    alpha, pm = np.array(tr.alpha_of_omega), np.array(tr.pm_of_omega)
-    lo, hi = np.array(tr.gm_of_omega).reshape(-1, 2).T
-    rows = np.column_stack([tr.grid.points, alpha, lo, hi, _gamma_m(lo, hi),
-                            np.where(np.isfinite(pm), np.degrees(pm), pm)])
-    rows[np.isnan(alpha), 1:] = math.nan
-    return list(map(tuple, rows.tolist()))
+def _trace_table(tr):
+    """The trace as an (N, 6) float array in TRACE_COLUMNS order; a flagged
+    row is nan after omega."""
+    alpha, (lo, hi), pm = tr.alpha_of_omega, tr.gm_of_omega.T, tr.pm_of_omega
+    table = np.column_stack([tr.grid.points, alpha, lo, hi, _gamma_m(lo, hi),
+                             np.where(np.isfinite(pm), np.degrees(pm), pm)])
+    table[np.isnan(alpha), 1:] = math.nan
+    return table
 
 
 def cmd_trace(args):
@@ -315,19 +315,14 @@ def cmd_trace(args):
     L = siso_loop(P, K)
     grid = _parse_grid(args.grid, L)
     tr = freq_margin_trace(L, args.skew, grid)
-    rows = _trace_rows(tr)
+    table = _trace_table(tr)
     if args.format == "csv":
-        text = _csv_text(TRACE_COLUMNS, rows)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit(_csv_text(TRACE_COLUMNS, table), args.out)
         return 0
     results = {
         "skew": _jnum(args.skew),
         "columns": list(TRACE_COLUMNS),
-        "rows": [[_jnum(x) for x in row] for row in rows],
+        "rows": [[_jnum(x) for x in row] for row in table.tolist()],
     }
     diagnostics = []
     if tr.flagged:
@@ -431,9 +426,8 @@ def cmd_exclusion(args):
     if args.out:
         ws = np.asarray(default_grid(L, 1024).finite)
         vals, ok = freq_response(L, ws)
-        samples = zip(ws[ok].tolist(), vals[ok].real.tolist(), vals[ok].imag.tolist())
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_csv_text(("omega", "re_L", "im_L"), samples))
+        samples = np.column_stack([ws[ok], vals[ok].real, vals[ok].imag])
+        _emit(_csv_text(("omega", "re_L", "im_L"), samples), args.out)
         results["samples_csv"] = args.out
     _emit(_document("exclusion", path, digest, {"skew": _jnum(args.skew)}, results, diagnostics), None)
     return 0

@@ -47,7 +47,6 @@ from .lti import (
     StateSpace,
     TransferFunction,
     _as_model,
-    eval_freq,
     freq_response,
     is_stable,
     poles,
@@ -149,17 +148,18 @@ class DiskMarginResult:
     peak_gain: PeakGain
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginTrace:
-    """Frequency-by-frequency margins.  alpha_of_omega holds math.nan at
-    flagged samples (grid point on a pole); gm_of_omega holds (lo, hi)
-    pairs and pm_of_omega radians, both using the reporting conventions
-    of guaranteed_gm_pm."""
+    """Frequency-by-frequency margins in read-only float arrays, a row per
+    grid point: alpha_of_omega (N,), gm_of_omega (N, 2) of (lo, hi) and
+    pm_of_omega (N,) in radians, with the conventions of guaranteed_gm_pm
+    and math.nan at the flagged samples (grid point on a pole), whose
+    indices the tuple flagged lists.  Traces compare by identity."""
 
     grid: FrequencyGrid
-    alpha_of_omega: tuple
-    gm_of_omega: tuple
-    pm_of_omega: tuple
+    alpha_of_omega: np.ndarray
+    gm_of_omega: np.ndarray
+    pm_of_omega: np.ndarray
     flagged: tuple = ()
 
 
@@ -353,15 +353,14 @@ def _disk_result(shifted, sigma, pole_set=None):
         spec = DiskSpec(math.inf, sigma)
         return DiskMarginResult(spec, 0.0, None, None, None, (0.0, math.inf), math.inf, pk)
     alpha = 1.0 / pk.value
-    w0 = pk.frequency
-    g0 = eval_freq(shifted, w0)
-    delta0 = 1.0 / g0
+    # the search's own sample: a point's value does not depend on the grid
+    delta0 = 1.0 / complex(pk.response)
     f0 = disk_map(delta0, sigma)
     geometry, gm, pm = _disk_report(alpha, sigma)
     return DiskMarginResult(
         spec=DiskSpec(alpha, sigma),
-        omega_crit=w0,
-        delta0=complex(delta0),
+        omega_crit=pk.frequency,
+        delta0=delta0,
         f0=f0,
         geometry=geometry,
         guaranteed_gm=gm,
@@ -464,10 +463,10 @@ def nyquist_exclusion(x):
 def freq_margin_trace(L, sigma=0.0, grid=None):
     """Disk margin radius and guaranteed margins frequency by frequency.
 
-    alpha(w) = 1 / |S(jw) + (sigma - 1)/2|.  Rows where the evaluation
-    hits a pole are flagged and filled with math.nan rather than
-    aborting the sweep.  Rows whose alpha leaves the interior regime
-    report the unbounded conventions of guaranteed_gm_pm.
+    alpha(w) = 1 / |S(jw) + (sigma - 1)/2|, in MarginTrace's arrays.  Rows
+    where the evaluation hits a pole are flagged and filled with math.nan
+    rather than aborting the sweep.  Rows whose alpha leaves the interior
+    regime report the unbounded conventions of guaranteed_gm_pm.
     """
     L = _as_model(L).normalized()
     if not L.is_siso:
@@ -478,16 +477,13 @@ def freq_margin_trace(L, sigma=0.0, grid=None):
     if grid is None:
         grid = default_grid(L)
     elif not isinstance(grid, FrequencyGrid):
-        grid = FrequencyGrid(tuple(grid))
+        grid = FrequencyGrid(grid)
     vals, ok = freq_response(shifted, grid.points)
     alpha, lo, hi, pm = _trace_margins(np.abs(vals), ok, sigma)
-    return MarginTrace(
-        grid=grid,
-        alpha_of_omega=tuple(alpha.tolist()),
-        gm_of_omega=tuple(zip(lo.tolist(), hi.tolist())),
-        pm_of_omega=tuple(pm.tolist()),
-        flagged=tuple(np.flatnonzero(~ok).tolist()),
-    )
+    gm = np.column_stack([lo, hi])
+    for a in (alpha, gm, pm):
+        a.setflags(write=False)
+    return MarginTrace(grid, alpha, gm, pm, tuple(np.flatnonzero(~ok).tolist()))
 
 
 def _trace_margins(gains, ok, sigma):

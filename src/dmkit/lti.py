@@ -231,10 +231,10 @@ class StateSpace:
     models with states and no inputs or outputs ((n, 0) B, (0, n) C).
 
     The arrays are the model's own copies and are not changed after
-    construction: freq_response keeps the model's modal data on it.
+    construction: poles and freq_response keep its eig(A) and modal data.
     """
 
-    __slots__ = ("A", "B", "C", "D", "_modal")
+    __slots__ = ("A", "B", "C", "D", "_eig", "_modal")
 
     def __init__(self, A, B, C, D):
         A = np.asarray(A, dtype=float) if np.asarray(A).size == 0 else _as_matrix(A, "A")
@@ -256,7 +256,7 @@ class StateSpace:
                 "D must be {}x{}, got {}".format(C.shape[0], B.shape[1], D.shape)
             )
         self.A, self.B, self.C, self.D = A, B, C, D
-        self._modal = None
+        self._eig = self._modal = None
 
     @property
     def nstates(self):
@@ -455,9 +455,10 @@ def _minreal(s):
 
 
 def poles(m):
-    """Poles of a model: denominator roots for SISO transfer functions,
-    eigenvalues of A for state space.  Degree-zero denominators give an
-    empty pole set."""
+    """Poles of a model, by np.sort_complex: denominator roots for SISO
+    transfer functions, eigenvalues of A for state space, those of a
+    _large_real model from the eig(A) its modal kernel shares (_eig).
+    Degree-zero denominators give an empty pole set."""
     m = _as_model(m)
     r = m.representation
     if isinstance(r, TransferFunction):
@@ -465,7 +466,7 @@ def poles(m):
     if r.nstates == 0:
         return np.zeros(0, dtype=complex)
     try:
-        p = np.linalg.eigvals(r.A)
+        p = _eig(r)[0] if _large_real(r) else np.linalg.eigvals(r.A)
     except np.linalg.LinAlgError as e:
         raise NumericalError("eigenvalue computation failed: {}".format(e)) from e
     return np.sort_complex(p)
@@ -514,9 +515,17 @@ def _large_real(r):
     return r.nstates >= _MODAL_STATES and not any(map(np.iscomplexobj, (r.A, r.B, r.C)))
 
 
+def _eig(r):
+    """lam, V = np.linalg.eig(r.A), kept on r once computed; a LinAlgError
+    (a non-finite A included) is raised again by the next call."""
+    if r._eig is None:
+        r._eig = np.linalg.eig(r.A)
+    return r._eig
+
+
 def _modal_form(r):
     """The modal data of the real state-space model r, computed once and
-    kept on r: from lam, V = eig(A), the eigenvalues lam, the residues
+    kept on r: from lam, V = _eig(r), the eigenvalues lam, the residues
     res[i, j, k] = (C V)_ik (V^-1 B)_kj with the mode axis last, their
     largest modulus per mode, cond(V) and ||A||_F.  None when r is not
     _large_real, when cond(V) exceeds _MODAL_COND or when A is not
@@ -526,7 +535,7 @@ def _modal_form(r):
         if not _large_real(r):
             return None
         try:
-            lam, V = np.linalg.eig(r.A)
+            lam, V = _eig(r)
         except np.linalg.LinAlgError:
             return None
         cond = np.linalg.cond(V)
@@ -647,8 +656,8 @@ def freq_response(m, ws):
       solves for its pencil alone.  This covers smaller or complex
       models and large real ones with ill-conditioned eigenvectors, such
       as the companion forms tf_to_ss builds.
-    The eigendecomposition is kept on the model, so later calls do not
-    compute it again.  Each kernel works in chunks of at most
+    The eigendecomposition is kept on the model, so later calls and poles
+    do not compute it again.  Each kernel works in chunks of at most
     _CHUNK_BYTES of working set, so memory stays flat in the grid length.
     """
     m = _as_model(m)

@@ -21,7 +21,7 @@ within 1e-9 of it the lowest frequency is reported.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,10 +33,12 @@ __all__ = ["PeakGain", "FrequencyGrid", "default_grid", "hinf_norm"]
 
 @dataclass(frozen=True)
 class PeakGain:
-    """A gain value and the frequency (rad/s, may be 0 or inf) where it occurs."""
+    """A gain value, the frequency (rad/s, may be 0 or inf) where it occurs
+    and the model's response there, as freq_response gives it."""
 
     value: float
     frequency: float
+    response: object = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -97,11 +99,12 @@ def default_grid(m, n=400):
     return FrequencyGrid(_log_grid(m, n, poles(m)))
 
 
-def _gains(m, ws):
-    """Largest singular value of the response at each frequency of ws."""
+def _gains(m, ws, values):
+    """Largest singular value of the response at each w of ws; the response goes to values[w]."""
     vals, ok = freq_response(m, ws)
     if not ok.all():
         raise PoleOnAxisError("evaluation at w = {} hits a pole".format(ws[int(np.argmin(ok))]))
+    values.update(zip(np.asarray(ws).tolist(), vals))
     if vals.ndim == 1:
         return np.abs(vals)
     return np.linalg.svd(vals, compute_uv=False)[:, 0]
@@ -174,9 +177,10 @@ def hinf_norm(m):
     PeakGain
         value is the largest gain attained at any evaluated frequency,
         within relative _TOL (1e-6) of the true supremum; frequency is
-        where it was attained.  Peaks at w = 0 or w = inf are reported
-        with those exact sentinels.  Among distinct peaks within 1e-9 of
-        the value the lowest frequency wins (_pick_lowest).
+        where it was attained and response the value there.  Peaks at
+        w = 0 or w = inf are reported with those exact sentinels.  Among
+        distinct peaks within 1e-9 of the value the lowest frequency wins
+        (_pick_lowest).
 
     Raises
     ------
@@ -200,31 +204,29 @@ def _peak_gain(m, pole_set):
     r = _realization(m)
     A, B, C, D = r.A, r.B, r.C, r.D
 
-    seed = _peak_seed(m, _GRID_N, pole_set)
-    cand = list(zip(seed.tolist(), _gains(m, seed).tolist()))
+    seed, values = _peak_seed(m, _GRID_N, pole_set), {}
+    cand = list(zip(seed.tolist(), _gains(m, seed, values).tolist()))
     lo = max(g for _, g in cand)
-    if lo == 0.0:
-        return PeakGain(0.0, 0.0)
-
-    if r.nstates == 0:
-        w0 = _pick_lowest(cand, lo)
-        return PeakGain(lo, 0.0 if w0 == math.inf else w0)
+    # a zero or static gain is reported at w = 0, the seed's first point
+    if lo == 0.0 or r.nstates == 0:
+        return PeakGain(lo, 0.0, values[0.0])
 
     for _ in range(_MAX_LEVELS):
-        lo = _climb_peaks(lambda ws: _gains(m, ws), cand, pole_set)
+        lo = _climb_peaks(lambda ws: _gains(m, ws, values), cand, pole_set)
         level = lo * (1.0 + 0.5 * _TOL)
         freqs = _axis_crossings(A, B, C, D, level)
         # the gain peaks between paired crossings of a level it exceeds
         ws = [] if freqs is None else [float(w) for w in freqs]
         ws += [0.5 * (a + b) for a, b in zip(ws, ws[1:])]
         if ws:
-            cand.extend(zip(ws, _gains(m, ws).tolist()))
+            cand.extend(zip(ws, _gains(m, ws, values).tolist()))
         best = max(g for _, g in cand)
         # no crossings certify the level as an upper bound; crossings
         # whose gains stay below the level are a near-double crossing
         # the eigenvalue test reports next to the peak
         if best <= level:
-            return PeakGain(best, _pick_lowest(cand, best))
+            w0 = _pick_lowest(cand, best)
+            return PeakGain(best, w0, values[w0])
     raise NumericalError("peak-gain level set did not settle")
 
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import dmkit.cli
@@ -155,6 +156,23 @@ def test_trace_csv_explicit_grid(capsys):
     last = lines[-1].split(",")
     assert float(last[0]) == 20.0
     assert float(last[1]) == pytest.approx(2.00120561, rel=1e-6)
+
+
+def per_row_csv(columns, rows):
+    """The CSV text as formatted one "%.12g" row at a time."""
+    fmt = ",".join(["%.12g"] * len(columns)) + "\n"
+    return ",".join(columns) + "\n" + "".join(fmt % tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("n, k", [(0, 6), (0, 3), (1, 6), (7, 3), (40, 6)])
+def test_csv_text_matches_per_row_formatting(n, k):
+    # the one CSV writer formats the whole table at once
+    rng = np.random.default_rng(10 * n + k)
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
+               1e300, -1e300, 1.0 / 3.0, 123456789012345.0]
+    table = np.resize(rng.permutation(special + rng.standard_normal(6).tolist()), (n, k))
+    columns = tuple("c{}".format(i) for i in range(k))
+    assert dmkit.cli._csv_text(columns, table) == per_row_csv(columns, table.tolist())
 
 
 def test_trace_two_point_grid_gives_two_rows(capsys):

@@ -37,12 +37,14 @@ from dmkit import (
     safe_region_curve,
     scalar_close,
     sensitivity_pair,
+    ss,
     tf,
     verify_destabilizing,
     worst_perturbation_lti,
 )
-from dmkit.cli import _trace_rows
-from dmkit.disk import EXTERIOR_DISK, HALF_PLANE, INTERIOR_DISK, MarginTrace, _trace_margins
+from dmkit.cli import _trace_table
+from dmkit.disk import (EXTERIOR_DISK, HALF_PLANE, INTERIOR_DISK, MarginTrace, _shifted_sensitivity,
+                        _trace_margins)
 from dmkit.lti import LtiModel, TransferFunction
 from dmkit.specnorm import FrequencyGrid
 
@@ -265,6 +267,52 @@ def test_trace_minimum_matches_global_margin():
     assert min(finite) >= d.spec.alpha * (1 - 1e-4)
 
 
+def flexible_loop(n, seed=3):
+    """A SISO state-space loop of n lightly damped states in a random
+    orthogonal basis, scaled to a peak gain of 1/2 so that it closes
+    stable."""
+    rng = np.random.default_rng(seed)
+    A = np.zeros((n, n))
+    for k in range(0, n, 2):
+        w, z = 10.0 ** rng.uniform(-1, 2), 10.0 ** rng.uniform(-3, -1)
+        A[k : k + 2, k : k + 2] = [[-z * w, w], [-w, -z * w]]
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A, B, C = Q @ A @ Q.T, Q @ rng.standard_normal((n, 1)), rng.standard_normal((1, n)) @ Q.T
+    return ss(A, B, 0.5 / hinf_norm(ss(A, B, C, [[0.0]])).value * C, [[0.0]])
+
+
+def test_one_eigen_solve_of_a_per_analysis(monkeypatch):
+    # poles and the modal kernel share one eig of the closed loop's A;
+    # besides it come the Hamiltonian's 2n x 2n solves and the 1 x 1 of
+    # the closure's well-posedness test
+    L = flexible_loop(40)
+    sizes = []
+    for name in ("eig", "eigvals"):
+        def counted(a, solve=getattr(np.linalg, name)):
+            sizes.append(np.shape(a))
+            return solve(a)
+        monkeypatch.setattr(np.linalg, name, counted)
+    disk_margin(L, 0.0)
+    assert sizes.count((40, 40)) == 1 and (80, 80) in sizes
+    assert set(sizes) <= {(1, 1), (40, 40), (80, 80)}
+    sizes.clear()
+    tr = freq_margin_trace(L, 0.0, FrequencyGrid(np.geomspace(0.1, 100.0, 2000)))
+    assert sorted(sizes) == [(1, 1), (40, 40)]
+    # the trace's arrays are the public result, read-only
+    assert tr.alpha_of_omega.shape == tr.pm_of_omega.shape == (2000,)
+    assert tr.gm_of_omega.shape == (2000, 2)
+    assert not any(a.flags.writeable for a in (tr.alpha_of_omega, tr.gm_of_omega, tr.pm_of_omega))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0, -0.5])
+def test_delta0_is_the_peak_sample(sigma):
+    # the peak search's own sample of the response gives delta0: eval_freq
+    # at omega_crit, bit for bit
+    for L in (L1, flexible_loop(40)):
+        d = disk_margin(L, sigma)
+        assert d.delta0 == 1.0 / eval_freq(_shifted_sensitivity(L, sigma), d.omega_crit)
+
+
 def check_map_radius(f, sigma, alpha, on_boundary):
     """|disk_map_inv(f, sigma)| equals alpha (on_boundary) or is not above it,
     within 1e-8 plus 1e-14 over f's relative distance to -(1 - sigma)/(1 +
@@ -286,12 +334,13 @@ def check_trace_rows(gains, ok, sigma):
     an infinite one off the half-plane band leaves every rotation inside;
     finite gain ends lie on the boundary, and gains between them and 1
     inside.  Each row also equals guaranteed_gm_pm of its own DiskSpec, and
-    the CLI's row is that plus gamma_m = min(1/lo, hi) and degrees."""
+    the CLI's table row is that plus gamma_m = min(1/lo, hi) and degrees."""
     gains, ok = np.asarray(gains, dtype=float), np.asarray(ok)
     alpha, lo, hi, pm = _trace_margins(gains, ok, sigma)
     grid = FrequencyGrid(tuple(range(gains.size)))
-    tr = MarginTrace(grid, tuple(alpha.tolist()), tuple(zip(lo.tolist(), hi.tolist())), tuple(pm.tolist()))
-    rows = zip(_trace_rows(tr), alpha.tolist(), lo.tolist(), hi.tolist(), pm.tolist())
+    tr = MarginTrace(grid, alpha, np.column_stack([lo, hi]), pm)
+    table = [tuple(row.tolist()) for row in _trace_table(tr)]
+    rows = zip(table, alpha.tolist(), lo.tolist(), hi.tolist(), pm.tolist())
     for i, (row, a, g_lo, g_hi, phi) in enumerate(rows):
         assert row[0] == grid.points[i]
         if not ok[i]:

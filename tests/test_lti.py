@@ -13,6 +13,7 @@ from dmkit import (
     ImproperModelError,
     InputError,
     LtiModel,
+    NumericalError,
     PoleOnAxisError,
     Polynomial,
     StateSpace,
@@ -425,16 +426,10 @@ def several_chunks(draw, n, p, m):
     return draw(st.integers(2 * per_chunk, 4 * per_chunk))
 
 
-@st.composite
-def flexible_model_and_grid(draw):
-    """A real model of 16 to 80 states in a random orthogonal basis:
-    lightly damped modes (damping down to 1e-3, as in the dense-trace
-    benchmark) and real poles.  The grid takes several chunks and holds
-    every mode frequency, where the pencil is worst conditioned; the
-    count of those last points comes third."""
-    n = draw(st.integers(_MODAL_STATES, 80))
-    p, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def flexible_a(rng, n):
+    """A real n x n A of lightly damped modes (damping down to 1e-3, as in
+    the dense-trace benchmark) and real poles, block diagonal, and the
+    mode frequencies."""
     A = np.zeros((n, n))
     modes = []
     k = 0
@@ -447,6 +442,19 @@ def flexible_model_and_grid(draw):
         else:
             A[k, k] = -math.exp(rng.uniform(math.log(0.1), math.log(100.0)))
             k += 1
+    return A, modes
+
+
+@st.composite
+def flexible_model_and_grid(draw):
+    """A real model of 16 to 80 states, flexible_a in a random orthogonal
+    basis.  The grid takes several chunks and holds every mode frequency,
+    where the pencil is worst conditioned; the count of those last points
+    comes third."""
+    n = draw(st.integers(_MODAL_STATES, 80))
+    p, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, modes = flexible_a(rng, n)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     model = ss(Q @ A @ Q.T, Q @ rng.standard_normal((n, m)), rng.standard_normal((p, n)) @ Q.T,
                rng.standard_normal((p, m)))
@@ -518,6 +526,58 @@ def test_companion_forms_give_numpy_values(case):
         assert np.array_equal(vals[i], numpy_response(m, w))
     for i in range(0, ws.size, 97):
         assert np.array_equal(vals[i], eval_freq(m, ws[i]))
+
+
+@st.composite
+def large_real_a(draw):
+    """A real A of 16 to 60 states and its kind: dense, lightly damped
+    modes (flexible_a) in a random orthogonal basis, a companion form
+    (cond(V) far above _MODAL_COND) or near-triangular."""
+    n = draw(st.integers(_MODAL_STATES, 60))
+    kind = draw(st.sampled_from(["dense", "modal", "companion", "triangular"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dense":
+        return kind, rng.standard_normal((n, n))
+    if kind == "companion":
+        return kind, tf_to_ss(tf([1.0], np.poly(-rng.uniform(0.1, 10.0, n)))).A
+    if kind == "triangular":
+        return kind, np.triu(rng.standard_normal((n, n))) + 1e-8 * rng.standard_normal((n, n))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return kind, Q @ flexible_a(rng, n)[0] @ Q.T
+
+
+@settings(max_examples=80, deadline=None)
+@given(large_real_a())
+def test_poles_of_large_real_models_are_eigvals_bit_for_bit(case):
+    # poles takes a _large_real model's eigenvalues from the eig(A) its
+    # modal kernel uses, whichever of the two asks first
+    kind, A = case
+    if kind == "companion":
+        assert np.linalg.cond(np.linalg.eig(A)[1]) > lti._MODAL_COND
+    n = A.shape[0]
+    first, second = (ss(A, np.ones((n, 1)), np.ones((1, n)), [[0.0]]) for _ in range(2))
+    freq_response(second, [1.0])
+    want = np.sort_complex(np.linalg.eigvals(A))
+    for m in (first, second):
+        assert _large_real(m.representation)
+        assert np.array_equal(poles(m), want)
+
+
+@pytest.mark.parametrize("n", [3, _MODAL_STATES])
+def test_poles_of_a_non_finite_a_raise(n):
+    A = -np.eye(n)
+    A[0, 1] = math.nan
+    with pytest.raises(NumericalError):
+        poles(ss(A, np.ones((n, 1)), np.ones((1, n)), [[0.0]]))
+
+
+def test_poles_report_a_failed_eig(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    n = _MODAL_STATES
+    with pytest.raises(NumericalError, match="did not converge"):
+        poles(ss(-np.eye(n), np.ones((n, 1)), np.ones((1, n)), [[0.0]]))
 
 
 def test_sensitivity_pair_integrator():
