@@ -1,140 +1,18 @@
-"""Stability margins of LTI feedback loops: classical, disk-based, multi-loop."""
+"""Stability margins of LTI feedback loops: classical, disk-based, multi-loop.
+
+Exports the __all__ of each module, where each public name is listed once.
+"""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AlgebraicLoopError,
-    ConstructionError,
-    DegreeZeroError,
-    DmkitError,
-    DomainError,
-    ImproperModelError,
-    InputError,
-    NominalInstabilityError,
-    NumericalError,
-    PoleOnAxisError,
-    UnsupportedCaseError,
-    WellPosednessError,
-)
-from .lti import (
-    LtiModel,
-    Polynomial,
-    StateSpace,
-    TransferFunction,
-    eval_freq,
-    freq_response,
-    is_stable,
-    poles,
-    poly_roots,
-    scalar_close,
-    sensitivity_pair,
-    ss,
-    ss_to_tf,
-    tf,
-    tf_to_ss,
-    tfm,
-)
-from .specnorm import FrequencyGrid, PeakGain, default_grid, hinf_norm
-from .classical import ClassicalMargins, classical_margins, gain_margins, phase_margin
-from .disk import (
-    DiskGeometry,
-    DiskMarginResult,
-    DiskSpec,
-    MarginTrace,
-    NyquistExclusion,
-    PerturbationLti,
-    VerificationReport,
-    disk_geometry,
-    disk_map,
-    disk_map_inv,
-    disk_margin,
-    freq_margin_trace,
-    gain_phase_tradeoff,
-    guaranteed_gm_pm,
-    nyquist_exclusion,
-    safe_region_curve,
-    verify_destabilizing,
-    worst_perturbation_lti,
-)
-from .multiloop import (
-    MDeltaSystem,
-    MultiLoopResult,
-    MultiLoopVerification,
-    MuResult,
-    build_m,
-    loop_at_a_time,
-    mu_diag,
-    multiloop_margin,
-    single_loop_margins,
-    siso_loop,
-    verify_multiloop_destabilizing,
-)
+from . import classical, disk, errors, lti, multiloop, specnorm
+from .errors import *  # noqa: F401,F403
+from .lti import *  # noqa: F401,F403
+from .specnorm import *  # noqa: F401,F403
+from .classical import *  # noqa: F401,F403
+from .disk import *  # noqa: F401,F403
+from .multiloop import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    "AlgebraicLoopError",
-    "ClassicalMargins",
-    "ConstructionError",
-    "DegreeZeroError",
-    "DiskGeometry",
-    "DiskMarginResult",
-    "DiskSpec",
-    "DmkitError",
-    "DomainError",
-    "FrequencyGrid",
-    "ImproperModelError",
-    "InputError",
-    "LtiModel",
-    "MarginTrace",
-    "MDeltaSystem",
-    "MultiLoopResult",
-    "MultiLoopVerification",
-    "MuResult",
-    "NominalInstabilityError",
-    "NumericalError",
-    "NyquistExclusion",
-    "PeakGain",
-    "PerturbationLti",
-    "PoleOnAxisError",
-    "Polynomial",
-    "StateSpace",
-    "TransferFunction",
-    "UnsupportedCaseError",
-    "VerificationReport",
-    "WellPosednessError",
-    "build_m",
-    "classical_margins",
-    "default_grid",
-    "disk_geometry",
-    "disk_map",
-    "disk_map_inv",
-    "disk_margin",
-    "eval_freq",
-    "freq_margin_trace",
-    "freq_response",
-    "gain_margins",
-    "gain_phase_tradeoff",
-    "guaranteed_gm_pm",
-    "hinf_norm",
-    "is_stable",
-    "loop_at_a_time",
-    "mu_diag",
-    "multiloop_margin",
-    "nyquist_exclusion",
-    "phase_margin",
-    "poles",
-    "poly_roots",
-    "safe_region_curve",
-    "scalar_close",
-    "sensitivity_pair",
-    "single_loop_margins",
-    "siso_loop",
-    "ss",
-    "ss_to_tf",
-    "tf",
-    "tf_to_ss",
-    "tfm",
-    "verify_destabilizing",
-    "verify_multiloop_destabilizing",
-    "worst_perturbation_lti",
+__all__ = ["__version__"] + [
+    name for module in (errors, lti, specnorm, classical, disk, multiloop) for name in module.__all__
 ]

@@ -47,6 +47,7 @@ from .lti import (
     StateSpace,
     TransferFunction,
     _as_model,
+    _sensitivity,
     freq_response,
     is_stable,
     poles,
@@ -302,13 +303,14 @@ def guaranteed_gm_pm(x):
 
 
 def _shifted_sensitivity(L, sigma):
-    S, _T = sensitivity_pair(L)
-    r = S.representation
+    """S + (sigma - 1)/2 of the loop L: the sensitivity's numerator shifted
+    for a transfer function, lti._sensitivity's one closure in state space."""
+    L = _as_model(L).normalized()
     k = (sigma - 1.0) / 2.0
-    if isinstance(r, TransferFunction):
-        num = Polynomial(np.polyadd(r.num.coeffs, k * r.den.coeffs))
-        return LtiModel(TransferFunction(num, r.den))
-    return LtiModel(StateSpace(r.A, r.B, r.C, r.D + k * np.eye(r.noutputs)))
+    if isinstance(L.representation, StateSpace):
+        return LtiModel(_sensitivity(L.representation, k))
+    r = sensitivity_pair(L)[0].representation
+    return LtiModel(TransferFunction(Polynomial(np.polyadd(r.num.coeffs, k * r.den.coeffs)), r.den))
 
 
 def disk_margin(L, sigma=0.0):

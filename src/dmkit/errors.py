@@ -6,6 +6,10 @@ posed) is 2, and a numerical failure inside an otherwise valid
 computation is 3.
 """
 
+__all__ = ["DmkitError", "InputError", "DegreeZeroError", "ImproperModelError", "UnsupportedCaseError",
+           "DomainError", "NominalInstabilityError", "WellPosednessError", "AlgebraicLoopError",
+           "NumericalError", "PoleOnAxisError", "ConstructionError"]
+
 
 class DmkitError(Exception):
     """Base class for all errors raised by dmkit."""

@@ -22,6 +22,11 @@ of I + D (of 1 + L(inf) for a transfer function) below 1e12 (Demmel,
 SIAM J. Matrix Anal. Appl. 13(1), 1992): _close applies it to state
 space, sensitivity_pair to transfer functions, and scalar_close goes
 through the two.
+
+Every state-space interconnection is _append (systems side by side) and
+_close: _io_loop appends a controller and a negated plant, whose loop at
+the plant inputs is siso_loop's and build_m's K P and scalar_close's F L;
+a tfm appends its entries; _sensitivity closes a doubled loop once.
 """
 
 import numpy as np
@@ -376,28 +381,15 @@ def _tfm_to_ss(rows):
     if any(len(row) != nin for row in rows):
         raise InputError("matrix rows must all have the same length")
     nout = len(rows)
-    # realize each entry, then stack: states concatenate, entry (i, j)
-    # contributes through input j and output i only
-    blocks = [[tf_to_ss(e) for e in row] for row in rows]
-    nx = sum(b.nstates for row in blocks for b in row)
-    dtype = np.result_type(*[b.A.dtype for row in blocks for b in row],
-                           *[b.D.dtype for row in blocks for b in row])
-    A = np.zeros((nx, nx), dtype=dtype)
-    B = np.zeros((nx, nin), dtype=dtype)
-    C = np.zeros((nout, nx), dtype=dtype)
-    D = np.zeros((nout, nin), dtype=dtype)
-    k = 0
-    for i, row in enumerate(blocks):
-        for j, b in enumerate(row):
-            n = b.nstates
-            A[k : k + n, k : k + n] = b.A
-            B[k : k + n, j : j + 1] = b.B
-            C[i : i + 1, k : k + n] = b.C
-            D[i, j] = b.D[0, 0]
-            k += n
+    # realize each entry and place the entries side by side, row by row;
+    # entry (i, j) then reaches the model through input j and output i only
+    s = _append([tf_to_ss(e) for row in rows for e in row])
+    B = s.B.reshape(-1, nout, nin).sum(axis=1)
+    C = s.C.reshape(nout, nin, -1).sum(axis=1)
+    D = s.D.reshape(nout, nin, nout, nin).sum(axis=(1, 2))
     # entrywise stacking duplicates shared dynamics; strip the exact
     # copies so closed-loop eigenvalues reflect the model, not the packing
-    return _minreal(StateSpace(A, B, C, D))
+    return _minreal(StateSpace(s.A, B, C, D))
 
 
 def _invariant_basis(A, B, tol):
@@ -789,18 +781,20 @@ def _blkdiag(mats, dtype):
     return out
 
 
-def _ss_series(first, second):
-    # second(s) @ first(s); states of `first` come before states of `second`
-    dtype = np.result_type(first.A.dtype, first.D.dtype, second.A.dtype, second.D.dtype)
-    n1, n2 = first.nstates, second.nstates
-    A = np.zeros((n1 + n2, n1 + n2), dtype=dtype)
-    A[:n1, :n1] = first.A
-    A[n1:, n1:] = second.A
-    A[n1:, :n1] = second.B @ first.C
-    B = np.vstack([first.B, second.B @ first.D]).astype(dtype)
-    C = np.hstack([second.D @ first.C, second.C]).astype(dtype)
-    D = (second.D @ first.D).astype(dtype)
-    return StateSpace(A, B, C, D)
+def _append(systems):
+    """The state-space systems side by side, in order: A, B, C and D each
+    block-diagonal, in the dtype of all four matrices of every system."""
+    dtype = np.result_type(*(x for s in systems for x in (s.A, s.B, s.C, s.D)))
+    return StateSpace(*(_blkdiag([getattr(s, x) for s in systems], dtype) for x in "ABCD"))
+
+
+def _io_loop(P, K):
+    """Open loop seen from stacked break points [P's inputs; P's outputs]:
+    L = [[0, K], [-P, 0]] for a plant P and a controller K closing as
+    u = -K y.  _close of it at P's inputs is the loop K P."""
+    s = _append([K, StateSpace(P.A, P.B, -P.C, -P.D)])
+    order = np.r_[K.ninputs : s.ninputs, : K.ninputs]
+    return StateSpace(s.A, s.B[:, order], s.C, s.D[:, order])
 
 
 def _close(sys, keep):
@@ -879,18 +873,21 @@ def sensitivity_pair(L):
             raise WellPosednessError("1 + L(inf) = 0, sensitivity is improper")
         cl = Polynomial(cl)
         return LtiModel(TransferFunction(r.den, cl)), LtiModel(TransferFunction(r.num, cl))
+    S = _sensitivity(r, 0.0)
+    return LtiModel(S), LtiModel(StateSpace(S.A, S.B, -S.C, np.eye(S.noutputs) - S.D))
+
+
+def _sensitivity(r, k):
+    """S + kI of the square state-space loop r, S = (I + r)^-1, from one
+    _close: S maps v, injected at the break points, to the error
+    e = v - r e, so a second, kept set of break points injects v and reads
+    kv + e while r's own channels close around e."""
     if r.noutputs != r.ninputs:
         raise InputError("sensitivity needs a square loop")
-    p = r.noutputs
-    # S maps v, injected at the break points, to the error e = v - L e: a
-    # second, kept set of break points injects v and reads e while L's own
-    # channels close around e
-    Z, eye = np.zeros_like, np.eye(p)
-    G = StateSpace(r.A, np.hstack([Z(r.B), r.B]), np.vstack([Z(r.C), r.C]),
-                   np.vstack([np.hstack([Z(r.D), eye]), np.hstack([-eye, r.D])]))
-    S = _close(G, range(p))
-    T = StateSpace(S.A, S.B, -S.C, eye - S.D)
-    return LtiModel(S), LtiModel(T)
+    eye = np.eye(r.noutputs)
+    G = StateSpace(r.A, np.hstack([np.zeros_like(r.B), r.B]), np.vstack([np.zeros_like(r.C), r.C]),
+                   np.block([[k * eye, eye], [-eye, r.D]]))
+    return _close(G, range(r.noutputs))
 
 
 def _as_factor(f):
@@ -941,13 +938,6 @@ def scalar_close(L, f):
         raise InputError("scalar_close needs a square loop")
     if many and len(factors) != p:
         raise InputError("expected {} factors, got {}".format(p, len(factors)))
-    F = [x if isinstance(x, StateSpace) else tf_to_ss(x) for x in factors] * (1 if many else p)
-    dtype = np.result_type(*(b.D.dtype for b in F), r.A.dtype, np.float64)
-    Fss = StateSpace(
-        _blkdiag([b.A for b in F], dtype),
-        _blkdiag([b.B for b in F], dtype),
-        _blkdiag([b.C for b in F], dtype),
-        _blkdiag([b.D for b in F], dtype),
-    )
-    loop = _ss_series(r, Fss)  # F(s) L(s)
-    return sensitivity_pair(LtiModel(loop))[1]
+    F = _append([x if isinstance(x, StateSpace) else tf_to_ss(x) for x in factors] * (1 if many else p))
+    # F(s) L(s): the loop siso_loop and build_m see at a plant's inputs
+    return sensitivity_pair(LtiModel(_close(_io_loop(r, F), range(p))))[1]

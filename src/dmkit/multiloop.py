@@ -15,6 +15,10 @@ that bracket, [1/peak_upper, 1/peak_lower].  The peak is found as in
 hinf_norm: sweep, then climb.  log sigma_max(D M D^-1) is convex in
 log D (Sezginer & Overton 1990), so each step of the climb descends from
 the scaling of the highest sample so far.
+
+The plant and controller are wired by lti._io_loop into the loop seen
+from every break point, and each analysis closes it with lti._close:
+the same assembly scalar_close uses for its series F L.
 """
 
 import math
@@ -26,8 +30,8 @@ from .disk import (_allpass, _disk_report, _disk_result, _shifted_sensitivity, d
                    worst_perturbation_lti)
 from .classical import classical_margins
 from .errors import ConstructionError, InputError, NominalInstabilityError, WellPosednessError
-from .lti import (LtiModel, StateSpace, TransferFunction, _as_model, _blkdiag, _close,
-                  freq_response, poles, scalar_close, tf_to_ss)
+from .lti import (LtiModel, StateSpace, TransferFunction, _as_model, _close, _io_loop, freq_response,
+                  poles, scalar_close, tf_to_ss)
 from .specnorm import _climb_peaks, _peak_seed, _pick_lowest
 
 _RESTARTS = 5  # uniform and fixed random starts of the mu lower bound's fallback ascent
@@ -163,25 +167,6 @@ def siso_loop(P, K=None):
     if not P.is_siso:
         raise InputError("plant with controller is not SISO; use the mimo command")
     return LtiModel(_broken_loop(P, K, [0])[0])
-
-
-def _io_loop(Pss, Kss):
-    """Open loop seen from stacked break points [plant inputs; plant outputs]:
-    L = [[0, Kt], [-P, 0]] for the normalized pair."""
-    m, p = Pss.ninputs, Pss.noutputs
-    nk, npl = Kss.nstates, Pss.nstates
-    dtype = np.result_type(Pss.A.dtype, Kss.A.dtype, np.float64)
-    A = _blkdiag([Kss.A, Pss.A], dtype)
-    B = np.zeros((nk + npl, m + p), dtype=dtype)
-    B[:nk, m:] = Kss.B
-    B[nk:, :m] = Pss.B
-    C = np.zeros((m + p, nk + npl), dtype=dtype)
-    C[:m, :nk] = Kss.C
-    C[m:, nk:] = -Pss.C
-    D = np.zeros((m + p, m + p), dtype=dtype)
-    D[:m, m:] = Kss.D
-    D[m:, :m] = -Pss.D
-    return StateSpace(A, B, C, D)
 
 
 def resolve_points(points, m, p):

@@ -62,3 +62,40 @@ def test_largest_alpha_lower_rise_reports_the_command():
     rise, key = compare_outputs.largest_move(pairs, ("alpha_lower",), rise=True)
     assert key == "rise" and abs(rise - 4e-13) <= 1e-16
     assert compare_outputs.largest_move(pairs[:1], ("alpha_lower",), rise=True) == (0.0, None)
+
+
+def test_line_counts_leave_docstrings_and_comments_out_of_code(tmp_path):
+    compare_outputs = _tool()
+    pkg = tmp_path / "src" / "dmkit"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text('\n'.join([
+        '"""Module docstring,',
+        'two lines."""',
+        '',
+        '# a comment alone',
+        'X = 1  # code with a comment',
+        '',
+        'def f(x):',
+        '    """One-line docstring."""',
+        '    s = """a string that is',
+        '',
+        '    not a docstring"""',
+        '    return (x,',
+        '            # a comment inside brackets',
+        '            s)',
+        '',
+        '',
+        'class K:',
+        '    """Class',
+        '    docstring."""',
+        '',
+        '    y = 2',
+        '',
+    ]))
+    (pkg / "sub" / "b.py").write_text("# only a comment\n\nZ = [\n    3,\n]\n")
+    (pkg / "notes.txt").write_text("not python\n")
+    # non-blank: 15 in a.py, 4 in b.py; code: X, def, s (two of its three
+    # lines hold text), return, its closing line, class and y in a.py, and
+    # the three lines of Z in b.py
+    assert compare_outputs.nonblank_lines(str(tmp_path)) == 19
+    assert compare_outputs.code_lines(str(tmp_path)) == 11

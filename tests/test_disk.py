@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -45,7 +45,7 @@ from dmkit import (
 from dmkit.cli import _trace_table
 from dmkit.disk import (EXTERIOR_DISK, HALF_PLANE, INTERIOR_DISK, MarginTrace, _shifted_sensitivity,
                         _trace_margins)
-from dmkit.lti import LtiModel, TransferFunction
+from dmkit.lti import LtiModel, StateSpace, TransferFunction
 from dmkit.specnorm import FrequencyGrid
 
 L1 = tf([25], [1, 10, 10, 10])
@@ -304,6 +304,25 @@ def test_one_eigen_solve_of_a_per_analysis(monkeypatch):
     assert not any(a.flags.writeable for a in (tr.alpha_of_omega, tr.gm_of_omega, tr.pm_of_omega))
 
 
+def test_a_state_space_analysis_builds_two_models(monkeypatch):
+    # one closure gives the shifted sensitivity: the doubled loop and its
+    # closed form, with no complementary sensitivity or shifted copy
+    L = flexible_loop(40)
+    built = []
+    init = StateSpace.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(StateSpace, "__init__", counting)
+    disk_margin(L, 0.0)
+    assert len(built) == 2
+    built.clear()
+    freq_margin_trace(L, 0.5, FrequencyGrid(np.geomspace(0.1, 100.0, 50)))
+    assert len(built) == 2
+
+
 @pytest.mark.parametrize("sigma", [0.0, 1.0, -0.5])
 def test_delta0_is_the_peak_sample(sigma):
     # the peak search's own sample of the response gives delta0: eval_freq
@@ -317,9 +336,10 @@ def check_map_radius(f, sigma, alpha, on_boundary):
     """|disk_map_inv(f, sigma)| equals alpha (on_boundary) or is not above it,
     within 1e-8 plus 1e-14 over f's relative distance to -(1 - sigma)/(1 +
     sigma), the point no finite d reaches, near which the map amplifies
-    rounding in f; inside the map's own 1e-9 pole band it reports inf and
-    is not judged."""
-    near = abs((1.0 + sigma) * f + (1.0 - sigma)) / (abs(1.0 + sigma) + abs(1.0 - sigma))
+    rounding in f; the distance is normalized as the map's own 1e-9 pole
+    band normalizes it, and inside that band the map reports inf and is
+    not judged."""
+    near = abs((1.0 + sigma) * f + (1.0 - sigma)) / (abs((1.0 + sigma) * f) + abs(1.0 - sigma))
     r = abs(disk_map_inv(f, sigma))
     if r == math.inf:
         assert near <= 1e-9, (f, sigma, alpha)
@@ -391,6 +411,7 @@ def test_trace_rows_match_scalar_margins(sigma):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(0.0, 1e6), min_size=1, max_size=30), st.floats(-5.0, 5.0))
+@example(gains=[1e-9], sigma=-2.0)
 def test_trace_rows_match_scalar_margins_random(gains, sigma):
     check_trace_rows(gains, [True] * len(gains), sigma)
 

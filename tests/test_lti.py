@@ -30,6 +30,7 @@ from dmkit import (
     ss_to_tf,
     tf,
     tf_to_ss,
+    siso_loop,
     tfm,
 )
 from dmkit import lti
@@ -37,6 +38,7 @@ from dmkit.lti import (
     _CHUNK_BYTES,
     _MODAL_STATES,
     _close,
+    _sensitivity,
     _large_real,
     _minreal,
     _modal_form,
@@ -359,8 +361,7 @@ def test_modal_kernel_flags_rounding_level_pole():
     # random orthogonal basis: rounding keeps the pencil solvable at w = 0,
     # where an LU solve reads L(0) ~ -2e15
     rng = np.random.default_rng(5)
-    loop = lti._ss_series(tf_to_ss(tf([1.0], [1.0, 0.0996, 1.0, 0.0])),
-                          tf_to_ss(tf([1.0, 1.0], [1.0, 1.0])))
+    loop = siso_loop(tf([1.0], [1.0, 0.0996, 1.0, 0.0]), tf([1.0, 1.0], [1.0, 1.0])).representation
     k = _MODAL_STATES - loop.nstates
     A = np.zeros((_MODAL_STATES, _MODAL_STATES))
     A[:-k, :-k] = loop.A
@@ -737,6 +738,50 @@ def test_tfm_assembly_and_minreal():
     w = 1.0
     want = np.array([[1j - 100, 10 + 10j], [-10 - 10j, 1j - 100]]) / 99.0
     assert_allclose(eval_freq(P, w), want, rtol=1e-9)
+
+
+def test_tfm_places_each_entry_at_its_row_and_column():
+    # a 2 x 3 matrix with distinct denominators and some feedthrough: each
+    # entry (i, j) must reach output i from input j only
+    entries = [[([1.0], [1.0, 1.0]), ([2.0, 1.0], [1.0, 3.0]), ([0.5], [1.0, 0.4, 4.0])],
+               [([1.0, 0.0], [1.0, 2.0, 5.0]), ([3.0], [1.0, 7.0]), ([-1.0, 2.0], [1.0, 0.5])]]
+    P = tfm(entries)
+    assert (P.noutputs, P.ninputs) == (2, 3)
+    for w in (0.0, 0.3, 1.7, 12.0, math.inf):
+        want = [[eval_freq(tf(*e), w) for e in row] for row in entries]
+        assert_allclose(eval_freq(P, w), want, rtol=1e-12, atol=1e-14)
+
+
+def test_scalar_close_mixes_transfer_function_and_state_space_factors():
+    # F L (I + F L)^-1 with F = diag(f_0, f_1): the series is F after L,
+    # which a non-diagonal L tells apart from L F
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((3, 3)) - 4.0 * np.eye(3)
+    B, C = rng.standard_normal((3, 2)), rng.standard_normal((2, 3))
+    D = 0.2 * rng.standard_normal((2, 2))
+    f0 = TransferFunction([2.0, 1.0], [1.0, 3.0])
+    f1 = StateSpace([[-2.0, 1.0], [0.0, -5.0]], [[0.0], [1.0]], [[4.0, 0.5]], [[0.3]])
+    closed = scalar_close(ss(A, B, C, D), [f0, LtiModel(f1)])
+    assert closed.representation.nstates == 6
+    for w in (0.0, 0.4, 2.5, 30.0):
+        s = 1j * w
+        L = C @ np.linalg.solve(s * np.eye(3) - A, B) + D
+        F = np.diag([f0(s), (f1.C @ np.linalg.solve(s * np.eye(2) - f1.A, f1.B) + f1.D)[0, 0]])
+        want = F @ L @ np.linalg.inv(np.eye(2) + F @ L)
+        assert_allclose(eval_freq(closed, w), want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [0.0, -0.5, 0.25, -1.5])
+def test_shifted_sensitivity_is_sensitivity_plus_k_bit_for_bit(k):
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((4, 4)) - 3.0 * np.eye(4)
+    r = StateSpace(A, rng.standard_normal((4, 2)), rng.standard_normal((2, 4)),
+                   0.3 * rng.standard_normal((2, 2)))
+    S = sensitivity_pair(LtiModel(r))[0].representation
+    shifted = _sensitivity(r, k)
+    for x in "ABC":
+        assert np.array_equal(getattr(shifted, x), getattr(S, x))
+    assert np.array_equal(shifted.D, S.D + k * np.eye(2))
 
 
 def test_minreal_keeps_minimal_models():

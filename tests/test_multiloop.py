@@ -348,7 +348,7 @@ def test_multiloop_sweep_finds_resonance_between_grid_points():
     assert res.alpha_lower <= 1.0 / np.max(_mu_upper(vals)[0]) * (1 + 1e-9)
 
 
-def test_multiloop_zooms_one_bracket(monkeypatch):
+def test_multiloop_climbs_each_peak_in_stencils(monkeypatch):
     # the sweep is followed by the climb of each distinct peak, one
     # 3-point stencil a step and at most _CLIMB_STEPS steps a peak
     calls, climbs = [], []
@@ -503,7 +503,7 @@ def heavy_system(name):
 
 
 @pytest.mark.parametrize("name", ["satellite io", "pair 46"])
-def test_one_balance_and_one_descent_per_sweep_and_zoom_round(name, monkeypatch):
+def test_one_balance_and_one_descent_per_sweep_and_climb_stencil(name, monkeypatch):
     # each stencil of the climb starts from the scaling of the highest
     # sample so far, and the bracket at omega_crit reuses its sample's
     # scaling: Osborne balancing runs for the sweep alone, and there is
@@ -530,7 +530,7 @@ def test_one_balance_and_one_descent_per_sweep_and_zoom_round(name, monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["satellite io", "pair 46", "pair 69"])
-def test_zoom_scalings_give_their_bounds(name, monkeypatch):
+def test_climb_scalings_give_their_bounds(name, monkeypatch):
     sysm = heavy_system(name)
     rounds = []
     upper_on = multiloop._upper_on

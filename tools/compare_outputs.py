@@ -27,8 +27,9 @@ come each tree's largest certificate det_residual over the mimo
 commands, its largest alpha_upper / min(loop_at_a_time alpha_max) over
 the same commands (the simultaneous margin cannot exceed the
 loop-at-a-time one, so above 1 the mu sweep missed a peak), and the
-non-blank line counts of each tree's src/dmkit, counted as bench/run.py
-counts them.  The exit status is 0 when every
+line counts of each tree's src/dmkit: its non-blank lines, counted as
+bench/run.py counts them, and its code lines, those outside docstrings
+and comments (see code_lines).  The exit status is 0 when every
 command matches exactly and 1 otherwise.  With --rtol X it is 0 when, in every
 command, the exit code, stderr and the text around the numbers match
 and each differing numeric field is within X relative; the report then
@@ -59,6 +60,7 @@ bench/oracles.py).
 """
 
 import argparse
+import ast
 import contextlib
 import functools
 import io
@@ -70,6 +72,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tokenize
 
 SEEDS = (1, 2, 3)
 # for --noise: the least relative noise add_noise puts on each value of
@@ -191,15 +194,44 @@ def collect(tree, out_path, draw=None):
         return json.load(fh)
 
 
+def _dmkit_sources(tree):
+    """The text of each .py file under tree/src/dmkit."""
+    for dirpath, _dirs, files in os.walk(os.path.join(tree, "src", "dmkit")):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                with open(os.path.join(dirpath, f), encoding="utf-8") as fh:
+                    yield fh.read()
+
+
 def nonblank_lines(tree):
     """Non-blank lines of the .py files under tree/src/dmkit, the count
     bench/run.py records."""
+    return sum(1 for text in _dmkit_sources(tree) for line in text.split("\n") if line.strip())
+
+
+# tokens that hold no code: a comment and the layout around it
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENDMARKER}
+
+
+def code_lines(tree):
+    """Non-blank lines of the .py files under tree/src/dmkit that hold a
+    token other than a comment, outside the module, class and function
+    docstrings that ast finds: the count a deleted comment or docstring
+    line does not lower."""
     n = 0
-    for dirpath, _dirs, files in os.walk(os.path.join(tree, "src", "dmkit")):
-        for f in files:
-            if f.endswith(".py"):
-                with open(os.path.join(dirpath, f), encoding="utf-8") as fh:
-                    n += sum(1 for line in fh if line.strip())
+    for text in _dmkit_sources(tree):
+        doc = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and ast.get_docstring(node, clean=False) is not None:
+                doc.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        code = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in _LAYOUT:
+                code.update(range(tok.start[0], tok.end[0] + 1))
+        lines = text.split("\n")
+        n += sum(1 for k in code - doc if lines[k - 1].strip())
     return n
 
 
@@ -470,6 +502,8 @@ def main(argv):
         largest_alpha_ratio(parent), largest_alpha_ratio(change)))
     print("src/dmkit non-blank lines: {} -> {}".format(
         nonblank_lines(args.parent), nonblank_lines(args.change)))
+    print("src/dmkit code lines outside docstrings and comments: {} -> {}".format(
+        code_lines(args.parent), code_lines(args.change)))
     if args.noise is not None:
         print("largest difference / spread over {} noisy parent runs: {:.3g}{}".format(
             DRAWS, ratio, " ({})".format(ratio_key) if ratio_key else ""))
