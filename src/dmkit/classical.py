@@ -75,22 +75,30 @@ def _polymul(a, b):
     return np.convolve(_trim(a), _trim(b))
 
 
+def _polyval(coeffs, w):
+    """np.polyval(coeffs, w) bit for bit at a real w: lti._horner on a list."""
+    y = 0.0
+    for c in coeffs:
+        y = y * w + c
+    return y
+
+
 def _positive_roots(p, residual):
     """Positive real roots of the real polynomial p (descending in w),
     ascending, with roots within 1e-9 relative of each other returned
     once.  Each is polished by Newton steps residual(w) / p'(w), where
-    residual evaluates p at w."""
+    residual evaluates p at w; p' is evaluated on Python floats."""
     p = _trim(np.asarray(p, dtype=float))
     if p.size < 2:
         return []
-    dp = np.polyder(p)
+    dp = np.polyder(p).tolist()
     out = []
     for r in np.roots(p):
         if r.real <= 0.0 or abs(r.imag) > 1e-6 * abs(r):
             continue
         w = float(r.real)
         for _ in range(8):
-            d = np.polyval(dp, w)
+            d = _polyval(dp, w)
             step = residual(w) / d if d else 0.0
             # stop at convergence, and never jump to a neighbouring root
             if not 1e-16 * w < abs(step) < 1e-3 * w:
@@ -114,16 +122,21 @@ def _stable_closure(L, g):
     return is_stable(_close(StateSpace(r.A, r.B, g * r.C, g * r.D), []))
 
 
-def _crossings(L):
-    """Normalize and check L once, then find every candidate boundary:
-    L normalized, the (g, w) pairs at which closing with gain g puts a
-    pole at jw, and the (phi, w) pairs at unit-modulus crossings, sorted.
-    """
+def _nominal(L):
+    """L normalized, once checked to be SISO with a stable nominal closure."""
     L = _as_model(L).normalized()
     if not L.is_siso:
         raise InputError("classical margins are defined for SISO loops")
     if not _stable_closure(L, 1.0):
         raise NominalInstabilityError("nominal closed loop is unstable")
+    return L
+
+
+def _crossings(L):
+    """Every candidate boundary of the _nominal loop L: the (g, w) pairs at
+    which closing with gain g puts a pole at jw, and the (phi, w) pairs at
+    unit-modulus crossings, sorted.
+    """
     t = _transfer_function(L)
     n, d = _on_axis(t.num.coeffs), _on_axis(t.den.coeffs)
 
@@ -159,7 +172,7 @@ def _crossings(L):
         # stability precondition
         if abs(abs(lc) - 1.0) <= 1e-8 and phi > 1e-12:
             phases.append((float(phi), w))
-    return L, sorted(gains), sorted(phases)
+    return sorted(gains), sorted(phases)
 
 
 def _gain_interval(gains):
@@ -185,8 +198,7 @@ def gain_margins(L):
     NominalInstabilityError
         If the unperturbed closed loop is already unstable.
     """
-    _, gains, _ = _crossings(L)
-    return _gain_interval(gains)
+    return _gain_interval(_crossings(_nominal(L))[0])
 
 
 def phase_margin(L):
@@ -195,25 +207,27 @@ def phase_margin(L):
     Returns (phi_upper, critical_frequency); (math.inf, None) when the
     loop gain never crosses unity.
     """
-    _, _, phases = _crossings(L)
+    phases = _crossings(_nominal(L))[1]
     return phases[0] if phases else (math.inf, None)
 
 
 def classical_margins(L):
     """Both margins plus crossover bookkeeping in one result."""
-    L, gains, phases = _crossings(L)
+    return _margins(_nominal(L))
+
+
+def _margins(L):
+    """classical_margins of a normalized SISO loop L whose nominal closure
+    is known to be stable, as multiloop's rows know theirs from build_m."""
+    gains, phases = _crossings(L)
     g_lower, g_upper, (w_lo, w_up) = _gain_interval(gains)
     phi_upper, w_phi = phases[0] if phases else (math.inf, None)
 
-    # binding gain frequency: the side nearer to 1 on a log scale
-    if g_lower > 0.0 and math.isfinite(g_upper):
-        crit_g = w_up if abs(math.log(g_upper)) <= abs(math.log(g_lower)) else w_lo
-    elif math.isfinite(g_upper):
-        crit_g = w_up
-    elif g_lower > 0.0:
-        crit_g = w_lo
-    else:
-        crit_g = None
+    # binding gain frequency: the side nearer to 1 on a log scale, None
+    # when neither side is bounded
+    up = math.log(g_upper) if math.isfinite(g_upper) else math.inf
+    lo = -math.log(g_lower) if g_lower > 0.0 else math.inf
+    crit_g = None if up == lo == math.inf else (w_up if up <= lo else w_lo)
 
     return ClassicalMargins(
         g_lower=g_lower,
@@ -258,6 +272,6 @@ def critical_distance(L):
     p = _abs2(_on_axis(_trim(np.polyadd(t.num.coeffs, t.den.coeffs))))
     q = _abs2(_on_axis(t.den.coeffs))
     stationary = np.polysub(_polymul(np.polyder(p), q), _polymul(p, np.polyder(q)))
-    candidates = _positive_roots(stationary, lambda w: np.polyval(stationary, w))
+    candidates = _positive_roots(stationary, lambda w, c=stationary.tolist(): _polyval(c, w))
     vals, ok = freq_response(L, [0.0, math.inf] + candidates)
     return float(np.min(np.abs(1.0 + vals[ok]), initial=math.inf))

@@ -342,12 +342,12 @@ def disk_margin(L, sigma=0.0):
     return _disk_result(_shifted_sensitivity(L, sigma), sigma)
 
 
-def _disk_result(shifted, sigma, pole_set=None):
+def _disk_result(shifted, sigma, pole_set=None, seed_response=None):
     """disk_margin's result from a loop's shifted sensitivity S + (sigma - 1)/2,
     as built there or as the diagonal entry of multiloop's M, whose poles
-    the caller passes as pole_set when it already holds them."""
+    and seed response (specnorm._peak_gain) multiloop passes too."""
     try:
-        pk = hinf_norm(shifted) if pole_set is None else _peak_gain(_as_model(shifted), pole_set)
+        pk = hinf_norm(shifted) if pole_set is None else _peak_gain(shifted, pole_set, seed_response)
     except DomainError as e:
         raise NominalInstabilityError("nominal closed loop is unstable") from e
     if pk.value == 0.0:

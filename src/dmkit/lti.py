@@ -892,11 +892,17 @@ def _sensitivity(r, k):
 
 def _as_factor(f):
     # a factor keeps a state-space form; anything else is a transfer function
-    if isinstance(f, LtiModel):
+    if isinstance(f, (LtiModel, StateSpace)):
+        f = _as_model(f)
         if not f.is_siso:
             raise InputError("perturbation factors must be scalar")
         return f.normalized().representation
     return f if isinstance(f, TransferFunction) else TransferFunction([f], [1.0])
+
+
+def _as_ss(r):
+    """The representation r as a StateSpace: tf_to_ss of a transfer function."""
+    return tf_to_ss(r) if isinstance(r, TransferFunction) else r
 
 
 def scalar_close(L, f):
@@ -905,7 +911,8 @@ def scalar_close(L, f):
     Parameters
     ----------
     L : LtiModel (any feedback_sign; normalized first)
-    f : scalar, TransferFunction, SISO LtiModel, or a sequence of those
+    f : scalar, TransferFunction, SISO StateSpace or LtiModel, or a
+        sequence of those
         A single factor applies to every channel.  A sequence gives one
         factor per channel of a square MIMO loop.  Complex scalars are
         allowed; the closed loop then has complex coefficients.  A
@@ -922,7 +929,7 @@ def scalar_close(L, f):
     AlgebraicLoopError, WellPosednessError
         As sensitivity_pair raises them for the loop f L.
     InputError
-        If the factor count does not match the loop dimension.
+        If a factor is not scalar, or their count not the loop dimension.
     """
     L = _as_model(L).normalized()
     r = L.representation
@@ -931,13 +938,12 @@ def scalar_close(L, f):
     if isinstance(r, TransferFunction) and not many and isinstance(factors[0], TransferFunction):
         return sensitivity_pair(LtiModel(factors[0] * r))[1]
     # state-space path
-    if isinstance(r, TransferFunction):
-        r = tf_to_ss(r)
+    r = _as_ss(r)
     p = r.noutputs
     if r.ninputs != p:
         raise InputError("scalar_close needs a square loop")
     if many and len(factors) != p:
         raise InputError("expected {} factors, got {}".format(p, len(factors)))
-    F = _append([x if isinstance(x, StateSpace) else tf_to_ss(x) for x in factors] * (1 if many else p))
+    F = _append([_as_ss(x) for x in factors] * (1 if many else p))
     # F(s) L(s): the loop siso_loop and build_m see at a plant's inputs
     return sensitivity_pair(LtiModel(_close(_io_loop(r, F), range(p))))[1]

@@ -28,11 +28,11 @@ import numpy as np
 
 from .disk import (_allpass, _disk_report, _disk_result, _shifted_sensitivity, disk_map_inv,
                    worst_perturbation_lti)
-from .classical import classical_margins
+from .classical import _margins
 from .errors import ConstructionError, InputError, NominalInstabilityError, WellPosednessError
-from .lti import (LtiModel, StateSpace, TransferFunction, _as_model, _close, _io_loop, freq_response,
-                  poles, scalar_close, tf_to_ss)
-from .specnorm import _climb_peaks, _peak_seed, _pick_lowest
+from .lti import (LtiModel, StateSpace, TransferFunction, _as_model, _as_ss, _close, _io_loop,
+                  freq_response, poles, scalar_close)
+from .specnorm import _GRID_N, _climb_peaks, _peak_seed, _pick_lowest
 
 _RESTARTS = 5  # uniform and fixed random starts of the mu lower bound's fallback ascent
 
@@ -117,13 +117,6 @@ class MultiLoopVerification:
     messages: tuple = ()
 
 
-def _to_ss(m):
-    r = _as_model(m).representation
-    if isinstance(r, TransferFunction):
-        return tf_to_ss(r)
-    return r
-
-
 def _normalized_pair(P, K):
     """Plant and controller as state space, sign folded so the loop closes
     as u = -K y.  K = None stands for the identity."""
@@ -131,7 +124,7 @@ def _normalized_pair(P, K):
     positive = P.feedback_sign == "positive"
     # the sign belongs to the interconnection, so it is folded into K,
     # never into the plant response itself
-    Pss = _to_ss(P)
+    Pss = _as_ss(P.representation)
     if K is None:
         if P.noutputs != P.ninputs:
             raise InputError("controller defaults to identity only for square plants")
@@ -140,7 +133,7 @@ def _normalized_pair(P, K):
     else:
         K = _as_model(K)
         positive = positive or K.feedback_sign == "positive"
-    Kss = _to_ss(K)
+    Kss = _as_ss(K.representation)
     if Kss.ninputs != Pss.noutputs or Kss.noutputs != Pss.ninputs:
         raise InputError(
             "controller must map {} plant outputs to {} plant inputs".format(
@@ -469,28 +462,30 @@ def multiloop_margin(sys):
         specnorm._climb_peaks, each 3-point stencil descending from the
         scaling of the highest sample so far.  omega_crit is
         specnorm._pick_lowest of all samples; mu_diag's lower bound runs
-        there with that sample's M, bound and scaling, so no response or
-        descent repeats.  alpha_lower is not certified: a peak narrower
-        than the spacing away from the pole frequencies can be missed.
+        there with the M, bound and scaling of its first highest sample,
+        so no response or descent repeats.  alpha_lower is not
+        certified: a peak narrower than the spacing away from the pole
+        frequencies can be missed.
     """
-    # seen: frequency -> (bound, log D, M) of its highest sample; top:
-    # bound and log D of the highest sample of all
-    seen, top = {}, [-math.inf, None]
+    # samples: the (ws, bounds, log D, M) arrays of each call, in order;
+    # top: bound and log D of the first highest sample of all
+    samples, top = [], [-math.inf, None]
 
     def bounds(ws):
         out, x, Ms = _upper_on(sys, ws, top[1])
-        for w, b, xk, mk in zip(ws.tolist(), out.tolist(), x, Ms):
-            if b > seen.get(w, (-math.inf,))[0]:
-                seen[w] = b, xk, mk
-            if b > top[0]:
-                top[:] = b, xk
+        samples.append((ws, out, x, Ms))
+        k = np.argmax(out)
+        if out[k] > top[0]:
+            top[:] = out[k], x[k]
         return out
 
     pts = _peak_seed(sys.M, 400, sys.poles)
     cand = list(zip(pts.tolist(), bounds(pts).tolist()))
     peak_ub = _climb_peaks(bounds, cand, sys.poles)
     omega_crit = _pick_lowest(cand, peak_ub)
-    ub, x, m0 = seen[omega_crit]
+    ws, out, xs, Ms = map(np.concatenate, zip(*samples))
+    k = np.argmax(np.where(ws == omega_crit, out, -math.inf))
+    ub, x, m0 = out[k], xs[k], Ms[k]
 
     # mu lower <= mu <= every D-scaled bound; _mu_lower clamps against the
     # sample's own bound, which keeps the bracket ordered through rounding
@@ -522,13 +517,19 @@ def single_loop_margins(sys):
     sys.points[j] alone, and the disk margin of M_jj = S_j + (sigma - 1)/2,
     M's diagonal entry, with S_j the sensitivity of that same loop.  So
     no loop is rebuilt; a one-channel M is exactly the shifted
-    sensitivity disk_margin builds for its loop.  Each M_jj shares M's A,
-    so its peak search takes sys.poles instead of solving for them again.
+    sensitivity disk_margin builds for its loop.  Nor is a check redone:
+    each loop closed at unity is the nominal closed loop build_m proved
+    stable, so the rows skip classical_margins' check (_margins).  Each
+    M_jj shares M's poles and so its peak seed, and the diagonal of one
+    response of M there gives every row its seed samples (on the modal
+    kernel, M_jj's own up to rounding).
     """
     r = sys.M.representation
-    return [(classical_margins(_close(sys.loop, [i])),
-             _disk_result(StateSpace(r.A, r.B[:, [j]], r.C[[j], :], r.D[[j]][:, [j]]), sys.sigma,
-                          sys.poles))
+    vals, ok = freq_response(sys.M, _peak_seed(sys.M, _GRID_N, sys.poles))
+    vals = vals.reshape(-1, sys.n, sys.n)
+    return [(_margins(LtiModel(_close(sys.loop, [i]))),
+             _disk_result(LtiModel(StateSpace(r.A, r.B[:, [j]], r.C[[j], :], r.D[[j]][:, [j]])),
+                          sys.sigma, sys.poles, (vals[:, j, j], ok)))
             for j, i in enumerate(sys.points)]
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ImproperModelError, InputError, NumericalError, PoleOnAxisError
-from .lti import _EPS, TransferFunction, _as_model, freq_response, poles, tf_to_ss
+from .lti import _EPS, TransferFunction, _as_model, _as_ss, freq_response, poles
 
 __all__ = ["PeakGain", "FrequencyGrid", "default_grid", "hinf_norm"]
 
@@ -99,9 +99,10 @@ def default_grid(m, n=400):
     return FrequencyGrid(_log_grid(m, n, poles(m)))
 
 
-def _gains(m, ws, values):
-    """Largest singular value of the response at each w of ws; the response goes to values[w]."""
-    vals, ok = freq_response(m, ws)
+def _gains(m, ws, values, response=None):
+    """Largest singular value of the response, freq_response's or the given
+    (values, ok), at each w of ws; the response goes to values[w]."""
+    vals, ok = freq_response(m, ws) if response is None else response
     if not ok.all():
         raise PoleOnAxisError("evaluation at w = {} hits a pole".format(ws[int(np.argmin(ok))]))
     values.update(zip(np.asarray(ws).tolist(), vals))
@@ -112,10 +113,9 @@ def _gains(m, ws, values):
 
 def _realization(m):
     r = m.representation
-    if isinstance(r, TransferFunction):
-        if not r.is_proper:
-            raise ImproperModelError("peak gain of an improper model is infinite")
-        r = tf_to_ss(r)
+    if isinstance(r, TransferFunction) and not r.is_proper:
+        raise ImproperModelError("peak gain of an improper model is infinite")
+    r = _as_ss(r)
     if np.iscomplexobj(r.A) or np.iscomplexobj(r.B) or np.iscomplexobj(r.C) or np.iscomplexobj(r.D):
         raise InputError("hinf_norm expects real-coefficient models")
     return r
@@ -197,15 +197,17 @@ def hinf_norm(m):
     return _peak_gain(m, poles(m))
 
 
-def _peak_gain(m, pole_set):
-    """hinf_norm of the model m whose poles, pole_set, are already known."""
+def _peak_gain(m, pole_set, seed_response=None):
+    """hinf_norm of the model m whose poles, pole_set, are already known;
+    seed_response is freq_response's (values, ok) on its _peak_seed when
+    the caller holds it (multiloop's rows), and every check still runs."""
     if not np.all(pole_set.real < 0.0):
         raise DomainError("peak gain is only defined for stable models")
     r = _realization(m)
     A, B, C, D = r.A, r.B, r.C, r.D
 
     seed, values = _peak_seed(m, _GRID_N, pole_set), {}
-    cand = list(zip(seed.tolist(), _gains(m, seed, values).tolist()))
+    cand = list(zip(seed.tolist(), _gains(m, seed, values, seed_response).tolist()))
     lo = max(g for _, g in cand)
     # a zero or static gain is reported at w = 0, the seed's first point
     if lo == 0.0 or r.nstates == 0:

@@ -428,3 +428,15 @@ def test_classical_margins_against_oracles(loop):
             assert _near(cm.phase_crossover_freqs, ws[i], ws[i + 1])
     for i in _sign_changes(np.abs(L) - 1.0):
         assert _near(cm.gain_crossover_freqs, ws[i], ws[i + 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=14),
+       st.floats(min_value=0.0, max_value=1e12, allow_subnormal=True))
+def test_newton_polish_horner_is_polyval_bit_for_bit(coeffs, w):
+    # _positive_roots and critical_distance evaluate their polynomials on
+    # Python floats; at a real w that is np.polyval to the last bit
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.polyval(np.array(coeffs), w)
+    got = classical._polyval(coeffs, w)
+    assert np.float64(got).tobytes() == want.tobytes() or (math.isnan(got) and math.isnan(want))

@@ -771,6 +771,24 @@ def test_scalar_close_mixes_transfer_function_and_state_space_factors():
         assert_allclose(eval_freq(closed, w), want, rtol=1e-10, atol=1e-12)
 
 
+def test_scalar_close_takes_a_bare_state_space_factor():
+    # a bare SISO StateSpace is the LtiModel-wrapped factor; a bare
+    # non-SISO one is not a scalar
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((3, 3)) - 4.0 * np.eye(3)
+    L = ss(A, rng.standard_normal((3, 2)), rng.standard_normal((2, 3)), np.zeros((2, 2)))
+    f = StateSpace([[-2.0, 1.0], [0.0, -5.0]], [[0.0], [1.0]], [[4.0, 0.5]], [[0.3]])
+    siso = tf([1.0], [1.0, 2.0])
+    for loop, bare, wrapped in ((L, [1.0, f], [1.0, LtiModel(f)]), (L, f, LtiModel(f)),
+                                (siso, f, LtiModel(f))):
+        got, want = scalar_close(loop, bare).representation, scalar_close(loop, wrapped).representation
+        for x in "ABCD":
+            assert np.array_equal(getattr(got, x), getattr(want, x))
+    two = StateSpace(-np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+    with pytest.raises(InputError, match="perturbation factors must be scalar"):
+        scalar_close(L, [1.0, two])
+
+
 @pytest.mark.parametrize("k", [0.0, -0.5, 0.25, -1.5])
 def test_shifted_sensitivity_is_sensitivity_plus_k_bit_for_bit(k):
     rng = np.random.default_rng(4)

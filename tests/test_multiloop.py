@@ -21,6 +21,8 @@ from scipy.optimize import minimize_scalar
 from dmkit import (
     InputError,
     LtiModel,
+    NominalInstabilityError,
+    StateSpace,
     WellPosednessError,
     build_m,
     disk_margin,
@@ -39,7 +41,7 @@ from dmkit import (
     tfm,
     verify_multiloop_destabilizing,
 )
-from dmkit import DiskSpec, classical_margins, guaranteed_gm_pm, multiloop, specnorm
+from dmkit import DiskSpec, classical, classical_margins, guaranteed_gm_pm, multiloop, specnorm
 from dmkit.multiloop import MDeltaSystem, _broken_loop, _mu_upper
 from dmkit.specnorm import _peak_seed
 
@@ -752,6 +754,81 @@ def test_single_loop_margins_reuse_the_poles_of_m(monkeypatch, points):
 
     monkeypatch.setattr(specnorm, "poles", no_poles)
     assert single_loop_margins(sysm) == want
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+@pytest.mark.parametrize("case", sorted(LOOP_CASES))
+def test_each_row_peak_is_the_peak_gain_of_its_diagonal_entry(case, sigma):
+    # the rows take their seed samples from one response of M; each peak is
+    # still bit for bit the one M_jj's own search finds
+    make, points = LOOP_CASES[case]
+    sysm = build_m(*make(), points, sigma)
+    r = sysm.M.representation
+    for j, (_, dm) in enumerate(single_loop_margins(sysm)):
+        m_jj = LtiModel(StateSpace(r.A, r.B[:, [j]], r.C[[j], :], r.D[[j]][:, [j]]))
+        want = specnorm._peak_gain(m_jj, sysm.poles)
+        assert (dm.peak_gain.value, dm.peak_gain.frequency) == (want.value, want.frequency)
+        assert dm.peak_gain.response == want.response
+
+
+@pytest.mark.parametrize("points", ["input", "io"])
+def test_single_loop_margins_evaluate_m_once_on_the_seed(monkeypatch, points):
+    # one response of M over the peak seed serves every row; no row
+    # evaluates its own diagonal entry there again
+    sysm = build_m(*satellite(), points, 0.0)
+    seed = _peak_seed(sysm.M, specnorm._GRID_N, sysm.poles)
+    want = single_loop_margins(sysm)
+    on_m, on_seed = [], []
+
+    def spy(module):
+        inner = module.freq_response
+
+        def recording(m, ws):
+            if m is sysm.M:
+                on_m.append(np.asarray(ws))
+            elif np.array_equal(np.asarray(ws), seed):
+                on_seed.append(m)
+            return inner(m, ws)
+
+        monkeypatch.setattr(module, "freq_response", recording)
+
+    spy(multiloop)
+    spy(specnorm)
+    assert single_loop_margins(sysm) == want
+    assert len(on_m) == 1 and np.array_equal(on_m[0], seed)
+    assert on_seed == []
+
+
+@pytest.mark.parametrize("make, points", [
+    (satellite, "io"), (satellite, "output"), (lambda: _random_pair(46), "input"),
+])
+def test_single_loop_margins_skip_the_nominal_stability_check(monkeypatch, make, points):
+    # build_m proved the nominal closed loop stable; the rows do not close
+    # their loops at unity gain again
+    sysm = build_m(*make(), points, 0.0)
+    want = single_loop_margins(sysm)
+    gains = []
+    inner = classical._stable_closure
+
+    def recording(L, g):
+        gains.append(g)
+        return inner(L, g)
+
+    monkeypatch.setattr(classical, "_stable_closure", recording)
+    assert single_loop_margins(sysm) == want
+    assert 1.0 not in gains
+    # the spy sees the check that classical_margins makes
+    classical_margins(LtiModel(_broken_loop(*make(), [sysm.points[0]])[0]))
+    assert 1.0 in gains
+
+
+def test_loop_at_a_time_raises_on_an_unstable_nominal_loop():
+    # build_m's check on the poles of M still guards every row
+    P = ss(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2), np.zeros((2, 2)))
+    K = ss(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), -5.0 * np.eye(2))
+    for loc in ("input", "output"):
+        with pytest.raises(NominalInstabilityError):
+            loop_at_a_time(P, K, 0, loc)
 
 
 @pytest.mark.parametrize("make, points", [
