@@ -1,20 +1,29 @@
 """Command line front end.
 
-    dmkit classical  model.json
-    dmkit diskmargin model.json [--skew R] [--worst-case]
-    dmkit trace      model.json [--skew R] [--grid N|lo:hi:N] [--format json|csv] [--out PATH]
-    dmkit mimo       model.json [--points input|output|io|LIST] [--skew R]
+    dmkit classical  model.json [--out PATH]
+    dmkit diskmargin model.json [--skew R] [--out PATH] [--worst-case]
+    dmkit trace      model.json [--skew R] [--out PATH] [--format json|csv] [--grid N|lo:hi:N]
+    dmkit mimo       model.json [--skew R] [--out PATH] [--points input|output|io|LIST]
     dmkit exclusion  model.json [--skew R] [--out SAMPLES_CSV]
 
 Model files are JSON: {"model": {"tf": {"num": [...], "den": [...]}}},
 optionally with "feedback": "negative"|"positive", a "controller" in the
 same shapes, and "tfm" (matrix of tf entries) or "ss" (A, B, C, D) in
-place of "tf".  Results go to stdout as a JSON document (trace defaults
-to CSV) that is byte-stable across runs except for its timestamp.
+place of "tf".
 
-Exit codes: 0 success, 1 bad input or unsupported geometry,
-2 analysis not defined for this loop (unstable or ill posed),
-3 numerical failure.
+main is the one driver.  It parses the arguments, loads the model file
+(_load_model_file), builds the SISO loop for every command but mimo, and
+runs the command: a cmd_* function that returns (options, results,
+diagnostics), or the CSV text for trace --format csv.  The driver turns
+the three into the output document (_document), whose encoder (_plain)
+writes every number, and sends it to stdout or to --out.  exclusion's
+--out names its samples CSV instead; its document always goes to stdout.
+The document is byte-stable across runs except for its timestamp.
+
+Exit codes, mapped from the DmkitError raised: 0 success, 1 bad input
+or unsupported geometry (InputError), 2 analysis not defined for this
+loop, unstable or ill posed (DomainError), 3 numerical failure (any
+other DmkitError).
 """
 
 import argparse
@@ -49,51 +58,62 @@ from .specnorm import FrequencyGrid, default_grid
 SCHEMA_VERSION = 1
 
 
-def _jnum(x):
-    if x is None:
-        return None
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+def _plain(x):
+    """x as JSON holds it: a non-finite float as the string "nan", "inf"
+    or "-inf", a complex number as {"re", "im"}, an array or tuple as a
+    list, dicts and lists item by item; anything else as it is."""
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, complex):
+        return {"re": _plain(x.real), "im": _plain(x.imag)}
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)
     return x
-
-
-def _jcomplex(z):
-    if z is None:
-        return None
-    if isinstance(z, (int, float)) and math.isinf(z):
-        return "inf"
-    z = complex(z)
-    return {"re": _jnum(z.real), "im": _jnum(z.imag)}
 
 
 def _gain_field(x):
     """Absolute gain plus a dB convenience value, omitted at 0 and inf."""
-    out = {"abs": _jnum(x)}
-    if x is not None and math.isfinite(x) and x > 0.0:
-        out["db"] = _jnum(20.0 * math.log10(x))
+    out = {"abs": x}
+    if math.isfinite(x) and x > 0.0:
+        out["db"] = 20.0 * math.log10(x)
     return out
 
 
 def _angle_field(x):
-    out = {"radians": _jnum(x)}
-    if x is not None and math.isfinite(x):
-        out["degrees"] = _jnum(math.degrees(x))
-    else:
-        out["degrees"] = _jnum(x)
-    return out
+    return {"radians": x, "degrees": math.degrees(x)}
+
+
+def _classical_fields(cm):
+    """The gain interval and phase margin of a ClassicalMargins."""
+    return {
+        "g_lower": _gain_field(cm.g_lower),
+        "g_upper": _gain_field(cm.g_upper),
+        "phi_upper": _angle_field(cm.phi_upper),
+    }
+
+
+def _disk_fields(prefix, r):
+    """The guaranteed gain pair and phase margin of a disk or multiloop
+    result r, as prefix_gm and prefix_pm."""
+    lo, hi = r.guaranteed_gm
+    return {
+        prefix + "_gm": {"lower": _gain_field(lo), "upper": _gain_field(hi)},
+        prefix + "_pm": _angle_field(r.guaranteed_pm),
+    }
 
 
 def _geometry_fields(g):
     if g is None:
         return None
     return {
-        "gamma_min": _jnum(g.gamma_min),
-        "gamma_max": _jnum(g.gamma_max),
-        "center": _jnum(g.center),
-        "radius": _jnum(g.radius),
+        "gamma_min": g.gamma_min,
+        "gamma_max": g.gamma_max,
+        "center": g.center,
+        "radius": g.radius,
         "phi_max": _angle_field(g.phi_max),
         "kind": g.kind,
     }
@@ -170,7 +190,7 @@ def _load_model_file(path):
 
 def _document(command, path, digest, options, results, diagnostics):
     """The JSON text of a command's output document."""
-    return json.dumps({
+    return json.dumps(_plain({
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "dmkit", "version": __version__},
         "command": command,
@@ -178,8 +198,8 @@ def _document(command, path, digest, options, results, diagnostics):
         "input": {"path": path, "sha256": digest},
         "options": options,
         "results": results,
-        "diagnostics": list(diagnostics),
-    }, indent=2, sort_keys=True) + "\n"
+        "diagnostics": diagnostics,
+    }), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(text, out_path):
@@ -190,53 +210,42 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def cmd_classical(args):
-    P, K, path, digest = _load_model_file(args.model)
-    L = siso_loop(P, K)
+def cmd_classical(args, P, K, L):
     cm = classical_margins(L)
     results = {
-        "g_lower": _gain_field(cm.g_lower),
-        "g_upper": _gain_field(cm.g_upper),
-        "phi_upper": _angle_field(cm.phi_upper),
-        "gain_crossover_freqs": [_jnum(w) for w in cm.gain_crossover_freqs],
-        "phase_crossover_freqs": [_jnum(w) for w in cm.phase_crossover_freqs],
-        "critical_gain_freq": _jnum(cm.critical_gain_freq),
-        "critical_phase_freq": _jnum(cm.critical_phase_freq),
+        **_classical_fields(cm),
+        "gain_crossover_freqs": cm.gain_crossover_freqs,
+        "phase_crossover_freqs": cm.phase_crossover_freqs,
+        "critical_gain_freq": cm.critical_gain_freq,
+        "critical_phase_freq": cm.critical_phase_freq,
     }
-    diagnostics = []
-    for lo, hi in cm.extra_stable_gain_intervals:
-        diagnostics.append(
-            "additional stable gain interval (%.12g, %.12g) disconnected from g = 1" % (lo, hi)
-        )
-    _emit(_document("classical", path, digest, {}, results, diagnostics), args.out)
-    return 0
+    diagnostics = [
+        "additional stable gain interval (%.12g, %.12g) disconnected from g = 1" % interval
+        for interval in cm.extra_stable_gain_intervals
+    ]
+    return {}, results, diagnostics
 
 
-def cmd_diskmargin(args):
-    P, K, path, digest = _load_model_file(args.model)
-    L = siso_loop(P, K)
+def cmd_diskmargin(args, P, K, L):
     d = disk_margin(L, args.skew)
-    gm_lo, gm_hi = d.guaranteed_gm
     results = {
-        "skew": _jnum(args.skew),
-        "alpha_max": _jnum(d.spec.alpha),
-        "omega_crit": _jnum(d.omega_crit),
-        "peak_gain": {"value": _jnum(d.peak_gain.value), "frequency": _jnum(d.peak_gain.frequency)},
-        "delta0": _jcomplex(d.delta0),
-        "f0": _jcomplex(d.f0),
+        "skew": args.skew,
+        "alpha_max": d.spec.alpha,
+        "omega_crit": d.omega_crit,
+        "peak_gain": {"value": d.peak_gain.value, "frequency": d.peak_gain.frequency},
+        "delta0": d.delta0,
+        "f0": d.f0,
         "geometry": _geometry_fields(d.geometry),
-        "guaranteed_gm": {"lower": _gain_field(gm_lo), "upper": _gain_field(gm_hi)},
-        "guaranteed_pm": _angle_field(d.guaranteed_pm),
-        "gamma_m": _jnum(_gamma_m(gm_lo, gm_hi)),
+        **_disk_fields("guaranteed", d),
+        "gamma_m": _gamma_m(*d.guaranteed_gm),
     }
     diagnostics = []
     if args.skew == 1.0:
         dist = critical_distance(L)
-        rel = abs(dist - d.spec.alpha) / max(d.spec.alpha, 1e-300)
         results["sensitivity_consistency"] = {
-            "min_dist_to_critical": _jnum(dist),
-            "alpha_max": _jnum(d.spec.alpha),
-            "rel_diff": _jnum(rel),
+            "min_dist_to_critical": dist,
+            "alpha_max": d.spec.alpha,
+            "rel_diff": abs(dist - d.spec.alpha) / max(d.spec.alpha, 1e-300),
         }
     if args.worst_case:
         if d.f0 == math.inf:
@@ -253,24 +262,13 @@ def cmd_diskmargin(args):
             else:
                 rep = verify_destabilizing(L, pert, d.omega_crit)
                 results["worst_case"] = {
-                    "delta_hat": {
-                        "num": [_jnum(c) for c in pert.delta_hat.num.coeffs],
-                        "den": [_jnum(c) for c in pert.delta_hat.den.coeffs],
-                    },
-                    "f_hat": {
-                        "num": [_jnum(c) for c in pert.f_hat.num.coeffs],
-                        "den": [_jnum(c) for c in pert.f_hat.den.coeffs],
-                    },
-                    "beta": _jnum(pert.beta) if pert.beta is not None else None,
-                    "verification": {
-                        "verdict": rep.verdict,
-                        "pole": _jcomplex(rep.pole),
-                        "distance": _jnum(rep.distance),
-                    },
+                    "delta_hat": {"num": pert.delta_hat.num.coeffs, "den": pert.delta_hat.den.coeffs},
+                    "f_hat": {"num": pert.f_hat.num.coeffs, "den": pert.f_hat.den.coeffs},
+                    "beta": pert.beta,
+                    "verification": {"verdict": rep.verdict, "pole": rep.pole, "distance": rep.distance},
                 }
                 diagnostics.extend(rep.messages)
-    _emit(_document("diskmargin", path, digest, {"skew": _jnum(args.skew), "worst_case": bool(args.worst_case)}, results, diagnostics), args.out)
-    return 0
+    return {"skew": args.skew, "worst_case": args.worst_case}, results, diagnostics
 
 
 def _parse_grid(spec_str, L):
@@ -310,27 +308,18 @@ def _trace_table(tr):
     return table
 
 
-def cmd_trace(args):
-    P, K, path, digest = _load_model_file(args.model)
-    L = siso_loop(P, K)
-    grid = _parse_grid(args.grid, L)
-    tr = freq_margin_trace(L, args.skew, grid)
+def cmd_trace(args, P, K, L):
+    tr = freq_margin_trace(L, args.skew, _parse_grid(args.grid, L))
     table = _trace_table(tr)
     if args.format == "csv":
-        _emit(_csv_text(TRACE_COLUMNS, table), args.out)
-        return 0
-    results = {
-        "skew": _jnum(args.skew),
-        "columns": list(TRACE_COLUMNS),
-        "rows": [[_jnum(x) for x in row] for row in table.tolist()],
-    }
+        return _csv_text(TRACE_COLUMNS, table)
     diagnostics = []
     if tr.flagged:
         diagnostics.append(
             "samples at grid indices {} hit a pole and were flagged".format(list(tr.flagged))
         )
-    _emit(_document("trace", path, digest, {"skew": _jnum(args.skew), "grid": args.grid or "400"}, results, diagnostics), args.out)
-    return 0
+    options = {"skew": args.skew, "grid": args.grid or "400"}
+    return options, {"skew": args.skew, "columns": TRACE_COLUMNS, "rows": table}, diagnostics
 
 
 def _points_argument(raw):
@@ -344,32 +333,25 @@ def _points_argument(raw):
         ) from e
 
 
-def cmd_mimo(args):
-    P, K, path, digest = _load_model_file(args.model)
-    points = _points_argument(args.points)
-    sys_md = build_m(P, K, points, args.skew)
+def cmd_mimo(args, P, K, L):
+    sys_md = build_m(P, K, _points_argument(args.points), args.skew)
     res = multiloop_margin(sys_md)
-    deltas = []
-    if res.delta_worst is not None:
-        for d in np.diag(res.delta_worst):
-            deltas.append({"delta": _jcomplex(d), "f": _jcomplex(disk_map(complex(d), args.skew))})
     results = {
         "points": args.points,
-        "skew": _jnum(args.skew),
-        "alpha_lower": _jnum(res.alpha_lower),
-        "alpha_upper": _jnum(res.alpha_upper),
-        "omega_crit": _jnum(res.omega_crit),
-        "guaranteed_gm": {"lower": _gain_field(res.guaranteed_gm[0]),
-                          "upper": _gain_field(res.guaranteed_gm[1])},
-        "guaranteed_pm": _angle_field(res.guaranteed_pm),
+        "skew": args.skew,
+        "alpha_lower": res.alpha_lower,
+        "alpha_upper": res.alpha_upper,
+        "omega_crit": res.omega_crit,
+        **_disk_fields("guaranteed", res),
         "geometry": _geometry_fields(res.geometry),
-        "delta_worst": deltas,
+        "delta_worst": [],
     }
     if res.delta_worst is not None:
-        resid = abs(np.linalg.det(np.eye(sys_md.n) - res.m0 @ res.delta_worst))
+        deltas = np.diag(res.delta_worst)
+        results["delta_worst"] = [{"delta": d, "f": disk_map(complex(d), args.skew)} for d in deltas]
         results["certificate"] = {
-            "det_residual": _jnum(resid),
-            "delta_norm": _jnum(float(np.max(np.abs(np.diag(res.delta_worst))))),
+            "det_residual": abs(np.linalg.det(np.eye(sys_md.n) - res.m0 @ res.delta_worst)),
+            "delta_norm": np.max(np.abs(deltas)),
         }
     table = []
     m = P.ninputs
@@ -378,12 +360,9 @@ def cmd_mimo(args):
         table.append({
             "location": loc,
             "channel": ch + 1,
-            "g_lower": _gain_field(cm.g_lower),
-            "g_upper": _gain_field(cm.g_upper),
-            "phi_upper": _angle_field(cm.phi_upper),
-            "alpha_max": _jnum(dm.spec.alpha),
-            "disk_gm": {"lower": _gain_field(dm.guaranteed_gm[0]), "upper": _gain_field(dm.guaranteed_gm[1])},
-            "disk_pm": _angle_field(dm.guaranteed_pm),
+            **_classical_fields(cm),
+            "alpha_max": dm.spec.alpha,
+            **_disk_fields("disk", dm),
         })
     results["loop_at_a_time"] = table
     diagnostics = []
@@ -395,42 +374,38 @@ def cmd_mimo(args):
         diagnostics.append(
             "mu lower-bound search at omega_crit did not converge; alpha_upper may be loose"
         )
-    _emit(_document("mimo", path, digest, {"points": args.points, "skew": _jnum(args.skew)}, results, diagnostics), args.out)
-    return 0
+    return {"points": args.points, "skew": args.skew}, results, diagnostics
 
 
-def cmd_exclusion(args):
-    P, K, path, digest = _load_model_file(args.model)
-    L = siso_loop(P, K)
+def cmd_exclusion(args, P, K, L):
     d = disk_margin(L, args.skew)
     ex = nyquist_exclusion(d)
     results = {
-        "skew": _jnum(args.skew),
-        "alpha_max": _jnum(d.spec.alpha),
-        "omega_crit": _jnum(d.omega_crit),
-        "center": _jnum(ex.center),
-        "radius": _jnum(ex.radius),
-        "intercepts": [_jnum(x) for x in ex.intercepts],
+        "skew": args.skew,
+        "alpha_max": d.spec.alpha,
+        "omega_crit": d.omega_crit,
+        "center": ex.center,
+        "radius": ex.radius,
+        "intercepts": ex.intercepts,
     }
     diagnostics = []
     if d.f0 == math.inf:
         results["tangency"] = None
         diagnostics.append("f0 is infinite; no finite tangency point")
     else:
-        results["tangency"] = _jcomplex(-1.0 / d.f0)
+        results["tangency"] = -1.0 / d.f0
     if args.skew == 1.0:
         results["sensitivity_consistency"] = {
-            "min_dist_to_critical": _jnum(critical_distance(L)),
-            "radius": _jnum(ex.radius),
+            "min_dist_to_critical": critical_distance(L),
+            "radius": ex.radius,
         }
-    if args.out:
+    if args.samples_csv:
         ws = np.asarray(default_grid(L, 1024).finite)
         vals, ok = freq_response(L, ws)
         samples = np.column_stack([ws[ok], vals[ok].real, vals[ok].imag])
-        _emit(_csv_text(("omega", "re_L", "im_L"), samples), args.out)
-        results["samples_csv"] = args.out
-    _emit(_document("exclusion", path, digest, {"skew": _jnum(args.skew)}, results, diagnostics), None)
-    return 0
+        _emit(_csv_text(("omega", "re_L", "im_L"), samples), args.samples_csv)
+        results["samples_csv"] = args.samples_csv
+    return {"skew": args.skew}, results, diagnostics
 
 
 @functools.cache
@@ -441,59 +416,59 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default=None):
+    def command(name, func, summary, skew=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("model", help="model file (JSON); bundled example names also work")
-        p.add_argument("--skew", type=float, default=0.0,
-                       help="disk skew sigma (default 0, symmetric)")
+        if skew:
+            p.add_argument("--skew", type=float, default=0.0,
+                           help="disk skew sigma (default 0, symmetric)")
+        return p
+
+    def out(p):
         p.add_argument("--out", default=None, help="write output to this path")
-        if fmt_default:
-            p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
 
-    p = sub.add_parser("classical", help="gain and phase margins")
-    p.add_argument("model")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_classical)
+    p = command("classical", cmd_classical, "gain and phase margins", skew=False)
+    out(p)
 
-    p = sub.add_parser("diskmargin", help="largest tolerated perturbation disk")
-    common(p)
+    p = command("diskmargin", cmd_diskmargin, "largest tolerated perturbation disk")
+    out(p)
     p.add_argument("--worst-case", action="store_true",
                    help="add the first-order destabilizing perturbation and verify it")
-    p.set_defaults(func=cmd_diskmargin)
 
-    p = sub.add_parser("trace", help="margins frequency by frequency")
-    common(p, fmt_default="csv")
+    p = command("trace", cmd_trace, "margins frequency by frequency")
+    out(p)
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--grid", default=None, help="N points, or lo:hi:N")
-    p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("mimo", help="simultaneous multi-loop margins")
-    common(p)
+    p = command("mimo", cmd_mimo, "simultaneous multi-loop margins")
+    out(p)
     p.add_argument("--points", default="input",
                    help="input, output, io, or comma-separated channel indices")
-    p.set_defaults(func=cmd_mimo)
 
-    p = sub.add_parser("exclusion", help="Nyquist exclusion disk")
-    common(p)
-    p.set_defaults(func=cmd_exclusion)
+    # the document stays on stdout; --out names the samples CSV
+    p = command("exclusion", cmd_exclusion, "Nyquist exclusion disk")
+    p.add_argument("--out", dest="samples_csv", default=None,
+                   help="write the Nyquist samples CSV to this path")
+    p.set_defaults(out=None)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     try:
-        return args.func(args)
-    except InputError as e:
-        print("error: {}".format(e), file=sys.stderr)
-        return 1
-    except DomainError as e:
-        print("error: {}".format(e), file=sys.stderr)
-        return 2
+        P, K, path, digest = _load_model_file(args.model)
+        L = None if args.command == "mimo" else siso_loop(P, K)
+        out = args.func(args, P, K, L)
+        text = out if isinstance(out, str) else _document(args.command, path, digest, *out)
+        _emit(text, args.out)
     except DmkitError as e:
         print("error: {}".format(e), file=sys.stderr)
-        return 3
+        return 1 if isinstance(e, InputError) else 2 if isinstance(e, DomainError) else 3
+    return 0
 
 
 if __name__ == "__main__":

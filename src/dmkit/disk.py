@@ -54,7 +54,7 @@ from .lti import (
     scalar_close,
     sensitivity_pair,
 )
-from .specnorm import FrequencyGrid, PeakGain, _peak_gain, default_grid, hinf_norm
+from .specnorm import FrequencyGrid, PeakGain, _peak_gain, default_grid
 
 __all__ = [
     "DiskSpec",
@@ -342,12 +342,12 @@ def disk_margin(L, sigma=0.0):
     return _disk_result(_shifted_sensitivity(L, sigma), sigma)
 
 
-def _disk_result(shifted, sigma, pole_set=None, seed_response=None):
+def _disk_result(shifted, sigma, pole_set=None, seed=None):
     """disk_margin's result from a loop's shifted sensitivity S + (sigma - 1)/2,
     as built there or as the diagonal entry of multiloop's M, whose poles
-    and seed response (specnorm._peak_gain) multiloop passes too."""
+    and seed samples (specnorm._peak_gain) multiloop passes too."""
     try:
-        pk = hinf_norm(shifted) if pole_set is None else _peak_gain(shifted, pole_set, seed_response)
+        pk = _peak_gain(shifted, poles(shifted) if pole_set is None else pole_set, seed)
     except DomainError as e:
         raise NominalInstabilityError("nominal closed loop is unstable") from e
     if pk.value == 0.0:

@@ -520,16 +520,18 @@ def single_loop_margins(sys):
     sensitivity disk_margin builds for its loop.  Nor is a check redone:
     each loop closed at unity is the nominal closed loop build_m proved
     stable, so the rows skip classical_margins' check (_margins).  Each
-    M_jj shares M's poles and so its peak seed, and the diagonal of one
-    response of M there gives every row its seed samples (on the modal
-    kernel, M_jj's own up to rounding).
+    M_jj shares M's poles and so its peak seed (_log_grid reads a model
+    only for transfer-function zeros, and M_jj is state space): every row
+    gets that seed and the diagonal of one response of M there (on the
+    modal kernel, M_jj's own up to rounding).
     """
     r = sys.M.representation
-    vals, ok = freq_response(sys.M, _peak_seed(sys.M, _GRID_N, sys.poles))
+    seed = _peak_seed(sys.M, _GRID_N, sys.poles)
+    vals, ok = freq_response(sys.M, seed)
     vals = vals.reshape(-1, sys.n, sys.n)
     return [(_margins(LtiModel(_close(sys.loop, [i]))),
              _disk_result(LtiModel(StateSpace(r.A, r.B[:, [j]], r.C[[j], :], r.D[[j]][:, [j]])),
-                          sys.sigma, sys.poles, (vals[:, j, j], ok)))
+                          sys.sigma, sys.poles, (seed, (vals[:, j, j], ok))))
             for j, i in enumerate(sys.points)]
 
 

@@ -197,17 +197,19 @@ def hinf_norm(m):
     return _peak_gain(m, poles(m))
 
 
-def _peak_gain(m, pole_set, seed_response=None):
+def _peak_gain(m, pole_set, seed=None):
     """hinf_norm of the model m whose poles, pole_set, are already known;
-    seed_response is freq_response's (values, ok) on its _peak_seed when
-    the caller holds it (multiloop's rows), and every check still runs."""
+    seed is (ws, (values, ok)), m's _peak_seed frequencies and
+    freq_response there, when the caller holds them (multiloop's rows),
+    and every check still runs."""
     if not np.all(pole_set.real < 0.0):
         raise DomainError("peak gain is only defined for stable models")
     r = _realization(m)
     A, B, C, D = r.A, r.B, r.C, r.D
 
-    seed, values = _peak_seed(m, _GRID_N, pole_set), {}
-    cand = list(zip(seed.tolist(), _gains(m, seed, values, seed_response).tolist()))
+    ws, response = (_peak_seed(m, _GRID_N, pole_set), None) if seed is None else seed
+    values = {}
+    cand = list(zip(ws.tolist(), _gains(m, ws, values, response).tolist()))
     lo = max(g for _, g in cand)
     # a zero or static gain is reported at w = 0, the seed's first point
     if lo == 0.0 or r.nstates == 0:

@@ -3,13 +3,19 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import dmkit.cli
+import dmkit.errors
+import dmkit.lti
+import dmkit.multiloop
+import dmkit.specnorm
 from dmkit.cli import main
 
 
@@ -175,6 +181,18 @@ def test_csv_text_matches_per_row_formatting(n, k):
     assert dmkit.cli._csv_text(columns, table) == per_row_csv(columns, table.tolist())
 
 
+def test_plain_encodes_every_value_json_cannot_hold():
+    doc = {"x": (math.nan, math.inf, -math.inf, 0.5, 2, True, None, "s"),
+           "z": [1 + 2j, np.complex128(complex(math.inf, -0.0))],
+           "a": np.array([[np.float64(math.nan), 1.0]]), "d": np.float64(-math.inf),
+           "r": np.array(3.0)}
+    assert dmkit.cli._plain(doc) == {
+        "x": ["nan", "inf", "-inf", 0.5, 2, True, None, "s"],
+        "z": [{"re": 1.0, "im": 2.0}, {"re": "inf", "im": -0.0}],
+        "a": [["nan", 1.0]], "d": "-inf", "r": 3.0}
+    json.dumps(dmkit.cli._plain(doc), allow_nan=False)
+
+
 def test_trace_two_point_grid_gives_two_rows(capsys):
     code = main(["trace", "ex1_loop.json", "--grid", "1:10:2"])
     out = capsys.readouterr().out
@@ -238,6 +256,23 @@ def test_mimo_reports_unconverged_lower_bound(capsys, monkeypatch):
     assert len(stalled["diagnostics"]) == 1
     assert "did not converge" in stalled["diagnostics"][0]
     assert stalled["results"] == doc["results"]
+
+
+def test_mimo_builds_the_peak_seed_twice(capsys, monkeypatch):
+    # once for the mu sweep and once for M's response; every
+    # loop-at-a-time row takes the latter instead of building its own
+    calls = []
+    inner = dmkit.specnorm._peak_seed
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(dmkit.specnorm, "_peak_seed", counting)
+    monkeypatch.setattr(dmkit.multiloop, "_peak_seed", counting)
+    code, doc = run_json(capsys, ["mimo", "satellite.json", "--points", "io"])
+    assert code == 0 and len(doc["results"]["loop_at_a_time"]) == 4
+    assert len(calls) == 2
 
 
 def test_mimo_channel_list(capsys):
@@ -378,3 +413,90 @@ def test_cli_import_loads_no_scipy():
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))").format(src)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli")
+# loops for the golden paths that no bundled example reaches
+GOLDEN_MODELS = {
+    # |S - 1/2| peaks at w = inf, where L = 0: f0 is infinite
+    "peak_at_inf": {"tf": {"num": [0.5], "den": [1, 1]}},
+    # |delta0| (1 + sigma) = 3.16 at sigma 0: no stable proper f_hat
+    "no_allpass": {"tf": {"num": [0.5, 0.5, 0.5], "den": [1.0, 1.86, 0.32]}},
+    # stable again for gains above 13.1
+    "conditional": {"tf": {"num": [-0.9, -0.3, -0.4], "den": [1.0, 3.93, 0.72]}},
+    "unstable": {"tf": {"num": [0.5], "den": [1, -1]}},
+    # the characteristic polynomial overflows: root extraction fails
+    "overflow": {"tf": {"num": [1e300], "den": [1e-300, 1]}},
+}
+# (name, argv, exit code); {out} is a scratch file, {name} a GOLDEN_MODELS file
+GOLDEN_CASES = [
+    ("classical_out", ["classical", "ex1_loop.json", "--out", "{out}"], 0),
+    ("trace_json", ["trace", "resonant_loop.json", "--grid", "1:10:6", "--format", "json"], 0),
+    ("exclusion_out", ["exclusion", "ex1_loop.json", "--out", "{out}"], 0),
+    ("diskmargin_construction_failed", ["diskmargin", "{no_allpass}", "--worst-case"], 0),
+    ("diskmargin_f0_inf", ["diskmargin", "{peak_at_inf}", "--worst-case"], 0),
+    ("classical_extra_interval", ["classical", "{conditional}"], 0),
+    ("mimo_channel_list", ["mimo", "satellite.json", "--points", "0,1"], 0),
+    ("exit_1", ["mimo", "satellite.json", "--points", "zig"], 1),
+    ("exit_2", ["diskmargin", "{unstable}"], 2),
+    ("exit_3", ["classical", "{overflow}"], 3),
+]
+
+
+def golden_run(capsys, tmp_path, argv):
+    """(exit code, {stream: text}) of main(argv), with the streams stdout,
+    stderr and out (the --out file) normalized: the generated_at line is
+    dropped and the model and --out paths read MODEL and OUT."""
+    files = {"out": str(tmp_path / "out.txt")}
+    for name, model in GOLDEN_MODELS.items():
+        files[name] = write_model(tmp_path, name + ".json", {"model": model})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main([a.format(**files) for a in argv])
+    streams = capsys.readouterr()
+    texts = {"stdout": streams.out, "stderr": streams.err}
+    if os.path.exists(files["out"]):
+        texts["out"] = open(files["out"], encoding="utf-8").read()
+    for key, text in texts.items():
+        text = re.sub(r'\n *"generated_at": "[^"]*",', "", text)
+        text = re.sub(r'"path": "[^"]*"', '"path": "MODEL"', text)
+        texts[key] = text.replace(files["out"], "OUT")
+    return code, texts
+
+
+@pytest.mark.parametrize("name, argv, code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_cli_golden_output(capsys, tmp_path, name, argv, code):
+    # GOLDEN holds NAME.stdout, NAME.stderr and NAME.out; an absent file
+    # stands for an empty stream
+    got_code, texts = golden_run(capsys, tmp_path, argv)
+    assert got_code == code
+    for stream in ("stdout", "stderr", "out"):
+        path = os.path.join(GOLDEN, "{}.{}".format(name, stream))
+        want = open(path, encoding="utf-8").read() if os.path.exists(path) else ""
+        assert texts.get(stream, "") == want, stream
+
+
+@pytest.mark.parametrize("name", dmkit.errors.__all__)
+def test_each_error_class_has_its_exit_code(capsys, monkeypatch, name):
+    cls = getattr(dmkit.errors, name)
+
+    def fail(*args, **kwargs):
+        raise cls("planted")
+
+    monkeypatch.setattr(dmkit.cli, "classical_margins", fail)
+    want = 1 if issubclass(cls, dmkit.errors.InputError) else \
+        2 if issubclass(cls, dmkit.errors.DomainError) else 3
+    documented = {"UnsupportedCaseError": 1, "ImproperModelError": 1,
+                  "NominalInstabilityError": 2, "ConstructionError": 3}
+    assert documented.get(name, want) == want
+    assert main(["classical", "ex1_loop.json"]) == want
+    assert capsys.readouterr().err == "error: planted\n"
+
+
+def test_bench_entry_points():
+    # bench/setup_probe.py times _load_model_file, and bench/selftest.py
+    # checks through cli.eval_freq that the tracer restores what it wraps
+    P, K, path, digest = dmkit.cli._load_model_file("ex1_loop.json")
+    assert isinstance(P, dmkit.lti.LtiModel) and K is None
+    assert os.path.basename(path) == "ex1_loop.json" and len(digest) == 64
+    assert dmkit.cli.eval_freq is dmkit.lti.eval_freq
