@@ -13,7 +13,8 @@ they are the positive real roots of two real polynomials in w:
 Im(N(jw) conj D(jw)) for real-axis crossings and |N(jw)|^2 - |D(jw)|^2
 for unit-modulus ones.  Each root is Newton-polished, then verified on
 the model, masked by the poles that the transfer function flags, with
-one freq_response call on each over the roots, w = 0 and w = inf.  One
+one freq_response call on each over the roots, w = 0 and w = inf (one
+call in all when the model is a transfer function).  One
 call computes them, and the closure, once.  A static gain g closes a
 state-space loop as the autonomous _close(StateSpace(A, B, g C, g D), []).
 """
@@ -150,8 +151,9 @@ def _crossings(L):
     unit_circle = roots(np.polysub(_abs2(n), _abs2(d)), lambda nv, dv: abs(nv) ** 2 - abs(dv) ** 2)
     ws = np.array(real_axis + [0.0, math.inf] + unit_circle)
     vals, ok = freq_response(L, ws)
-    # t also flags axis poles that rounding hides from a state-space pencil
-    ok &= freq_response(t, ws)[1]
+    if t is not L.representation:
+        # t also flags axis poles that rounding hides from a state-space pencil
+        ok &= freq_response(t, ws)[1]
 
     def verified(lo, hi):
         return zip(ws[lo:hi][ok[lo:hi]].tolist(), vals[lo:hi][ok[lo:hi]].tolist())

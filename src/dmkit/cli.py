@@ -27,6 +27,7 @@ other DmkitError).
 """
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -109,21 +110,15 @@ def _disk_fields(prefix, r):
 def _geometry_fields(g):
     if g is None:
         return None
-    return {
-        "gamma_min": g.gamma_min,
-        "gamma_max": g.gamma_max,
-        "center": g.center,
-        "radius": g.radius,
-        "phi_max": _angle_field(g.phi_max),
-        "kind": g.kind,
-    }
+    return {**dataclasses.asdict(g), "phi_max": _angle_field(g.phi_max)}
 
 
 def _gamma_m(lo, hi):
-    """Symmetric gain margin min(1/lo, hi) of gain intervals (lo, hi), 1/0 = inf."""
+    """Symmetric gain margin min(1/lo, hi) of gain intervals (lo, hi), 1/0 = inf;
+    nan where lo and hi are (a flagged trace row)."""
     with np.errstate(divide="ignore"):
         inv = np.where(lo > 0.0, np.divide(1.0, lo), math.inf)
-    return np.where(hi < inv, hi, inv)
+    return np.minimum(hi, inv)
 
 
 def _parse_tf_entry(obj, what):
@@ -248,7 +243,11 @@ def cmd_diskmargin(args, P, K, L):
             "rel_diff": abs(dist - d.spec.alpha) / max(d.spec.alpha, 1e-300),
         }
     if args.worst_case:
-        if d.f0 == math.inf:
+        if d.delta0 is None:
+            diagnostics.append(
+                "the margin is unbounded at this skew; no perturbation destabilizes the loop"
+            )
+        elif d.f0 == math.inf:
             diagnostics.append(
                 "critical perturbation switches the loop off (f0 is infinite); "
                 "no destabilizing LTI closure exists at this skew"
@@ -302,10 +301,8 @@ def _trace_table(tr):
     """The trace as an (N, 6) float array in TRACE_COLUMNS order; a flagged
     row is nan after omega."""
     alpha, (lo, hi), pm = tr.alpha_of_omega, tr.gm_of_omega.T, tr.pm_of_omega
-    table = np.column_stack([tr.grid.points, alpha, lo, hi, _gamma_m(lo, hi),
-                             np.where(np.isfinite(pm), np.degrees(pm), pm)])
-    table[np.isnan(alpha), 1:] = math.nan
-    return table
+    return np.column_stack([tr.grid.points, alpha, lo, hi, _gamma_m(lo, hi),
+                            np.where(np.isfinite(pm), np.degrees(pm), pm)])
 
 
 def cmd_trace(args, P, K, L):
@@ -460,10 +457,12 @@ def main(argv=None):
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     try:
-        P, K, path, digest = _load_model_file(args.model)
-        L = None if args.command == "mimo" else siso_loop(P, K)
-        out = args.func(args, P, K, L)
-        text = out if isinstance(out, str) else _document(args.command, path, digest, *out)
+        # the analyses flag the non-finite values they meet themselves
+        with np.errstate(all="ignore"):
+            P, K, path, digest = _load_model_file(args.model)
+            L = None if args.command == "mimo" else siso_loop(P, K)
+            out = args.func(args, P, K, L)
+            text = out if isinstance(out, str) else _document(args.command, path, digest, *out)
         _emit(text, args.out)
     except DmkitError as e:
         print("error: {}".format(e), file=sys.stderr)

@@ -35,7 +35,6 @@ import numpy as np
 from .errors import (
     AlgebraicLoopError,
     ConstructionError,
-    DomainError,
     InputError,
     NominalInstabilityError,
     UnsupportedCaseError,
@@ -49,7 +48,6 @@ from .lti import (
     _as_model,
     _sensitivity,
     freq_response,
-    is_stable,
     poles,
     scalar_close,
     sensitivity_pair,
@@ -274,11 +272,8 @@ def disk_geometry(spec):
 
 
 def _interior_intercepts(x, what):
-    """Intercepts of a DiskSpec's region, or of a DiskMarginResult's own, if interior."""
-    if isinstance(x, DiskMarginResult) and x.geometry is not None:
-        g = x.geometry
-    else:
-        g = disk_geometry(x.spec if isinstance(x, DiskMarginResult) else x)
+    """Intercepts of the region of a DiskSpec or a DiskMarginResult's spec, if interior."""
+    g = disk_geometry(x.spec if isinstance(x, DiskMarginResult) else x)
     if g.kind != INTERIOR_DISK:
         raise UnsupportedCaseError("{} requires an interior disk, got {}".format(what, g.kind))
     return g.gamma_min, g.gamma_max
@@ -339,17 +334,26 @@ def disk_margin(L, sigma=0.0):
     L = _as_model(L).normalized()
     if not L.is_siso:
         raise InputError("disk_margin takes a SISO loop; use multiloop_margin for MIMO")
-    return _disk_result(_shifted_sensitivity(L, sigma), sigma)
+    shifted = _shifted_sensitivity(L, sigma)
+    return _disk_result(shifted, sigma, _stable_poles(shifted))
 
 
-def _disk_result(shifted, sigma, pole_set=None, seed=None):
+def _stable_poles(shifted):
+    """The poles of a shifted sensitivity S + (sigma - 1)/2, which are the
+    nominal closed loop's, once proved stable; the one place that raises
+    NominalInstabilityError for disk_margin, freq_margin_trace and build_m."""
+    p = poles(shifted)
+    if not np.all(p.real < 0.0):
+        raise NominalInstabilityError("nominal closed loop is unstable")
+    return p
+
+
+def _disk_result(shifted, sigma, pole_set, seed=None):
     """disk_margin's result from a loop's shifted sensitivity S + (sigma - 1)/2,
-    as built there or as the diagonal entry of multiloop's M, whose poles
-    and seed samples (specnorm._peak_gain) multiloop passes too."""
-    try:
-        pk = _peak_gain(shifted, poles(shifted) if pole_set is None else pole_set, seed)
-    except DomainError as e:
-        raise NominalInstabilityError("nominal closed loop is unstable") from e
+    as built there or as the diagonal entry of multiloop's M, and its poles,
+    proved stable by _stable_poles; multiloop passes its seed samples
+    (specnorm._peak_gain) too."""
+    pk = _peak_gain(shifted, pole_set, seed)
     if pk.value == 0.0:
         # loop response is identically the trivial point; margin unbounded
         spec = DiskSpec(math.inf, sigma)
@@ -474,8 +478,7 @@ def freq_margin_trace(L, sigma=0.0, grid=None):
     if not L.is_siso:
         raise InputError("freq_margin_trace takes a SISO loop")
     shifted = _shifted_sensitivity(L, sigma)
-    if not is_stable(shifted):
-        raise NominalInstabilityError("nominal closed loop is unstable")
+    _stable_poles(shifted)
     if grid is None:
         grid = default_grid(L)
     elif not isinstance(grid, FrequencyGrid):
@@ -502,7 +505,10 @@ def _trace_margins(gains, ok, sigma):
 def _allpass(value, omega, what):
     """First-order all-pass g(s) = +-c (s - beta)/(s + beta) with
     g(j omega) = value; constant for real value."""
-    v = complex(value)
+    try:
+        v = complex(value)
+    except (TypeError, ValueError) as e:
+        raise InputError("{} must be a number".format(what)) from e
     if abs(v) == 0.0:
         raise InputError("{} must be nonzero".format(what))
     if abs(v.imag) <= 1e-12 * abs(v):

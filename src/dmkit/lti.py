@@ -412,38 +412,32 @@ def _invariant_basis(A, B, tol):
     return Q
 
 
-def _minreal_pass(s, tol):
-    Q = _invariant_basis(s.A, s.B, tol)
-    A1, B1, C1 = Q.T @ s.A @ Q, Q.T @ s.B, s.C @ Q
-    Qo = _invariant_basis(A1.T, C1.T, tol)
-    return StateSpace(Qo.T @ A1 @ Qo, Qo.T @ B1, C1 @ Qo, s.D)
-
-
 def _minreal(s):
     """Drop unreachable and unobservable states.
 
     Meant for exact structural cancellations (duplicated blocks from
     entrywise realization), not for squeezing near-cancellations out of
-    physical models.  Projections alternate between reachable and
-    observable parts until the dimension stops shrinking.
+    physical models.  One projection onto the reachable part, then one
+    onto the observable part of that, gives a minimal realization: the
+    observable part of a reachable model is still reachable (Kalman
+    decomposition).  s itself comes back when no state is dropped.
     """
     if s.nstates == 0:
         return s
     if np.iscomplexobj(s.A) or np.iscomplexobj(s.B) or np.iscomplexobj(s.C):
         return s
-    scale = max(
+    tol = _MINREAL_TOL * max(
         1.0,
-        float(np.linalg.norm(s.A, 2) if s.nstates else 0.0),
+        float(np.linalg.norm(s.A, 2)),
         float(np.linalg.norm(s.B, 2)),
         float(np.linalg.norm(s.C, 2)),
     )
-    cur = s
-    while cur.nstates:
-        nxt = _minreal_pass(cur, _MINREAL_TOL * scale)
-        if nxt.nstates == cur.nstates:
-            break
-        cur = nxt
-    return cur
+    Q = _invariant_basis(s.A, s.B, tol)
+    A1, B1, C1 = Q.T @ s.A @ Q, Q.T @ s.B, s.C @ Q
+    Qo = _invariant_basis(A1.T, C1.T, tol)
+    if Qo.shape[1] == s.nstates:
+        return s
+    return StateSpace(Qo.T @ A1 @ Qo, Qo.T @ B1, C1 @ Qo, s.D)
 
 
 def poles(m):

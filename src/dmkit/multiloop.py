@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import (_allpass, _disk_report, _disk_result, _shifted_sensitivity, disk_map_inv,
-                   worst_perturbation_lti)
+from .disk import (_allpass, _disk_report, _disk_result, _shifted_sensitivity, _stable_poles,
+                   disk_map_inv, worst_perturbation_lti)
 from .classical import _margins
-from .errors import ConstructionError, InputError, NominalInstabilityError, WellPosednessError
+from .errors import ConstructionError, InputError, WellPosednessError
 from .lti import (LtiModel, StateSpace, TransferFunction, _as_model, _as_ss, _close, _io_loop,
                   freq_response, poles, scalar_close)
 from .specnorm import _GRID_N, _climb_peaks, _peak_seed, _pick_lowest
@@ -172,6 +172,8 @@ def resolve_points(points, m, p):
     if points == "io":
         return list(range(m + p))
     try:
+        if isinstance(points, str):
+            raise ValueError("a string names no channel list")
         sel = [int(i) for i in points]
     except (TypeError, ValueError):
         raise InputError("points must be 'input', 'output', 'io', or a channel list")
@@ -220,10 +222,7 @@ def build_m(P, K, points="input", sigma=0.0):
     """
     loop, sel, io = _broken_loop(P, K, points)
     Msys = _shifted_sensitivity(LtiModel(loop), sigma)
-    p = poles(Msys)
-    if not np.all(p.real < 0.0):
-        raise NominalInstabilityError("nominal closed loop is unstable")
-    return MDeltaSystem(M=Msys, n=len(sel), sigma=sigma, poles=p, loop=io, points=sel)
+    return MDeltaSystem(M=Msys, n=len(sel), sigma=sigma, poles=_stable_poles(Msys), loop=io, points=sel)
 
 
 def _sv_and_gradient(Ms, x):
@@ -492,10 +491,8 @@ def multiloop_margin(sys):
     mu = _mu_lower(m0, ub, x)
     alpha_lower = 1.0 / peak_ub if peak_ub > 0 else math.inf
     alpha_upper = 1.0 / mu.lower if mu.lower > 0 else math.inf
-    gap = (
-        math.isfinite(alpha_upper)
-        and alpha_upper - alpha_lower > 0.10 * alpha_lower
-    ) or not math.isfinite(alpha_upper)
+    # an infinite alpha_upper is inconclusive: inf - x > 0.1 x, and inf - inf is nan
+    gap = not alpha_upper - alpha_lower <= 0.10 * alpha_lower
     geometry, gm, pm = _disk_report(alpha_lower, sys.sigma)
     return MultiLoopResult(
         alpha_lower=alpha_lower,

@@ -427,6 +427,10 @@ GOLDEN_MODELS = {
     "unstable": {"tf": {"num": [0.5], "den": [1, -1]}},
     # the characteristic polynomial overflows: root extraction fails
     "overflow": {"tf": {"num": [1e300], "den": [1e-300, 1]}},
+    # S + (sigma - 1)/2 vanishes, at sigma = -1 and at sigma = 0: no disk
+    # perturbation destabilizes the loop
+    "zero_loop": {"tf": {"num": [0], "den": [1, 1]}},
+    "unit_loop": {"tf": {"num": [1], "den": [1]}},
 }
 # (name, argv, exit code); {out} is a scratch file, {name} a GOLDEN_MODELS file
 GOLDEN_CASES = [
@@ -435,6 +439,8 @@ GOLDEN_CASES = [
     ("exclusion_out", ["exclusion", "ex1_loop.json", "--out", "{out}"], 0),
     ("diskmargin_construction_failed", ["diskmargin", "{no_allpass}", "--worst-case"], 0),
     ("diskmargin_f0_inf", ["diskmargin", "{peak_at_inf}", "--worst-case"], 0),
+    ("diskmargin_unbounded_skew", ["diskmargin", "{zero_loop}", "--skew", "-1", "--worst-case"], 0),
+    ("diskmargin_unbounded", ["diskmargin", "{unit_loop}", "--worst-case"], 0),
     ("classical_extra_interval", ["classical", "{conditional}"], 0),
     ("mimo_channel_list", ["mimo", "satellite.json", "--points", "0,1"], 0),
     ("exit_1", ["mimo", "satellite.json", "--points", "zig"], 1),
@@ -451,7 +457,7 @@ def golden_run(capsys, tmp_path, argv):
     for name, model in GOLDEN_MODELS.items():
         files[name] = write_model(tmp_path, name + ".json", {"model": model})
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         code = main([a.format(**files) for a in argv])
     streams = capsys.readouterr()
     texts = {"stdout": streams.out, "stderr": streams.err}
@@ -491,6 +497,22 @@ def test_each_error_class_has_its_exit_code(capsys, monkeypatch, name):
     assert documented.get(name, want) == want
     assert main(["classical", "ex1_loop.json"]) == want
     assert capsys.readouterr().err == "error: planted\n"
+
+
+@pytest.mark.parametrize("command, model", [
+    ("exclusion", {"tf": {"num": [1], "den": [1, 1e300, 1e300]}}),
+    ("classical", {"tf": {"num": [1e300], "den": [1e-300, 1]}}),
+])
+def test_overflow_leaves_only_the_error_line_on_stderr(tmp_path, command, model):
+    # the overflow numpy meets on the way is no warning of its own: the
+    # analysis reports the failure it leads to
+    path = write_model(tmp_path, "overflow.json", {"model": model})
+    src = os.path.dirname(os.path.dirname(dmkit.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    out = subprocess.run([sys.executable, "-m", "dmkit.cli", command, path],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 3
+    assert re.fullmatch(r"error: [^\n]+\n", out.stderr), out.stderr
 
 
 def test_bench_entry_points():

@@ -36,6 +36,7 @@ from dmkit import (
 from dmkit import lti
 from dmkit.lti import (
     _CHUNK_BYTES,
+    _MINREAL_TOL,
     _MODAL_STATES,
     _close,
     _sensitivity,
@@ -807,6 +808,32 @@ def test_minreal_keeps_minimal_models():
     s = StateSpace(a, [[1.0], [1.0]], [[1.0, 0.5]], [[0.0]])
     m = _minreal(s)
     assert m.nstates == 2
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_tfm_realization_is_minimal(size):
+    # entries share denominators from a small pool, so entrywise packing
+    # duplicates dynamics; one reachable and one observable projection
+    # leave reachability and observability matrices of full rank
+    pool = [[1.0, 1.0], [1.0, 0.6, 2.0], [1.0, 3.0], [1.0, 1.4, 4.0]]
+    rng = np.random.default_rng(size)
+    dropped = 0
+    for _ in range(8):
+        dens = rng.choice(len(pool), size=(size, size))
+        entries = [[(rng.standard_normal(len(pool[d]) - 1).tolist(), pool[d]) for d in row]
+                   for row in dens]
+        r = tfm(entries).representation
+        n = r.nstates
+        dropped += n < sum(len(pool[d]) - 1 for d in dens.ravel())
+        reach = np.hstack([np.linalg.matrix_power(r.A, k) @ r.B for k in range(n)])
+        observe = np.vstack([r.C @ np.linalg.matrix_power(r.A, k) for k in range(n)])
+        for m in (reach, observe):
+            sv = np.linalg.svd(m, compute_uv=False)
+            assert sv[n - 1] > _MINREAL_TOL * sv[0]
+        for w in (0.0, 0.7, 2.0, 15.0):
+            want = [[eval_freq(tf(*e), w) for e in row] for row in entries]
+            assert_allclose(eval_freq(LtiModel(r), w), want, rtol=1e-9, atol=1e-12)
+    assert dropped >= 6
 
 
 def test_invalid_inputs():

@@ -238,6 +238,15 @@ def test_build_m_shapes_and_points():
         build_m(P, K, "sideways", 0.0)
 
 
+@pytest.mark.parametrize("points", ["01", "10", "0", "", "Input"])
+def test_resolve_points_rejects_strings_that_name_no_points(points):
+    # a string is not iterated character by character into a channel list
+    with pytest.raises(InputError, match="points must be"):
+        multiloop.resolve_points(points, 2, 2)
+    with pytest.raises(InputError, match="points must be"):
+        build_m(*satellite(), points, 0.0)
+
+
 def test_build_m_channel_list_matches_named_points():
     P, K = satellite()
     a = build_m(P, K, "input", 0.0)
