@@ -174,15 +174,18 @@ def poly_roots(p):
 
 
 class TransferFunction:
-    """Scalar rational function num(s)/den(s)."""
+    """Scalar rational function num(s)/den(s).  The coefficients are the
+    model's own and are not changed after construction: freq_response
+    keeps their Horner table (num, den and |den|) on the model."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_table")
 
     def __init__(self, num, den):
         self.num = num if isinstance(num, Polynomial) else Polynomial(num)
         self.den = den if isinstance(den, Polynomial) else Polynomial(den)
         if self.den.is_zero:
             raise InputError("transfer function denominator is identically zero")
+        self._table = None
 
     @property
     def is_proper(self):
@@ -476,11 +479,22 @@ def _response_tf(r, ws):
         ok[inf] = False
     fin = ~inf
     w = ws[fin]
-    s = 1j * w
-    dv = r.den(s)
-    hit = np.isnan(w) | (np.abs(dv) <= 1e-12 * (_horner(np.abs(r.den.coeffs), np.abs(w)) + 1.0))
+    # num(jw), den(jw) and |den|(|w|), each bit for bit its _horner, in one
+    # recurrence over r's kept table (leading zeros keep y at its start)
+    if r._table is None:
+        n, d = r.num.coeffs, r.den.coeffs
+        table = np.zeros((max(n.size, d.size), 3, 1), dtype=complex)
+        table[-n.size:, 0, 0], table[-d.size:, 1, 0], table[-d.size:, 2, 0] = n, d, np.abs(d)
+        r._table = list(table)
+    x = np.empty((3, w.size), dtype=complex)
+    x[:2], x[2] = 1j * w, np.abs(w)
+    y = np.zeros_like(x)
+    for c in r._table:
+        y = y * x + c
+    # an overflowed |den| turns nan (inf times its zero imaginary part): fmin reads inf
+    hit = np.isnan(w) | (np.abs(y[1]) <= 1e-12 * (np.fmin(y[2].real, np.inf) + 1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals[fin] = np.where(hit, np.nan, r.num(s) / dv)
+        vals[fin] = np.where(hit, np.nan, y[0] / y[1])
     ok[fin] = ~hit
     return vals, ok
 
@@ -624,10 +638,10 @@ def freq_response(m, ws):
         zero pivot); on both when the value is not finite, and at a nan
         w.  A point's value and flag do not depend on the grid.
 
-    Transfer functions are evaluated as num(jw)/den(jw).  State-space
+    A transfer function is num(jw)/den(jw), with num, den and |den| in
+    one Horner recurrence over a table the model keeps.  State-space
     models take one of two kernels, chosen from the model alone (its
-    state count, complex coefficients and eigenvectors) and never from
-    the grid:
+    state count, complex coefficients and eigenvectors), never the grid:
     - real models with at least _MODAL_STATES states whose eigenvectors
       V, from lam, V = eig(A), have cond(V) <= _MODAL_COND: the modal
       kernel.  With the residues r_k = (C V)_k (V^-1 B)_k, each point is
@@ -642,8 +656,9 @@ def freq_response(m, ws):
       solves for its pencil alone.  This covers smaller or complex
       models and large real ones with ill-conditioned eigenvectors, such
       as the companion forms tf_to_ss builds.
-    The eigendecomposition is kept on the model, so later calls and poles
-    do not compute it again.  Each kernel works in chunks of at most
+    That table and eig(A) are kept on the model, whose coefficients are
+    not changed after construction, so later calls and poles do not
+    compute them again.  Each kernel works in chunks of at most
     _CHUNK_BYTES of working set, so memory stays flat in the grid length.
     """
     m = _as_model(m)

@@ -124,16 +124,17 @@ def _realization(m):
 def _axis_crossings(A, B, C, D, gamma):
     """Frequencies where the gain equals gamma, or None if gamma is not
     above the feedthrough gain.  Empty array means gamma exceeds the peak."""
-    mm = D.shape[1]
+    n, mm = A.shape[0], D.shape[1]
     R = gamma * gamma * np.eye(mm) - D.T @ D
-    if np.min(np.linalg.eigvalsh(R)) <= 0.0:
+    # one input: R is 1x1, its eigenvalue R itself and its inverse 1/R
+    if (R[0, 0] if mm == 1 else np.min(np.linalg.eigvalsh(R))) <= 0.0:
         return None
-    Ri = np.linalg.inv(R)
-    ARC = A + B @ Ri @ D.T @ C
-    H = np.block([
-        [ARC, B @ Ri @ B.T],
-        [-C.T @ (np.eye(D.shape[0]) + D @ Ri @ D.T) @ C, -ARC.T],
-    ])
+    Ri = 1.0 / R if mm == 1 else np.linalg.inv(R)
+    BRi = B @ Ri
+    ARC = A + BRi @ D.T @ C
+    H = np.empty((2 * n, 2 * n))
+    H[:n, :n], H[:n, n:] = ARC, BRi @ B.T
+    H[n:, :n], H[n:, n:] = -C.T @ (np.eye(D.shape[0]) + D @ Ri @ D.T) @ C, -ARC.T
     try:
         lam = np.linalg.eigvals(H)
     except np.linalg.LinAlgError as e:
@@ -235,7 +236,7 @@ def _peak_gain(m, pole_set, seed=None):
 
 
 def _climb_peaks(gains, cand, pole_set):
-    """_climb the gain, gains(ws) at each frequency of an array ws, up
+    """_climb the gain, gains(ws) at each frequency of a sequence ws, up
     each distinct peak of the (w, gain) candidates cand within 1e-9 of
     their best (_peaks); return the best gain.  From a pole's frequency
     (of pole_set) the first h is its resonance width |Re p|; from any
@@ -247,8 +248,7 @@ def _climb_peaks(gains, cand, pole_set):
         if w < math.inf:
             h = width.get(w)
             if h is None:
-                fs = np.array([x for x, _ in cand])
-                h = 0.25 * np.abs(fs[fs != w] - w).min()
+                h = 0.25 * min(abs(x - w) for x, _ in cand if x != w)
             _climb(gains, cand, w, h)
     return max(g for _, g in cand)
 
@@ -276,22 +276,22 @@ def _climb(gains, cand, w, h):
     """
     top, narrow = 0.0, False
     for _ in range(_CLIMB_STEPS):
-        ws = np.abs([w - h, w, w + h])
-        g = gains(ws)
-        cand.extend(zip(ws.tolist(), g.tolist()))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            f = 1.0 / (g * g)
-            if not f.max() - f.min() > 4.0 * _EPS * f[1]:
-                return
-            # slope and curvature of f in units of h; the vertex lies
-            # d1^2 / (2 d2) below f[1]
-            d1, d2 = 0.5 * (f[2] - f[0]), f[2] - 2.0 * f[1] + f[0]
-            step = -d1 / d2 if 0.0 < d2 < math.inf else math.inf
+        ws = [abs(w - h), abs(w), abs(w + h)]
+        g = gains(ws).tolist()
+        cand.extend(zip(ws, g))
+        # as numpy divides: inf at g^2 = 0, 0 at g = -inf; a nan stops it
+        f = [1.0 / q if q else math.inf for q in (x * x for x in g)]
+        if math.isnan(f[0] + f[2]) or not max(f) - min(f) > 4.0 * _EPS * f[1]:
+            return
+        # slope and curvature of f in units of h; the vertex lies
+        # d1^2 / (2 d2) below f[1]
+        d1, d2 = 0.5 * (f[2] - f[0]), f[2] - 2.0 * f[1] + f[0]
+        step = -d1 / d2 if 0.0 < d2 < math.inf else math.inf
         if not abs(step) <= 2.0:
-            k = int(np.argmax(g))
-            w, h, top = float(ws[k]), (2.0 if g[k] > top else 1.0) * h, max(top, g[k])
+            k = g.index(max(g))  # the first of exact ties, as np.argmax
+            w, h, top = ws[k], (2.0 if g[k] > top else 1.0) * h, max(top, g[k])
             continue
-        top = max(top, g.max())
+        top = max(top, max(g))
         was_narrow, narrow = narrow, d2 <= _SQRT_EPS * f[1]
         if d1 == 0.0 or (narrow and (was_narrow or d1 * d1 <= 8.0 * _EPS * d2 * f[1])):
             return

@@ -199,6 +199,68 @@ def test_eval_freq_pole_on_axis():
         eval_freq(tf([4, 5], [1, 1]), math.nan)
 
 
+def polyval_response(r, ws):
+    """freq_response of the transfer function r from three separate
+    np.polyval calls, num and den at jw and |den| (absolute coefficients)
+    at |w|, and the documented pole test |den(jw)| <= 1e-12 (|den|(|w|) + 1);
+    at w = +-inf the asymptotic value, nan and flagged when r is improper."""
+    ws = np.asarray(ws, dtype=float)
+    with np.errstate(all="ignore"):
+        num, den = np.polyval(r.num.coeffs, 1j * ws), np.polyval(r.den.coeffs, 1j * ws)
+        dabs = np.polyval(np.abs(r.den.coeffs), np.abs(ws))
+        ok = ~(np.isnan(ws) | (np.abs(den) <= 1e-12 * (dabs + 1.0)))
+        vals = np.where(ok, num / den, np.nan)
+    inf = np.isinf(ws)
+    if r.is_strictly_proper:
+        vals[inf], ok[inf] = 0.0, True
+    elif r.is_proper:
+        vals[inf], ok[inf] = r.num.coeffs[0] / r.den.coeffs[0], True
+    else:
+        vals[inf], ok[inf] = np.nan, False
+    return vals, ok
+
+
+def test_tf_kernel_is_three_polyval_calls_bit_for_bit():
+    # one recurrence over the model's kept coefficient table gives the
+    # values, signed zeros included, and the flags of three separate ones
+    rng = np.random.default_rng(29)
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 1e200, -1e300])
+    for k in range(200):
+        nd = int(rng.integers(0, 12))
+        den = rng.standard_normal(nd + 1) * 10.0 ** rng.uniform(-6, 6, nd + 1)
+        num = rng.standard_normal(int(rng.integers(1, nd + 3))) * 10.0 ** rng.uniform(-3, 3)
+        if k % 4 == 1:
+            den = den + 1j * rng.standard_normal(den.size)
+            num = num + 1j * rng.standard_normal(num.size)
+        if k % 5 == 2:
+            num[rng.random(num.size) < 0.5] = 0.0
+            den[1:][rng.random(nd) < 0.5] = 0.0
+        if k % 7 == 3:
+            # a pole exactly at s = +-j
+            den = np.polymul(den, [1.0, 0.0, 1.0])
+        t = tf(num if num.any() else [0.0], den)
+        for _ in range(3):
+            n = int(rng.integers(1, 201))
+            ws = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 4, n)
+            mask = rng.random(n) < 0.25
+            ws[mask] = rng.choice(special, mask.sum())
+            with np.errstate(all="ignore"):
+                vals, ok = freq_response(t, ws)
+            want, want_ok = polyval_response(t.representation, ws)
+            assert vals.tobytes() == want.tobytes(), (num, den, ws)
+            assert np.array_equal(ok, want_ok)
+    # |den| overflows two powers before its last, where the real recurrence
+    # keeps inf and the complex one turns it to nan; den(jw) stays finite,
+    # so the pole test, true there, reads |den|(|w|) as inf
+    t = tf([1.0], [1e308, 1e308, 1e308, 1e308, 1.0])
+    ws = np.array([0.9, -0.9, 0.5, 1e-3])
+    with np.errstate(all="ignore"):
+        vals, ok = freq_response(t, ws)
+        want, want_ok = polyval_response(t.representation, ws)
+    assert vals.tobytes() == want.tobytes() and np.array_equal(ok, want_ok)
+    assert not want_ok[:2].any()
+
+
 def test_eval_freq_conjugate_symmetry():
     rng = np.random.default_rng(11)
     L = tf([25], [1, 10, 10, 10])

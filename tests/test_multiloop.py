@@ -294,6 +294,14 @@ def test_satellite_io_margin():
     assert_allclose(res.geometry.gamma_max, 1.0511186, rtol=1e-5)
 
 
+def test_satellite_io_sweep_is_pinned_bit_for_bit():
+    # float.hex of the sampled peak's margin and frequency, recorded before
+    # the climb's stencil bookkeeping moved to Python floats
+    res = multiloop_margin(build_m(*satellite(), "io", 0.0))
+    assert res.alpha_lower.hex() == "0x1.9853ca8de2de4p-5"
+    assert float(res.omega_crit).hex() == "0x1.989453cdd914bp-5"
+
+
 def test_satellite_input_equals_output_margin():
     P, K = satellite()
     a = multiloop_margin(build_m(P, K, "input", 0.0))

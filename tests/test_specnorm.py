@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dmkit import (FrequencyGrid, InputError, default_grid, disk_margin, hinf_norm,
-                   sensitivity_pair, ss, tf)
+from dmkit import (FrequencyGrid, InputError, PoleOnAxisError, StateSpace, default_grid,
+                   disk_margin, freq_response, hinf_norm, poles, sensitivity_pair, ss, tf)
 from dmkit import specnorm
 from dmkit.disk import _shifted_sensitivity
+from dmkit.lti import _modal_form
 
 DATA = Path(__file__).parent / "data"
 
@@ -415,3 +416,287 @@ def test_hinf_against_partial_fraction_oracle(case):
     pk = hinf_norm(model)
     assert pk.value >= want * (1 - 1e-6)
     assert pk.value <= want * (1 + 1e-12 + slack)
+
+
+# ---- the peak search, pinned bit for bit ------------------------------------
+
+def _seeded_tf(seed):
+    """A stable real transfer function of order 2 to 11: lightly damped
+    pairs (damping 1e-3 to 0.5) and real poles, proper or strictly
+    proper, from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    roots = []
+    while len(roots) < n - 1:
+        wn, zeta = 10.0 ** rng.uniform(-1, 2), 10.0 ** rng.uniform(-3, math.log10(0.5))
+        roots += [complex(-zeta * wn, wn * math.sqrt(1 - zeta * zeta))] * 2
+        roots[-1] = roots[-1].conjugate()
+    roots = (roots + [-10.0 ** rng.uniform(-1, 2)])[:n]
+    den = np.poly(roots).real
+    return tf(rng.standard_normal(n + int(rng.integers(0, 2))), den)
+
+
+def _seeded_modal(seed, p, m):
+    """A stable real state-space model of 16 to 24 states from
+    default_rng(seed): lightly damped 2x2 modes in a random orthogonal
+    basis, so its eigenvectors are well conditioned and freq_response
+    sums it over its modes; p outputs and m inputs."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(8, 13))
+    A = np.zeros((2 * k, 2 * k))
+    for i in range(k):
+        wn, zeta = 10.0 ** rng.uniform(-1, 2), 10.0 ** rng.uniform(-3, -0.5)
+        A[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[-zeta * wn, wn], [-wn, -zeta * wn]]
+    Q = np.linalg.qr(rng.standard_normal((2 * k, 2 * k)))[0]
+    return ss(Q @ A @ Q.T, rng.standard_normal((2 * k, m)), rng.standard_normal((p, 2 * k)),
+              0.1 * rng.standard_normal((p, m)))
+
+
+def _pinned_models():
+    """name -> model whose hinf_norm is pinned below: the bundled loops'
+    shifted sensitivities S + (sigma - 1)/2 at skew -1, 0 and 1, seeded
+    transfer functions, seeded modal models with one or two inputs and
+    outputs, and the 56-state dense-trace loop's S - 1/2."""
+    models = {}
+    for name in ("ex1_loop", "badl_loop", "resonant_loop"):
+        for sigma in (-1.0, 0.0, 1.0):
+            models["{}@{:+.0f}".format(name, sigma)] = _shifted_sensitivity(_bundled_loop(name),
+                                                                            sigma)
+    for seed in range(6):
+        models["tf{}".format(seed)] = _seeded_tf(seed)
+    for seed, (p, m) in enumerate([(1, 1), (2, 1), (1, 2), (2, 2)]):
+        models["modal{}x{}".format(p, m)] = _seeded_modal(10 + seed, p, m)
+    doc = json.loads((DATA / "dense_20.json").read_text())["model"]["ss"]
+    models["dense_20@+0"] = _shifted_sensitivity(ss(doc["A"], doc["B"], doc["C"], doc["D"]), 0.0)
+    return models
+
+
+# float.hex of hinf_norm's value and frequency, recorded before the peak
+# search's stencils moved to Python floats, the transfer-function response
+# to one recurrence and the one-input level test to scalars
+_PINNED_PEAKS = {
+    "badl_loop@+0": ("0x1.f9a67b21de796p+2", "0x1.2c09e7965f94ap+1"),
+    "badl_loop@+1": ("0x1.08ae45f5f9e2ep+3", "0x1.2c1c965353205p+1"),
+    "badl_loop@-1": ("0x1.e39e7967d03c5p+2", "0x1.2bf40e8c903e4p+1"),
+    "dense_20@+0": ("0x1.466100b254181p+5", "0x1.0f748da54b8c9p+0"),
+    "ex1_loop@+0": ("0x1.176b65b0c761cp+1", "0x1.f47ca483614afp+0"),
+    "ex1_loop@+1": ("0x1.3e4adf3eab1c8p+1", "0x1.01774ffe75564p+1"),
+    "ex1_loop@-1": ("0x1.072cecfb75cb1p+1", "0x1.e028a2329bb9ep+0"),
+    "modal1x1": ("0x1.59249c20a36b9p+6", "0x1.05b4d9bcc4316p-2"),
+    "modal1x2": ("0x1.a0f373b13d342p+8", "0x1.3026f4e4fc26ap-1"),
+    "modal2x1": ("0x1.18d0e8955d71ep+11", "0x1.f36040354d583p-4"),
+    "modal2x2": ("0x1.4ab334fa97e09p+9", "0x1.379b9ce100889p-1"),
+    "resonant_loop@+0": ("0x1.649b3ba36072bp+0", "0x1.95410b7c3766cp-1"),
+    "resonant_loop@+1": ("0x1.b5798965d31b2p+0", "0x1.bdca7af4e4989p-1"),
+    "resonant_loop@-1": ("0x1.619d9b95af8dap+0", "0x1.55aafe7fa71bbp-1"),
+    "tf0": ("0x1.cc6b0b71a13e1p+5", "0x1.ba3a68d338cb3p+5"),
+    "tf1": ("0x1.4c7d7d05f9695p+11", "0x1.1bfb73f1d6153p+6"),
+    "tf2": ("0x1.6e4d8a09623a0p+2", "0x1.2bc77374a597ap-3"),
+    "tf3": ("0x1.2be9a40fb084cp+10", "0x1.c12fca526dfe0p-3"),
+    "tf4": ("0x1.68e72e085b0a9p+5", "0x1.65c0118f54ef1p-3"),
+    "tf5": ("0x1.2591ba8ccd88fp+4", "0x1.17ff79a17915ap-3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_PEAKS))
+def test_hinf_norm_is_pinned_bit_for_bit(name):
+    pk = hinf_norm(_pinned_models()[name])
+    assert (pk.value.hex(), float(pk.frequency).hex()) == _PINNED_PEAKS[name]
+
+
+def test_pinned_models_cover_both_kernels_and_level_tests():
+    # every model is pinned; the modal kernel runs, and the level test
+    # takes both its one-input and its general branch
+    models = _pinned_models()
+    assert sorted(_PINNED_PEAKS) == sorted(models)
+    ss_models = [m.representation for m in models.values()
+                 if isinstance(m.representation, StateSpace)]
+    assert any(r.nstates >= 16 and _modal_form(r) is not None for r in ss_models)
+    assert {r.D.shape[1] for r in ss_models} == {1, 2}
+
+
+def _synthetic_gain(ws):
+    """A gain with every sample _climb must take as numpy's guarded
+    arithmetic does: a peak of 1/sqrt((w - 1)^2 + 0.04) below 2.8, -inf
+    (a pole, as the mu sweep marks one) on [2.8, 3.2), a plateau of exact
+    ties at 2 on [5, 5.5], notched to 1.5 on [5.2, 5.3) and sloping off
+    on either side, nan on [8, 8.5), 0 on [8.5, 10) and a peak at 12
+    above."""
+    w = np.asarray(ws, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.select(
+            [w < 2.8, w < 3.2, w < 5.0, (w >= 5.2) & (w < 5.3), w <= 5.5, w < 8.0, w < 8.5,
+             w < 10.0],
+            [1.0 / np.sqrt((w - 1.0) ** 2 + 0.04), -np.inf, 2.0 / (6.0 - w), 1.5, 2.0,
+             2.0 / (w - 4.5), np.nan, 0.0],
+            1.0 / np.sqrt((w - 12.0) ** 2 + 1e-4))
+
+
+# (start w, start h) of each climb below and every stencil it samples (the
+# floats' reprs round-trip exactly), recorded before the climb's
+# bookkeeping moved from numpy scalars to Python floats
+_PINNED_CLIMBS = {
+    (1.3, 0.25): [(1.05, 1.3, 1.55), (0.7, 1.0, 1.3)],
+    (0.0, 0.5): [(0.5, 0.0, 0.5), (0.5, 0.5, 1.5)],
+    (2.7, 0.15): [
+        (2.5500000000000003, 2.7, 2.85),
+        (2.2500000000000004, 2.5500000000000003, 2.85),
+        (1.6500000000000004, 2.2500000000000004, 2.8500000000000005),
+        (0.4500000000000004, 1.6500000000000004, 2.8500000000000005),
+        (1.9499999999999995, 0.4500000000000004, 2.8500000000000005),
+        (0.4500000000000002, 4.842233009708736, 9.234466019417471),
+        (3.942233009708736, 4.842233009708736, 13.626699029126208),
+        (0.2464161120195758, 2.544324560864156, 4.842233009708736),
+        (2.544324560864156, 4.842233009708736, 7.140141458553316),
+        (4.842233009708736, 5.066402479986925, 5.290571950265114),
+        (4.978724888419254, 5.02256368420309, 5.066402479986925),
+        (5.02256368420309, 5.044483082095007, 5.066402479986924),
+    ],
+    (3.0, 0.1): [(2.9, 3.0, 3.1)],
+    (3.15, 0.1): [(3.05, 3.15, 3.25), (3.0500000000000003, 3.1, 3.15)],
+    (2.95, 0.3): [
+        (2.6500000000000004, 2.95, 3.25),
+        (2.95, 2.9781061114842178, 3.0062122229684354),
+    ],
+    (5.45, 0.1): [(5.3500000000000005, 5.45, 5.55), (5.3500000000000005, 5.4, 5.45)],
+    (5.25, 0.1): [
+        (5.15, 5.25, 5.35),
+        (4.95, 5.15, 5.3500000000000005),
+        (5.15, 5.25, 5.35),
+        (5.050000000000001, 5.15, 5.25),
+        (5.050000000000001, 5.1000000000000005, 5.15),
+    ],
+    (5.25, 0.06): [(5.19, 5.25, 5.31), (5.07, 5.19, 5.3100000000000005)],
+    (4.5, 0.4): [
+        (4.1, 4.5, 4.9),
+        (4.1000000000000005, 4.9, 5.7),
+        (4.9, 5.230038022813688, 5.560076045627376),
+        (4.9, 5.560076045627376, 6.220152091254752),
+        (4.95925276189357, 5.259664403760473, 5.560076045627376),
+        (4.3584294781597634, 4.95925276189357, 5.560076045627376),
+        (4.95925276189357, 5.244897912669065, 5.53054306344456),
+        (4.95925276189357, 5.53054306344456, 6.101833364995549),
+        (4.975088546296265, 5.252815804870412, 5.53054306344456),
+        (4.41963402914797, 4.975088546296265, 5.53054306344456),
+        (4.975088546296265, 5.248407959738257, 5.52172737318025),
+        (4.975088546296264, 5.52172737318025, 6.0683662000642355),
+        (4.980097482113404, 5.250912427646827, 5.52172737318025),
+        (4.438467591046559, 4.980097482113404, 5.521727373180249),
+        (4.980097482113404, 5.249473004249061, 5.518848526384717),
+        (4.980097482113404, 5.518848526384717, 6.057599570656031),
+        (4.981762957056798, 5.250305741720758, 5.518848526384717),
+        (4.44467738772888, 4.981762957056798, 5.5188485263847165),
+        (4.981762957056798, 5.249822161501005, 5.517881365945211),
+        (4.981762957056798, 5.517881365945211, 6.053999774833624),
+        (4.9823258293463795, 5.250103597645795, 5.517881365945211),
+        (4.446770292747549, 4.9823258293463795, 5.51788136594521),
+        (4.9823258293463795, 5.249939597593429, 5.517553365840479),
+        (4.982325829346379, 5.517553365840479, 6.05278090233458),
+        (4.9825171051290695, 5.250035235484774, 5.517553365840479),
+        (4.44748084441766, 4.9825171051290695, 5.517553365840479),
+        (4.9825171051290695, 5.249979439411472, 5.517441773693875),
+        (4.98251710512907, 5.517441773693875, 6.05236644225868),
+        (4.982582225478261, 5.250011999586068, 5.517441773693875),
+        (4.447722677262646, 4.982582225478261, 5.517441773693876),
+        (4.982582225478261, 5.249992996082686, 5.517403766687112),
+        (4.982582225478261, 5.517403766687112, 6.052225307895963),
+    ],
+    (7.6, 0.3): [
+        (7.3, 7.6, 7.8999999999999995),
+        (6.7, 7.3, 7.8999999999999995),
+        (5.5, 6.7, 7.9),
+        (2.3000000000000003, 4.5, 6.699999999999999),
+        (4.5, 4.815151515151516, 5.130303030303033),
+        (4.815151515151516, 5.260514137911723, 5.705876760671929),
+        (4.36978889239131, 4.815151515151516, 5.260514137911723),
+        (4.815151515151516, 4.935520916729233, 5.05589031830695),
+        (4.935520916729233, 5.112123085747422, 5.288725254765611),
+        (4.9871373235800895, 5.049630204663756, 5.112123085747422),
+        (5.049630204663756, 5.080876645205589, 5.112123085747423),
+    ],
+    (7.9, 0.15): [(7.75, 7.9, 8.05)],
+    (8.2, 0.2): [(7.999999999999999, 8.2, 8.399999999999999)],
+    (8.5, 0.5): [(8.0, 8.5, 9.0)],
+    (9.0, 0.3): [(8.7, 9.0, 9.3)],
+    (9.95, 0.5): [(9.45, 9.95, 10.45)],
+    (11.0, 0.5): [
+        (10.5, 11.0, 11.5),
+        (11.0, 11.999999999999998, 12.999999999999996),
+        (11.9375, 12.0, 12.0625),
+    ],
+}
+
+
+@pytest.mark.parametrize("start", sorted(_PINNED_CLIMBS))
+def test_climb_samples_the_pinned_stencils(start):
+    stencils, cand = [], []
+
+    def gains(ws):
+        stencils.append([float(w) for w in ws])
+        return _synthetic_gain(ws)
+
+    specnorm._climb(gains, cand, *start)
+    assert [tuple(ws) for ws in stencils] == _PINNED_CLIMBS[start]
+    # every sample joins the candidates as a pair of Python floats
+    ws = [w for s in stencils for w in s]
+    assert all(type(w) is float and type(g) is float for w, g in cand)
+    assert [(w.hex(), repr(g)) for w, g in cand] == [
+        (w.hex(), repr(g)) for w, g in zip(ws, _synthetic_gain(ws).tolist())]
+
+
+def _crossings_by_block(A, B, C, D, gamma):
+    """_axis_crossings by the general 2-D assembly, the oracle of its
+    one-input branch: eigvalsh and inv of R = gamma^2 I - D^T D, and the
+    Hamiltonian by np.block."""
+    R = gamma * gamma * np.eye(D.shape[1]) - D.T @ D
+    if np.min(np.linalg.eigvalsh(R)) <= 0.0:
+        return None
+    Ri = np.linalg.inv(R)
+    ARC = A + B @ Ri @ D.T @ C
+    H = np.block([
+        [ARC, B @ Ri @ B.T],
+        [-C.T @ (np.eye(D.shape[0]) + D @ Ri @ D.T) @ C, -ARC.T],
+    ])
+    lam = np.linalg.eigvals(H)
+    on_axis = lam[np.abs(lam.real) <= 1e-7 * np.maximum(1.0, np.abs(lam))]
+    return np.unique(np.abs(on_axis.imag))
+
+
+def test_axis_crossings_equal_the_block_assembly():
+    # levels below, at and just above sigma_max(D), and across the gain
+    # curve: the same array, bit for bit, or None, with one input or two
+    rng = np.random.default_rng(41)
+    for k in range(240):
+        # one input in two draws of three, the general branch in the third
+        n, p, m = int(rng.integers(1, 9)), 1 + k % 2, 1 if k % 3 else 2
+        A = rng.standard_normal((n, n)) - (0.5 + abs(rng.standard_normal())) * n * np.eye(n)
+        B, C = rng.standard_normal((n, m)), rng.standard_normal((p, n))
+        D = rng.standard_normal((p, m)) * rng.choice([0.0, 0.1, 1.0])
+        d = np.linalg.norm(D, 2)
+        gains = np.linalg.svd(freq_response(ss(A, B, C, D), 10.0 ** rng.uniform(-2, 2, 4))[0]
+                              .reshape(4, p, m), compute_uv=False)[:, 0]
+        levels = [0.5 * d, d + 1e-3, *gains, *(1.5 * gains)]
+        if m == 1:
+            # at sigma_max(D) of two inputs R is singular to rounding, and
+            # inv may raise on it: hinf_norm's levels stay 1 + _TOL/2 above
+            levels += [d, d * (1 + 1e-9)]
+        for gamma in levels:
+            got = specnorm._axis_crossings(A, B, C, D, gamma)
+            want = _crossings_by_block(A, B, C, D, gamma)
+            assert (got is None) == (want is None), (k, gamma)
+            if want is not None:
+                assert got.tobytes() == want.tobytes(), (k, gamma)
+
+
+@pytest.mark.xfail(strict=True, raises=PoleOnAxisError,
+                   reason="the transfer-function pole test flags points next to three resonances "
+                          "within 1e-4 of each other as poles")
+def test_hinf_of_three_close_resonances():
+    # a stable transfer function whose three resonances at damping ~1e-4
+    # lie within 1e-4 of 1 rad/s: |den(jw)| <= 1e-12 (|den|(|w|) + 1)
+    # holds at 4815 of 200001 points in [0.999, 1.001], so the climb hits
+    # a "pole" near the peak, where a dense evaluation shows at least 7547
+    t = tf([0.09693499, 1.69888719, 0.19456522, 3.39773477, 0.09763023, 1.69884752],
+           [1, 6.13861926e-4, 3.00000013, 1.22772386e-3, 3.00000013, 6.13861926e-4, 1])
+    assert np.all(poles(t).real < 0.0)
+    assert hinf_norm(t).value >= 7547
