@@ -494,8 +494,22 @@ def _response_tf(r, ws):
     # an overflowed |den| turns nan (inf times its zero imaginary part): fmin reads inf
     hit = np.isnan(w) | (np.abs(y[1]) <= 1e-12 * (np.fmin(y[2].real, np.inf) + 1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals[fin] = np.where(hit, np.nan, y[0] / y[1])
-    ok[fin] = ~hit
+        out = np.where(hit, np.nan, y[0] / y[1])
+    if not np.isfinite(out).all():
+        # where the recurrence overflowed, run it in z = 1/s over the table
+        # reversed: num, den and |den| are s^(L-1) times its values, so the
+        # ratio is theirs and the pole test scales its 1 by |z|^(L-1); a
+        # point where it overflows again is flagged
+        big = np.flatnonzero(~np.isfinite(y).all(axis=0) & ~np.isnan(w))
+        z = 1.0 / x[:, big]
+        y = np.zeros_like(z)
+        with np.errstate(all="ignore"):
+            for c in r._table[::-1]:
+                y = y * z + c
+            hit[big] = ~np.isfinite(y).all(axis=0) | (
+                np.abs(y[1]) <= 1e-12 * (y[2].real + z[2].real ** (len(r._table) - 1)))
+            out[big] = np.where(hit[big], np.nan, y[0] / y[1])
+    vals[fin], ok[fin] = out, ~hit
     return vals, ok
 
 
@@ -639,7 +653,10 @@ def freq_response(m, ws):
         w.  A point's value and flag do not depend on the grid.
 
     A transfer function is num(jw)/den(jw), with num, den and |den| in
-    one Horner recurrence over a table the model keeps.  State-space
+    one Horner recurrence over a table the model keeps.  A point where
+    that overflows runs it in z = 1/(jw) over the table reversed, with
+    the 1 of the pole test scaled by |z|^(L-1) for a table of L rows, and
+    is flagged when that overflows too.  State-space
     models take one of two kernels, chosen from the model alone (its
     state count, complex coefficients and eigenvectors), never the grid:
     - real models with at least _MODAL_STATES states whose eigenvectors

@@ -308,13 +308,18 @@ def _mu_upper(Ms, sweep=False, x0=None):
     mu whatever the exit.
 
     sweep=True serves a caller that needs only the largest bound of the
-    stack and where it lies.  Every bound is at least mu >= rho of its
-    matrix, so the largest is at least the floor max_k rho(M_k) (Packard
-    & Doyle 1993); a row whose bound falls below that floor stops
-    descending there and holds a valid but looser bound, while the rows
-    that reach the largest bound run as without the floor, so the
-    maximum and its argmax are unchanged.  Returns the (N,) bounds and
-    the (N, n) log D.
+    stack and where it lies.  A row stops descending once its bound falls
+    below a floor, at most the largest bound, and holds a valid but
+    looser bound; rows descend independently and only fall, so the rows
+    within 1e-9 of the largest bound keep their sweep=False bound and
+    log D bit for bit.  With x0 (a climb stencil) the floor is
+    max_k rho(M_k), as every bound is at least mu >= rho of its matrix
+    (Packard & Doyle 1993).  Without x0 (the seed sweep) the stack is
+    branched and bounded: the row whose bound at D = I, sigma_max(M), is
+    largest is balanced and descended in full, the floor is 1 - 1e-9
+    times its bound, and of the other rows only those whose D = I bound
+    reaches it are; a pruned row holds its D = I bound with log D = 0.
+    Returns the (N,) bounds and the (N, n) log D.
     """
     N, n, _ = Ms.shape
     if n == 1:
@@ -325,17 +330,30 @@ def _mu_upper(Ms, sweep=False, x0=None):
         t = np.clip(np.nan_to_num(t, nan=0.0), -50.0, 50.0)
         x = np.stack([t, -t], axis=1)
         return np.linalg.svd(Ms * np.exp(x[:, :, None] - x[:, None, :]), compute_uv=False)[:, 0], x
+
+    def scaled(rows, floor):
+        # bounds and log D of the rows of the stack, each settling below floor
+        def fg(k, x):
+            f, g = _sv_and_gradient(Ms[rows[k]], x)
+            g[f < floor] = 0.0  # _descend settles a row with a zero gradient
+            return f, g
+
+        x = _osborne_balance(np.abs(Ms[rows])) if x0 is None else np.tile(x0, (len(rows), 1))
+        x, f, _ = _descend(fg, x - x.mean(axis=1, keepdims=True))
+        return f, x
+
     # 1 - 1e-9 absorbs the rounding of both sides, so that the computed
     # largest bound, mathematically at least the floor, is never stopped
-    floor = (1 - 1e-9) * np.max(np.abs(np.linalg.eigvals(Ms))) if sweep else -math.inf
-
-    def fg(k, x):
-        f, g = _sv_and_gradient(Ms[k], x)
-        g[f < floor] = 0.0  # _descend settles a row with a zero gradient
-        return f, g
-
-    x = _osborne_balance(np.abs(Ms)) if x0 is None else np.tile(x0, (N, 1))
-    x, f, _ = _descend(fg, x - x.mean(axis=1, keepdims=True))
+    if not sweep or x0 is not None:
+        floor = (1 - 1e-9) * np.max(np.abs(np.linalg.eigvals(Ms))) if sweep else -math.inf
+        return scaled(np.arange(N), floor)
+    f, x = np.linalg.svd(Ms, compute_uv=False)[:, 0], np.zeros((N, n))
+    i = np.argmax(f)
+    f[[i]], x[[i]] = scaled(np.array([i]), -math.inf)
+    floor = (1 - 1e-9) * f[i]
+    rows = np.flatnonzero((f >= floor) & (np.arange(N) != i))
+    if rows.size:
+        f[rows], x[rows] = scaled(rows, floor)
     return f, x
 
 
@@ -431,9 +449,11 @@ def _mu_lower(M0, upper, x):
 def _upper_on(sys, ws, x0=None):
     """mu upper bound of M(jw) at each frequency, -inf where jw is a pole,
     the log D that gives it (0 at a pole) and the (N, n, n) stack M(jw);
-    descents start from x0 when given.  Only the largest bound and where
-    it lies are those of the full descent; other frequencies may hold
-    looser valid bounds (the sweep floor of _mu_upper)."""
+    descents start from x0 when given.  Only the bounds within 1e-9 of
+    the largest are those of the full descent; others may stop, looser
+    but valid, below _mu_upper's sweep floor: max rho with x0, and without
+    it 1 - 1e-9 times the bound where the unscaled sigma_max is largest,
+    a pruned frequency holding its sigma_max with log D = 0."""
     vals, ok = freq_response(sys.M, ws)
     Ms = vals.reshape(-1, sys.n, sys.n)
     out, x = np.full(len(Ms), -math.inf), np.zeros((len(Ms), sys.n))
@@ -459,7 +479,12 @@ def multiloop_margin(sys):
         upper bound on hinf_norm's peak seed (400 log-spaced points over
         the dynamics of M, and each pole's frequency), then
         specnorm._climb_peaks, each 3-point stencil descending from the
-        scaling of the highest sample so far.  omega_crit is
+        scaling of the highest sample so far.  The seed is branched and
+        bounded (_mu_upper's sweep): only the samples whose unscaled
+        sigma_max reaches 1 - 1e-9 times the bound where it is largest
+        are descended, a pruned one keeping that sigma_max with log D = 0,
+        and those within 1e-9 of the largest bound, the ones the climb and
+        _pick_lowest read, hold their full descent's bound.  omega_crit is
         specnorm._pick_lowest of all samples; mu_diag's lower bound runs
         there with the M, bound and scaling of its first highest sample,
         so no response or descent repeats.  alpha_lower is not

@@ -129,7 +129,10 @@ def _axis_crossings(A, B, C, D, gamma):
     # one input: R is 1x1, its eigenvalue R itself and its inverse 1/R
     if (R[0, 0] if mm == 1 else np.min(np.linalg.eigvalsh(R))) <= 0.0:
         return None
-    Ri = 1.0 / R if mm == 1 else np.linalg.inv(R)
+    try:
+        Ri = 1.0 / R if mm == 1 else np.linalg.inv(R)
+    except np.linalg.LinAlgError:  # singular to rounding where eigvalsh read it positive
+        return None
     BRi = B @ Ri
     ARC = A + BRi @ D.T @ C
     H = np.empty((2 * n, 2 * n))

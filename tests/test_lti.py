@@ -203,13 +203,26 @@ def polyval_response(r, ws):
     """freq_response of the transfer function r from three separate
     np.polyval calls, num and den at jw and |den| (absolute coefficients)
     at |w|, and the documented pole test |den(jw)| <= 1e-12 (|den|(|w|) + 1);
-    at w = +-inf the asymptotic value, nan and flagged when r is improper."""
+    at w = +-inf the asymptotic value, nan and flagged when r is improper.
+    Where one of the three overflows, the same at z = 1/(jw) and 1/|w|
+    over the coefficients padded with leading zeros to one length L and
+    reversed, the 1 of the pole test scaled by |z|^(L-1), and a point
+    where they overflow again flagged."""
     ws = np.asarray(ws, dtype=float)
     with np.errstate(all="ignore"):
         num, den = np.polyval(r.num.coeffs, 1j * ws), np.polyval(r.den.coeffs, 1j * ws)
         dabs = np.polyval(np.abs(r.den.coeffs), np.abs(ws))
         ok = ~(np.isnan(ws) | (np.abs(den) <= 1e-12 * (dabs + 1.0)))
         vals = np.where(ok, num / den, np.nan)
+        big = np.isfinite(ws) & ~(np.isfinite(num) & np.isfinite(den) & np.isfinite(dabs))
+        size = max(r.num.coeffs.size, r.den.coeffs.size)
+        rn, rd = (np.concatenate([np.zeros(size - c.size), c])[::-1]
+                  for c in (r.num.coeffs, r.den.coeffs))
+        z, za = 1.0 / (1j * ws[big]), 1.0 / np.abs(ws[big])
+        num, den, dabs = np.polyval(rn, z), np.polyval(rd, z), np.polyval(np.abs(rd), za)
+        ok[big] = (np.isfinite(num) & np.isfinite(den) & np.isfinite(dabs)
+                   & ~(np.abs(den) <= 1e-12 * (dabs + za ** (size - 1))))
+        vals[big] = np.where(ok[big], num / den, np.nan)
     inf = np.isinf(ws)
     if r.is_strictly_proper:
         vals[inf], ok[inf] = 0.0, True
@@ -259,6 +272,23 @@ def test_tf_kernel_is_three_polyval_calls_bit_for_bit():
         want, want_ok = polyval_response(t.representation, ws)
     assert vals.tobytes() == want.tobytes() and np.array_equal(ok, want_ok)
     assert not want_ok[:2].any()
+
+
+def test_tf_response_past_the_overflow_of_its_recurrence():
+    # past about 1e154 ** (1 / degree) num(jw) or den(jw) overflows, and
+    # those points alone are evaluated in 1/s: they agree with the
+    # realization, and a point below keeps its bits
+    ws = [1.0, 1e100, -1e160, 1e200, 1e300]
+    for num, den in [([1], [1, 1, 1, 1, 1]), ([2, 0, 1], [1, 1, 1]), ([2, 3, 1, 0, 0], [1, 5, 1, 1, 1])]:
+        t = tf(num, den)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals, ok = freq_response(t, ws)
+            value = eval_freq(t, 1e200)
+        want, want_ok = freq_response(tf_to_ss(t), ws)
+        assert ok.all() and want_ok.all()
+        assert_allclose(vals, want, rtol=1e-15, atol=0.0)
+        assert value == vals[3]
+        assert vals[:1].tobytes() == freq_response(t, ws[:1])[0].tobytes()
 
 
 def test_eval_freq_conjugate_symmetry():

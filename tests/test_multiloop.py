@@ -10,6 +10,7 @@ independent reference for 2x2 problems.
 import cmath
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,9 +42,11 @@ from dmkit import (
     tfm,
     verify_multiloop_destabilizing,
 )
-from dmkit import DiskSpec, classical, classical_margins, guaranteed_gm_pm, multiloop, specnorm
+from dmkit import DiskSpec, classical, classical_margins, cli, guaranteed_gm_pm, multiloop, specnorm
 from dmkit.multiloop import MDeltaSystem, _broken_loop, _mu_upper
 from dmkit.specnorm import _peak_seed
+
+DATA = Path(__file__).parent / "data"
 
 
 def satellite():
@@ -525,27 +528,37 @@ def heavy_system(name):
 def test_one_balance_and_one_descent_per_sweep_and_climb_stencil(name, monkeypatch):
     # each stencil of the climb starts from the scaling of the highest
     # sample so far, and the bracket at omega_crit reuses its sample's
-    # scaling: Osborne balancing runs for the sweep alone, and there is
-    # one descent per _upper_on call and none after the last
+    # scaling: Osborne balancing runs for the seed sweep alone, once for
+    # the row whose unscaled bound is largest and once for the rows that
+    # can still reach its bound, each balance followed by one descent;
+    # every stencil runs one descent, and none follows the last
     sysm = heavy_system(name)
-    calls = count_descents(monkeypatch)
-    balances, stencils = [], []
-    balance, upper_on = multiloop._osborne_balance, multiloop._upper_on
+    events = []
+    balance, descend, upper_on = multiloop._osborne_balance, multiloop._descend, multiloop._upper_on
 
-    def counting(absM):
-        balances.append(len(absM))
+    def balancing(absM):
+        events.append(("balance", len(absM)))
         return balance(absM)
 
+    def descending(fg, x):
+        events.append(("descend", len(x)))
+        return descend(fg, x)
+
     def recording(sys, ws, x0=None):
-        stencils.append(len(ws))
+        events.append(("upper_on", len(ws)))
         return upper_on(sys, ws, x0)
 
-    monkeypatch.setattr(multiloop, "_osborne_balance", counting)
+    monkeypatch.setattr(multiloop, "_osborne_balance", balancing)
+    monkeypatch.setattr(multiloop, "_descend", descending)
     monkeypatch.setattr(multiloop, "_upper_on", recording)
     multiloop_margin(sysm)
-    assert len(balances) == 1
-    assert len(stencils) > 1
-    assert len(calls) == len(stencils)
+    starts = [k for k, (what, _) in enumerate(events) if what == "upper_on"]
+    seed = [what for what, _ in events[1:starts[1]]]
+    assert seed in (["balance", "descend"], ["balance", "descend"] * 2)
+    assert events[1] == ("balance", 1)
+    assert len(starts) > 2
+    for a, b in zip(starts[1:], starts[2:] + [len(events)]):
+        assert [what for what, _ in events[a + 1:b]] == ["descend"]
 
 
 @pytest.mark.parametrize("name", ["satellite io", "pair 46", "pair 69"])
@@ -672,14 +685,66 @@ def test_sweep_floor_keeps_the_largest_bound(make, monkeypatch):
     full, _ = _mu_upper(Ms)
     full_rows = sum(rows)
     rows.clear()
-    swept, _ = _mu_upper(Ms, sweep=True)
+    swept, xs = _mu_upper(Ms, sweep=True)
     assert swept.max() == full.max()
     assert np.argmax(swept) == np.argmax(full)
-    # rows stopped at the floor hold looser, still valid, bounds below it
+    # rows stopped at the floor, or pruned below it, hold looser, still
+    # valid, bounds below it; the floor is 1 - 1e-9 times the bound of the
+    # row whose unscaled largest singular value is the largest
     assert np.all(swept >= full)
-    floor = np.max(np.abs(np.linalg.eigvals(Ms)))
+    unscaled = np.linalg.svd(Ms, compute_uv=False)[:, 0]
+    floor = (1 - 1e-9) * full[np.argmax(unscaled)]
     assert np.all(swept[swept != full] < floor)
+    # a pruned row keeps its unscaled bound and log D = 0
+    pruned = unscaled < floor
+    assert pruned.any()
+    assert np.array_equal(swept[pruned], unscaled[pruned])
+    assert np.all(xs[pruned] == 0.0)
     assert sum(rows) < full_rows
+
+
+def _assert_sweep_keeps_the_top_rows(Ms):
+    """Every row of the sweep within 1e-9 of the largest bound has the
+    bound and log D of the unpruned descent, bit for bit, and every row's
+    bound is at least its spectral radius."""
+    full, x_full = _mu_upper(Ms)
+    swept, x_swept = _mu_upper(Ms, sweep=True)
+    top = full >= (1 - 1e-9) * full.max()
+    assert np.array_equal(swept[top], full[top])
+    assert np.array_equal(x_swept[top], x_full[top])
+    assert np.all(swept >= np.max(np.abs(np.linalg.eigvals(Ms)), axis=1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("kind", MU_FAMILIES)
+def test_seed_sweep_keeps_the_rows_near_its_largest_bound(kind, n):
+    # each matrix comes as drawn, shrunk by 5e-10 and diagonally rescaled,
+    # so that several rows lie within 1e-9 of the largest bound, and the
+    # row whose unscaled bound is largest is often not one of them
+    rng = np.random.default_rng([41, MU_FAMILIES.index(kind), n])
+    base = np.array([mu_family(kind, n, rng) for _ in range(12)])
+    d = np.exp(rng.uniform(-2.0, 2.0, (12, n)))
+    _assert_sweep_keeps_the_top_rows(
+        np.concatenate([base, (1 - 5e-10) * base, d[:, :, None] * base / d[:, None, :]]))
+
+
+@pytest.mark.parametrize("name", ["satellite io", "pair 46", "pair 53", "pair 69"])
+def test_seed_sweep_of_a_loop_keeps_the_rows_near_its_largest_bound(name):
+    sysm = heavy_system(name)
+    vals, ok = freq_response(sysm.M, _peak_seed(sysm.M, 400, sysm.poles))
+    _assert_sweep_keeps_the_top_rows(vals[ok])
+
+
+def test_six_channel_pair_is_pinned():
+    # the 56th draw of bench/workloads._random_pair(rng, 3 + k % 4,
+    # 4 + 2 (k % 4)) on default_rng(99), at the input; its seed sweep has
+    # 405 rows (numpy 2.4, OpenBLAS, x86-64)
+    P, K, _, _ = cli._load_model_file(str(DATA / "pair_55.json"))
+    res = multiloop_margin(build_m(P, K, "input", 0.0))
+    assert res.alpha_lower == 0.5739860753403625
+    assert res.alpha_upper == 0.5739874939915761
+    assert res.omega_crit == 0.0
+    assert res.converged
 
 
 def static_plant(D):

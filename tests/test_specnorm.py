@@ -688,6 +688,15 @@ def test_axis_crossings_equal_the_block_assembly():
                 assert got.tobytes() == want.tobytes(), (k, gamma)
 
 
+def test_axis_crossings_at_the_feedthrough_gain_of_two_inputs():
+    # at gamma = sigma_max(D), R = gamma^2 I - D^T D is singular, yet its
+    # computed least eigenvalue can be positive: inv then raises, and the
+    # level, not above the feedthrough gain, has no crossing set
+    D = np.array([[0.0, -1.25, 0.75]])
+    A, B, C = -np.eye(2), np.ones((2, 3)), np.ones((1, 2))
+    assert specnorm._axis_crossings(A, B, C, D, np.linalg.norm(D, 2)) is None
+
+
 @pytest.mark.xfail(strict=True, raises=PoleOnAxisError,
                    reason="the transfer-function pole test flags points next to three resonances "
                           "within 1e-4 of each other as poles")
