@@ -489,11 +489,11 @@ def _response_tf(r, ws):
     x = np.empty((3, w.size), dtype=complex)
     x[:2], x[2] = 1j * w, np.abs(w)
     y = np.zeros_like(x)
-    for c in r._table:
-        y = y * x + c
-    # an overflowed |den| turns nan (inf times its zero imaginary part): fmin reads inf
-    hit = np.isnan(w) | (np.abs(y[1]) <= 1e-12 * (np.fmin(y[2].real, np.inf) + 1.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for c in r._table:
+            y = y * x + c
+        # an overflowed |den| turns nan (inf times its zero imaginary part): fmin reads inf
+        hit = np.isnan(w) | (np.abs(y[1]) <= 1e-12 * (np.fmin(y[2].real, np.inf) + 1.0))
         out = np.where(hit, np.nan, y[0] / y[1])
     if not np.isfinite(out).all():
         # where the recurrence overflowed, run it in z = 1/s over the table

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -289,6 +290,19 @@ def test_tf_response_past_the_overflow_of_its_recurrence():
         assert_allclose(vals, want, rtol=1e-15, atol=0.0)
         assert value == vals[3]
         assert vals[:1].tobytes() == freq_response(t, ws[:1])[0].tobytes()
+
+
+def test_tf_response_past_the_overflow_of_its_recurrence_does_not_warn():
+    # the overflow is expected there and handled, so it raises no warning
+    ws = [1e100, 1e200, -1e300]
+    for num, den in [([1], [1, 1, 1, 1, 1]), ([2, 0, 1], [1, 1, 1]), ([2, 3, 1, 0, 0], [1, 5, 1, 1, 1])]:
+        t = tf(num, den)
+        want, want_ok = freq_response(tf_to_ss(t), ws)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, ok = freq_response(t, ws)
+        assert ok.all() and want_ok.all()
+        assert_allclose(vals, want, rtol=1e-15, atol=0.0)
 
 
 def test_eval_freq_conjugate_symmetry():

@@ -518,9 +518,10 @@ def test_mu_climb_reaches_the_top_of_its_peak(pair):
 
 
 def heavy_system(name):
-    """The 4-channel satellite io loop, or a 3-channel pair at the input."""
-    if name == "satellite io":
-        return build_m(*satellite(), "io", 0.0)
+    """The satellite loop at its named points ("satellite io" has 4
+    channels), or a 3-channel pair at the input."""
+    if name.startswith("satellite"):
+        return build_m(*satellite(), name.split()[1], 0.0)
     return build_m(*_random_pair(int(name.split()[-1])), "input", 0.0)
 
 
@@ -642,6 +643,34 @@ def test_batched_upper_bound_brackets_mu():
                 assert ub >= mu_brute_2x2(M) * (1 - 1e-14)
 
 
+def osborne_balance_per_sweep(absM):
+    """Ten Osborne sweeps that rebuild their index sets and slices in every
+    sweep and take each norm by np.linalg.norm: the reference
+    multiloop._osborne_balance must match bit for bit."""
+    N, n, _ = absM.shape
+    d = np.ones((N, n))
+    for _ in range(10):
+        for i in range(n):
+            off = np.arange(n) != i
+            r = np.linalg.norm(absM[:, i, off] * d[:, i:i + 1] / d[:, off], axis=1)
+            c = np.linalg.norm(absM[:, off, i] * d[:, off] / d[:, i:i + 1], axis=1)
+            upd = (r > 0) & (c > 0)
+            d[upd, i] *= np.sqrt(c[upd] / r[upd])
+    return np.log(d)
+
+
+def test_osborne_balance_matches_its_per_sweep_loop():
+    # |M| stacks of 2 to 8 channels and 1 to 30 rows, magnitudes over 12
+    # decades, a third of them with zero entries
+    rng = np.random.default_rng(53)
+    for k in range(1200):
+        n, N = rng.integers(2, 9), rng.integers(1, 31)
+        absM = 10.0 ** rng.uniform(-6.0, 6.0, (N, n, n))
+        if k % 3 == 0:
+            absM[rng.random((N, n, n)) < 0.3] = 0.0
+        assert np.array_equal(multiloop._osborne_balance(absM), osborne_balance_per_sweep(absM))
+
+
 @pytest.mark.parametrize("kind", MU_FAMILIES)
 def test_two_channel_upper_bound_is_closed_form(kind):
     # D-scaling keeps det M, so the closed-form scaling that equalizes the
@@ -695,10 +724,18 @@ def test_sweep_floor_keeps_the_largest_bound(make, monkeypatch):
     unscaled = np.linalg.svd(Ms, compute_uv=False)[:, 0]
     floor = (1 - 1e-9) * full[np.argmax(unscaled)]
     assert np.all(swept[swept != full] < floor)
-    # a pruned row keeps its unscaled bound and log D = 0
+    # a pruned row keeps log D = 0 and the unscaled bound where the norm
+    # screen took its SVD: where its Frobenius norm reaches the largest
+    # row or column norm of the stack, or the floor; elsewhere it keeps
+    # that Frobenius norm
     pruned = unscaled < floor
     assert pruned.any()
-    assert np.array_equal(swept[pruned], unscaled[pruned])
+    fro = np.linalg.norm(Ms, axis=(1, 2))
+    lo = max(np.linalg.norm(Ms, axis=1).max(), np.linalg.norm(Ms, axis=2).max())
+    took = fro * (1 + 1e-12) >= min(lo, floor)
+    assert (pruned & ~took).any()
+    assert np.array_equal(swept[pruned & took], unscaled[pruned & took])
+    assert_allclose(swept[pruned & ~took], fro[pruned & ~took], rtol=1e-14)
     assert np.all(xs[pruned] == 0.0)
     assert sum(rows) < full_rows
 
@@ -706,16 +743,26 @@ def test_sweep_floor_keeps_the_largest_bound(make, monkeypatch):
 def _assert_sweep_keeps_the_top_rows(Ms):
     """Every row of the sweep within 1e-9 of the largest bound has the
     bound and log D of the unpruned descent, bit for bit, and every row's
-    bound is at least its spectral radius."""
+    bound is at least its spectral radius.  For two channels, where the
+    unpruned bound is mu itself, a row the sweep prices by the closed form
+    alone lies below 1 - 1e-9 times the top and at or above 1 - 1e-7
+    times its spectral radius, with the unpruned log D."""
     full, x_full = _mu_upper(Ms)
     swept, x_swept = _mu_upper(Ms, sweep=True)
     top = full >= (1 - 1e-9) * full.max()
     assert np.array_equal(swept[top], full[top])
     assert np.array_equal(x_swept[top], x_full[top])
-    assert np.all(swept >= np.max(np.abs(np.linalg.eigvals(Ms)), axis=1))
+    rho = np.max(np.abs(np.linalg.eigvals(Ms)), axis=1)
+    if Ms.shape[1] == 2:
+        closed = swept != full
+        assert np.all(swept[closed] < (1 - 1e-9) * full.max())
+        assert np.all(swept[closed] >= (1 - 1e-7) * rho[closed])
+        assert np.array_equal(x_swept, x_full)
+    else:
+        assert np.all(swept >= rho)
 
 
-@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
 @pytest.mark.parametrize("kind", MU_FAMILIES)
 def test_seed_sweep_keeps_the_rows_near_its_largest_bound(kind, n):
     # each matrix comes as drawn, shrunk by 5e-10 and diagonally rescaled,
@@ -728,11 +775,69 @@ def test_seed_sweep_keeps_the_rows_near_its_largest_bound(kind, n):
         np.concatenate([base, (1 - 5e-10) * base, d[:, :, None] * base / d[:, None, :]]))
 
 
-@pytest.mark.parametrize("name", ["satellite io", "pair 46", "pair 53", "pair 69"])
+@pytest.mark.parametrize("name", ["satellite input", "satellite output", "satellite io",
+                                  "pair 46", "pair 53", "pair 69"])
 def test_seed_sweep_of_a_loop_keeps_the_rows_near_its_largest_bound(name):
     sysm = heavy_system(name)
     vals, ok = freq_response(sysm.M, _peak_seed(sysm.M, 400, sysm.poles))
     _assert_sweep_keeps_the_top_rows(vals[ok])
+
+
+def test_two_channel_sweep_keeps_the_top_rows_at_any_scale():
+    # |m|^2 overflows above about 1e154 and underflows below 1e-154; a
+    # stack at either end still keeps its top rows.  The last pair: at
+    # 1e-100, squaring F and |det M| loses both, and F / 2 would price
+    # the rank-one row (sigma_max 1.2e-100) below the identity (1e-100)
+    rng = np.random.default_rng(43)
+    base = np.array([mu_family("plain", 2, rng) for _ in range(12)])
+    base = np.concatenate([base, (1 - 5e-10) * base])
+    for scale in (1e160, 1e-160, 1e-300):
+        _assert_sweep_keeps_the_top_rows(scale * base)
+    tiny = np.array([np.eye(2), np.full((2, 2), 0.6)], dtype=complex) * 1e-100
+    swept, _ = _mu_upper(tiny, sweep=True)
+    assert np.argmax(swept) == 1
+    _assert_sweep_keeps_the_top_rows(tiny)
+
+
+def count_svd_rows(monkeypatch):
+    """Record the number of matrices of every np.linalg.svd call made
+    without singular vectors: the unscaled and closed-form-scaled rows
+    the seed sweep prices, not the descent's."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if kwargs.get("compute_uv") is False:
+            calls.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def test_two_channel_sweep_prices_an_overflowing_row_by_its_svd(monkeypatch):
+    # one entry near 1e160 among ordinary rows: that row is the top, it
+    # gets its SVD, and the others are priced in closed form
+    rng = np.random.default_rng(47)
+    Ms = np.array([mu_family("plain", 2, rng) for _ in range(12)])
+    Ms[5, 0, 1] = 1e160
+    calls = count_svd_rows(monkeypatch)
+    swept, _ = _mu_upper(Ms, sweep=True)
+    assert calls == [1]
+    assert np.argmax(swept) == 5
+    _assert_sweep_keeps_the_top_rows(Ms)
+
+
+@pytest.mark.parametrize("name", ["satellite input", "pair 46"])
+def test_seed_sweep_takes_few_unscaled_svds(name, monkeypatch):
+    # the closed form (two channels) or the norm screen (more) prices
+    # every row first; only rows that can reach the top get an SVD
+    sysm = heavy_system(name)
+    vals, ok = freq_response(sysm.M, _peak_seed(sysm.M, 400, sysm.poles))
+    Ms = vals[ok]
+    calls = count_svd_rows(monkeypatch)
+    _mu_upper(Ms, sweep=True)
+    assert sum(calls) < (5 if sysm.n == 2 else len(Ms))
 
 
 def test_six_channel_pair_is_pinned():

@@ -12,13 +12,18 @@ at the plant inputs and at the plant outputs: 112 analyses.  Pair 55,
 6 channels at the inputs, is the slowest.  Each tree runs in its own
 subprocess, as in tools/compare_outputs.py: the tree as working
 directory, its own src/ and bench/ first on the import path, one BLAS
-thread.  Nothing under bench/ is written.
+thread.  Nothing under bench/ is written.  Each tree runs ROUNDS times,
+parent and change alternating which goes first, and each analysis's
+time is its fastest round: on a shared host one pass of a tree can take
+a quarter longer than the next.
 
 The report lists the analyses whose alpha_lower, alpha_upper,
-omega_crit or converged differ by repr, or whose exception differs;
-then each tree's time in build_m and multiloop_margin per channel count
-and in total, and the analysis slowest in the parent.  The exit status
-is 0 when no analysis differs and 1 otherwise.
+omega_crit or converged differ by repr between a tree's own rounds, then
+those that differ between the trees, or whose exception differs; then
+each tree's time in build_m and multiloop_margin per channel count and
+in total, and the analysis slowest in the parent.  The exit status is 0
+when every tree repeats its answers and no analysis differs, and 1
+otherwise.
 """
 
 import json
@@ -29,6 +34,7 @@ import tempfile
 import time
 
 PAIRS = 56
+ROUNDS = 3
 POINTS = ("input", "output")
 FIELDS = ("alpha_lower", "alpha_upper", "omega_crit", "converged")
 
@@ -87,9 +93,19 @@ def main(argv):
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
+    rounds = ([], [])  # each tree's results, one list per round
     with tempfile.TemporaryDirectory() as tmp:
-        parent = collect(argv[0], os.path.join(tmp, "parent.json"))
-        change = collect(argv[1], os.path.join(tmp, "change.json"))
+        for k in range(ROUNDS):
+            for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+                rounds[side].append(collect(argv[side], os.path.join(tmp, "{}_{}.json".format(side, k))))
+    unstable = []
+    for name, runs in zip(("parent", "change"), rounds):
+        for rs in zip(*runs):
+            if any(r["fields"] != rs[0]["fields"] for r in rs[1:]):
+                unstable.append("{} {}: {}".format(name, _name(rs[0]), " / ".join(
+                    repr(r["fields"]) for r in rs)))
+            rs[0]["seconds"] = min(r["seconds"] for r in rs)
+    parent, change = rounds[0][0], rounds[1][0]
     differing = []
     for p, c in zip(parent, change):
         if p["fields"] == c["fields"]:
@@ -100,11 +116,14 @@ def main(argv):
             differing.append("{}: {}".format(_name(p), ", ".join(
                 "{} {} -> {}".format(f, a, b)
                 for f, a, b in zip(FIELDS, p["fields"], c["fields"]) if a != b)))
-    print("analyses: {}".format(len(parent)))
+    print("analyses: {}, {} rounds per tree".format(len(parent), ROUNDS))
+    print("analyses that differ between a tree's own rounds: {}".format(len(unstable)))
+    for line in unstable:
+        print("  " + line)
     print("analyses that differ: {}".format(len(differing)))
     for line in differing:
         print("  " + line)
-    print("seconds in build_m and multiloop_margin, parent -> change:")
+    print("seconds in build_m and multiloop_margin, fastest round, parent -> change:")
     for n in sorted({r["channels"] for r in parent}):
         ps = [r["seconds"] for r in parent if r["channels"] == n]
         cs = [r["seconds"] for r in change if r["channels"] == n]
@@ -114,7 +133,7 @@ def main(argv):
     k = max(range(len(parent)), key=lambda i: parent[i]["seconds"])
     print("slowest analysis in the parent: {}: {:.3f} -> {:.3f}".format(
         _name(parent[k]), parent[k]["seconds"], change[k]["seconds"]))
-    return 1 if differing else 0
+    return 1 if differing or unstable else 0
 
 
 if __name__ == "__main__":
