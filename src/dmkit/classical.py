@@ -11,8 +11,9 @@ crossings for phase, plus the w = 0 and w = inf endpoints for gain.
 The crossings are exact.  With L = N/D (state space through ss_to_tf)
 they are the positive real roots of two real polynomials in w:
 Im(N(jw) conj D(jw)) for real-axis crossings and |N(jw)|^2 - |D(jw)|^2
-for unit-modulus ones.  Each root is Newton-polished, then verified on
-the model, masked by the poles that the transfer function flags, with
+for unit-modulus ones.  Each root is Newton-polished on Python numbers,
+its residual from N(jw) and D(jw) by lti._horner, then verified on the
+model, masked by the poles that the transfer function flags, with
 one freq_response call on each over the roots, w = 0 and w = inf (one
 call in all when the model is a transfer function).  One
 call computes them, and the closure, once.  A static gain g closes a
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DmkitError, InputError, NominalInstabilityError
-from .lti import (StateSpace, TransferFunction, _as_model, _close, _trim, freq_response, is_stable,
-                  scalar_close, ss_to_tf)
+from .lti import (StateSpace, TransferFunction, _as_model, _close, _horner, _trim, freq_response,
+                  is_stable, scalar_close, ss_to_tf)
 
 __all__ = ["ClassicalMargins", "gain_margins", "phase_margin", "classical_margins"]
 
@@ -76,19 +77,11 @@ def _polymul(a, b):
     return np.convolve(_trim(a), _trim(b))
 
 
-def _polyval(coeffs, w):
-    """np.polyval(coeffs, w) bit for bit at a real w: lti._horner on a list."""
-    y = 0.0
-    for c in coeffs:
-        y = y * w + c
-    return y
-
-
 def _positive_roots(p, residual):
     """Positive real roots of the real polynomial p (descending in w),
     ascending, with roots within 1e-9 relative of each other returned
-    once.  Each is polished by Newton steps residual(w) / p'(w), where
-    residual evaluates p at w; p' is evaluated on Python floats."""
+    once.  Each is polished by Newton steps residual(w) / p'(w) on a
+    Python float w, which stop where residual overflows."""
     p = _trim(np.asarray(p, dtype=float))
     if p.size < 2:
         return []
@@ -99,8 +92,11 @@ def _positive_roots(p, residual):
             continue
         w = float(r.real)
         for _ in range(8):
-            d = _polyval(dp, w)
-            step = residual(w) / d if d else 0.0
+            d = _horner(dp, w)
+            try:
+                step = residual(w) / d if d else 0.0
+            except OverflowError:
+                break
             # stop at convergence, and never jump to a neighbouring root
             if not 1e-16 * w < abs(step) < 1e-3 * w:
                 break
@@ -140,11 +136,12 @@ def _crossings(L):
     """
     t = _transfer_function(L)
     n, d = _on_axis(t.num.coeffs), _on_axis(t.den.coeffs)
+    nc, dc = t.num.coeffs.tolist(), t.den.coeffs.tolist()
 
     def roots(p, form):
         # Newton residuals from N(jw) and D(jw) escape the cancellation
         # in p's expanded coefficients
-        return _positive_roots(p, lambda w: form(t.num(1j * w), t.den(1j * w)))
+        return _positive_roots(p, lambda w: form(_horner(nc, 1j * w), _horner(dc, 1j * w)))
 
     # n and d keep Polynomial's nonzero leading coefficient
     real_axis = roots(np.convolve(n, d.conj()).imag, lambda nv, dv: (nv * dv.conjugate()).imag)
@@ -274,6 +271,6 @@ def critical_distance(L):
     p = _abs2(_on_axis(_trim(np.polyadd(t.num.coeffs, t.den.coeffs))))
     q = _abs2(_on_axis(t.den.coeffs))
     stationary = np.polysub(_polymul(np.polyder(p), q), _polymul(p, np.polyder(q)))
-    candidates = _positive_roots(stationary, lambda w, c=stationary.tolist(): _polyval(c, w))
+    candidates = _positive_roots(stationary, lambda w, c=stationary.tolist(): _horner(c, w))
     vals, ok = freq_response(L, [0.0, math.inf] + candidates)
     return float(np.min(np.abs(1.0 + vals[ok]), initial=math.inf))

@@ -7,11 +7,12 @@ transfer-function form so that sensitivity algebra stays exact at the
 coefficient level; matrix models are realized to state space once, at
 ingestion, and stay there.
 
-Each primitive exists once.  freq_response evaluates every model on the
-imaginary axis, and eval_freq is its one-point form.  The model alone
-picks one of two state-space kernels.  A real model with at least
-_MODAL_STATES states whose eigenvectors have cond(V) <= _MODAL_COND is
-summed over its modes, sum_k r_k / d_k with d_k = jw - lam_k: a point is
+Each primitive exists once.  _horner, np.polyval's recurrence bit for
+bit, is the one polynomial evaluator.  freq_response evaluates every
+model on the imaginary axis, and eval_freq is its one-point form.  The
+model alone picks one of two state-space kernels.  A real model with at
+least _MODAL_STATES states whose eigenvectors have cond(V) <= _MODAL_COND
+is summed over its modes, sum_k r_k / d_k with d_k = jw - lam_k: a point is
 a pole where min_k |d_k| <= n eps ||A||_F, and goes to the stacked LU
 solves where eps cond(V) sum_k |r_k| (1/|d_k| + ||A||_F/|d_k|^2) exceeds
 _MODAL_RTOL |value|.  The stacked LU solves of jwI - A take every point
@@ -120,7 +121,7 @@ class Polynomial:
         return self.coeffs.size == 1 and self.coeffs[0] == 0
 
     def __call__(self, s):
-        return _horner(self.coeffs, s)
+        return _horner(self.coeffs.tolist(), np.asanyarray(s))
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -479,8 +480,8 @@ def _response_tf(r, ws):
         ok[inf] = False
     fin = ~inf
     w = ws[fin]
-    # num(jw), den(jw) and |den|(|w|), each bit for bit its _horner, in one
-    # recurrence over r's kept table (leading zeros keep y at its start)
+    # num(jw), den(jw) and |den|(|w|), each bit for bit its own _horner, in
+    # one _horner over r's kept table (leading zeros keep y at its start)
     if r._table is None:
         n, d = r.num.coeffs, r.den.coeffs
         table = np.zeros((max(n.size, d.size), 3, 1), dtype=complex)
@@ -488,10 +489,8 @@ def _response_tf(r, ws):
         r._table = list(table)
     x = np.empty((3, w.size), dtype=complex)
     x[:2], x[2] = 1j * w, np.abs(w)
-    y = np.zeros_like(x)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for c in r._table:
-            y = y * x + c
+        y = _horner(r._table, x)
         # an overflowed |den| turns nan (inf times its zero imaginary part): fmin reads inf
         hit = np.isnan(w) | (np.abs(y[1]) <= 1e-12 * (np.fmin(y[2].real, np.inf) + 1.0))
         out = np.where(hit, np.nan, y[0] / y[1])
@@ -502,10 +501,8 @@ def _response_tf(r, ws):
         # point where it overflows again is flagged
         big = np.flatnonzero(~np.isfinite(y).all(axis=0) & ~np.isnan(w))
         z = 1.0 / x[:, big]
-        y = np.zeros_like(z)
         with np.errstate(all="ignore"):
-            for c in r._table[::-1]:
-                y = y * z + c
+            y = _horner(r._table[::-1], z)
             hit[big] = ~np.isfinite(y).all(axis=0) | (
                 np.abs(y[1]) <= 1e-12 * (y[2].real + z[2].real ** (len(r._table) - 1)))
             out[big] = np.where(hit[big], np.nan, y[0] / y[1])
@@ -515,11 +512,10 @@ def _response_tf(r, ws):
 
 def _horner(coeffs, x):
     """np.polyval(coeffs, x) bit for bit, its recurrence y = y x + c from
-    y = 0, over the coefficients as Python numbers: a short grid pays for
-    the arithmetic, not for numpy scalars."""
-    x = np.asanyarray(x)
-    y = np.zeros_like(x)
-    for c in coeffs.tolist():
+    y = 0 (zeros_like(x) for an array x) over Python numbers or table
+    rows: a Python number x stays one, and pays for no numpy scalars."""
+    y = np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
+    for c in coeffs:
         y = y * x + c
     return y
 

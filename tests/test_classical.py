@@ -1,4 +1,6 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dmkit import classical
+from dmkit import classical, cli
 from dmkit import (
     InputError,
     NominalInstabilityError,
@@ -24,6 +26,10 @@ from dmkit import (
     tf_to_ss,
     tfm,
 )
+from dmkit.lti import _horner
+from dmkit.multiloop import siso_loop
+
+DATA = Path(__file__).parent / "data"
 
 L1 = tf([25], [1, 10, 10, 10])
 
@@ -431,13 +437,62 @@ def test_classical_margins_against_oracles(loop):
         assert _near(cm.gain_crossover_freqs, ws[i], ws[i + 1])
 
 
+def _same_bits(got, want):
+    # equal to the last bit, part by part, a nan matching any nan
+    return all(np.float64(g).tobytes() == np.float64(v).tobytes() or (math.isnan(g) and math.isnan(v))
+               for g, v in ((got.real, want.real), (got.imag, want.imag)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=14),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=14),
        st.floats(min_value=0.0, max_value=1e12, allow_subnormal=True))
-def test_newton_polish_horner_is_polyval_bit_for_bit(coeffs, w):
-    # _positive_roots and critical_distance evaluate their polynomials on
-    # Python floats; at a real w that is np.polyval to the last bit
+def test_newton_polish_horner_is_polyval_bit_for_bit(coeffs, imag, w):
+    # _positive_roots and critical_distance evaluate their polynomials at a
+    # Python float w, the _crossings residuals N and D at the Python complex
+    # 1j w: each is np.polyval to the last bit, and stays a Python number
+    cplx = [complex(c, b) for c, b in zip(coeffs, imag + [0.0] * len(coeffs))]
     with np.errstate(over="ignore", invalid="ignore"):
-        want = np.polyval(np.array(coeffs), w)
-    got = classical._polyval(coeffs, w)
-    assert np.float64(got).tobytes() == want.tobytes() or (math.isnan(got) and math.isnan(want))
+        cases = [(coeffs, w, np.polyval(np.array(coeffs), w)),
+                 (coeffs, 1j * w, np.polyval(np.array(coeffs), np.complex128(1j * w))),
+                 (cplx, 1j * w, np.polyval(np.array(cplx), np.complex128(1j * w)))]
+    for c, x, want in cases:
+        got = _horner(c, x)
+        assert type(got) is type(x) and _same_bits(got, want)
+
+
+def test_newton_polish_stops_where_the_residual_overflows():
+    # |N(jw)| is about 3.7e16^10 at the unit-circle crossing, so its square
+    # overflows: the polish keeps np.roots' root, where numpy's inf residual
+    # stopped it too
+    num = 3.7e16 * np.poly(-np.arange(1.5, 10.0))
+    den = np.poly(-np.arange(1.0, 11.0))
+    gains, phases = classical._crossings(classical._nominal(tf(num, den)))
+    assert gains == []
+    assert [(phi.hex(), w.hex()) for phi, w in phases] == [("0x1.921fb54442d19p+0", "0x1.06e69ba160fffp+55")]
+
+
+def test_dense_loop_margins_raise_no_runtime_warning():
+    # a 20-state loop whose real-axis residual overflowed numpy's complex
+    # product ("overflow" and "invalid value" RuntimeWarnings); the margins
+    # keep their bits (a float's repr round-trips)
+    P, K, _, _ = cli._load_model_file(str(DATA / "dense_20.json"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cm = classical_margins(siso_loop(P, K))
+    assert cm == classical.ClassicalMargins(
+        g_lower=0.0, g_upper=1.060327160774579, phi_upper=0.027186787847457664,
+        gain_crossover_freqs=(1.0542604944845224, 1.0603289461004577),
+        phase_crossover_freqs=(
+            1.0605740946877165, 2.340920176708885, 1.3122664377987554, 3.3828328656304656,
+            4.829051385677983, 10.495049250015946, 1.1616899888217511, 43.668447365624196,
+            5.287903003357606, 24.376100019574732, 7.9749626523686805, 28.980902944846154,
+            51.8277435326182, 72.64179578794197, 13.1208606695753, 2.4961064441054837,
+            1.4701164395828392, 4.989247564100361, 5.508105331283317, 3.6100542908971445,
+            171.17543069486197, 36.2353847285228, 8.611100119479035, 78.82968457058523,
+            14.080221834861812, 10.869167362819782, 105.15751374886374, 37.32418833201586,
+            187.91506882976208, 137.4021451965083, 25.828277714812568, 76.57907333791026,
+            31.00837514924774, 46.54294390767365, 119.8838818327, 180.71115082948154,
+            89.64240924738435, 153.8238759200696, 59.37925138292091, 657.5241562675297),
+        critical_gain_freq=1.0605740946877165, critical_phase_freq=1.0603289461004577,
+        extra_stable_gain_intervals=((2714761.6345099313, math.inf),))
