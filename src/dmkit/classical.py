@@ -155,17 +155,14 @@ def _crossings(L):
     def verified(lo, hi):
         return zip(ws[lo:hi][ok[lo:hi]].tolist(), vals[lo:hi][ok[lo:hi]].tolist())
 
-    k = len(real_axis)
+    k = len(real_axis) + 2
     gains = []
     for w, lc in verified(0, k):
         if abs(lc.imag) <= 1e-6 * abs(lc) and lc.real < 0.0:
             gains.append((-1.0 / lc.real, w))
-    for w, lv in verified(k, k + 2):
-        if abs(lv.imag) <= 1e-12 * (1.0 + abs(lv)) and lv.real < 0.0:
-            gains.append((-1.0 / lv.real, w))
 
     phases = []
-    for w, lc in verified(k + 2, None):
+    for w, lc in verified(k, None):
         phi = abs(np.angle(-lc))
         # phi = 0 would mean L = -1 exactly, excluded by the nominal
         # stability precondition

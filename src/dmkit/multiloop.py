@@ -322,31 +322,28 @@ def _mu_upper(Ms, sweep=False, x0=None):
     mu whatever the exit.
 
     sweep=True serves a caller that needs only the largest bound of the
-    stack and where it lies.  A row stops descending once its bound falls
+    stack and where it lies.  A row stops refining once its bound falls
     below a floor, at most the largest bound, and holds a valid but
-    looser bound; rows descend independently and only fall, so the rows
+    looser bound; rows refine independently and only fall, so the rows
     within 1e-9 of the largest bound keep their sweep=False bound and
     log D bit for bit.  With x0 (a climb stencil) the floor is
     max_k rho(M_k), as every bound is at least mu >= rho of its matrix
-    (Packard & Doyle 1993).  Without x0 (the seed sweep) every row is
-    priced before its SVD.  For two channels the closed form above, on
-    the scaled matrix divided by its largest modulus so that no square
-    overflows or underflows, is within about 4e-8 of the SVD (where its
-    inner root cancels); only the rows whose closed form reaches
-    1 - 1e-6 times the largest get the SVD (every row, should one closed
-    form not be finite), and a pruned row keeps its closed form and
-    log D.  For more channels the stack is screened by
-    ||M||_F >= sigma_max(M) >= every row and column norm of M, then
-    branched and bounded.  The unscaled SVD goes first to the rows whose
-    Frobenius norm reaches the largest row or column norm of the stack,
-    the only ones that can hold the largest sigma_max; the row where it
-    is largest is balanced and descended in full, and the floor is
-    1 - 1e-9 times its bound.  Then the rows whose Frobenius norm reaches
-    the floor get their unscaled SVD too, and of those only the rows
-    whose sigma_max reaches the floor are balanced and descended.  A
-    1 + 1e-12 slack on both norm tests absorbs rounding.  A row pruned
-    after its SVD holds sigma_max(M), one the screen pruned its
-    Frobenius norm, both with log D = 0.
+    (Packard & Doyle 1993).  Without x0 (the seed sweep) the rule is
+    branch and bound (Balakrishnan, Boyd & Balemi 1991): every row is
+    priced by a cheap upper bound at a log D, the highest-priced row is
+    refined in full, the floor is 1 - 1e-9 times its bound, and only the
+    rows whose price is not below the floor are refined under it; every
+    other row holds its price and that log D.  Only the price and the
+    refinement depend on n.  For two channels the price is the closed
+    form above, on the scaled matrix divided by its largest modulus so
+    that no square overflows or underflows, times 1 + 1e-6, as the
+    closed form lies within about 4e-8 of the SVD (where its inner root
+    cancels); the refinement is that SVD.  For more channels the price is
+    ||M||_F >= sigma_max(M) >= every row and column norm of M at log D
+    = 0, and a row whose Frobenius norm reaches the largest row or column
+    norm of the stack (1 + 1e-12 absorbing rounding), the only rows that
+    can hold the largest sigma_max, is priced by its unscaled sigma_max;
+    the refinement is Osborne balancing and the descent.
     Returns the (N,) bounds and the (N, n) log D.
     """
     N, n, _ = Ms.shape
@@ -358,46 +355,43 @@ def _mu_upper(Ms, sweep=False, x0=None):
         t = np.clip(np.nan_to_num(t, nan=0.0), -50.0, 50.0)
         x = np.stack([t, -t], axis=1)
         S = Ms * np.exp(x[:, :, None] - x[:, None, :])
+
+        def refine(rows, floor):
+            return np.linalg.svd(S[rows], compute_uv=False)[:, 0], x[rows]
+
         if not sweep or x0 is not None:
-            return np.linalg.svd(S, compute_uv=False)[:, 0], x
+            return refine(np.arange(N), None)
         A, a, s = _squares(S)
         F, det = a.sum(axis=(1, 2)), np.abs(A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0])
-        f = s * np.sqrt(0.5 * (F + np.sqrt(np.maximum(F * F - 4.0 * det * det, 0.0))))
-        # f lies within about 4e-8 of the SVD, so every row that can reach the top passes
-        svd = ~(f < (1 - 1e-6) * np.max(f))
-        f[svd] = np.linalg.svd(S[svd], compute_uv=False)[:, 0]
-        return f, x
+        f = (1 + 1e-6) * s * np.sqrt(0.5 * (F + np.sqrt(np.maximum(F * F - 4.0 * det * det, 0.0))))
+    else:
+        def refine(rows, floor):
+            # bounds and log D of the rows of the stack, each settling below floor
+            def fg(k, x):
+                f, g = _sv_and_gradient(Ms[rows[k]], x)
+                g[f < floor] = 0.0  # _descend settles a row with a zero gradient
+                return f, g
 
-    def scaled(rows, floor):
-        # bounds and log D of the rows of the stack, each settling below floor
-        def fg(k, x):
-            f, g = _sv_and_gradient(Ms[rows[k]], x)
-            g[f < floor] = 0.0  # _descend settles a row with a zero gradient
-            return f, g
+            x = _osborne_balance(np.abs(Ms[rows])) if x0 is None else np.tile(x0, (len(rows), 1))
+            x, f, _ = _descend(fg, x - x.mean(axis=1, keepdims=True))
+            return f, x
 
-        x = _osborne_balance(np.abs(Ms[rows])) if x0 is None else np.tile(x0, (len(rows), 1))
-        x, f, _ = _descend(fg, x - x.mean(axis=1, keepdims=True))
-        return f, x
-
-    # 1 - 1e-9 absorbs the rounding of both sides, so that the computed
-    # largest bound, mathematically at least the floor, is never stopped
-    if not sweep or x0 is not None:
-        floor = (1 - 1e-9) * np.max(np.abs(np.linalg.eigvals(Ms))) if sweep else -math.inf
-        return scaled(np.arange(N), floor)
-    # ||M||_F >= sigma_max(M) >= every row and column norm of M; 1 + 1e-12
-    # absorbs the rounding of both sides
-    _, a, s = _squares(Ms)
-    f, x = s * np.sqrt(a.sum(axis=(1, 2))), np.zeros((N, n))
-    svd = f * (1 + 1e-12) >= np.max(s * np.sqrt(np.maximum(a.sum(axis=1), a.sum(axis=2)).max(axis=1)))
-    f[svd] = np.linalg.svd(Ms[svd], compute_uv=False)[:, 0]
+        # 1 - 1e-9 absorbs the rounding of both sides, so that the computed
+        # largest bound, mathematically at least the floor, is never stopped
+        if not sweep or x0 is not None:
+            floor = (1 - 1e-9) * np.max(np.abs(np.linalg.eigvals(Ms))) if sweep else -math.inf
+            return refine(np.arange(N), floor)
+        _, a, s = _squares(Ms)
+        f, x = s * np.sqrt(a.sum(axis=(1, 2))), np.zeros((N, n))
+        svd = f * (1 + 1e-12) >= np.max(s * np.sqrt(np.maximum(a.sum(axis=1), a.sum(axis=2)).max(axis=1)))
+        f[svd] = np.linalg.svd(Ms[svd], compute_uv=False)[:, 0]
     i = np.argmax(f)
-    f[[i]], x[[i]] = scaled(np.array([i]), -math.inf)
+    f[[i]], x[[i]] = refine(np.array([i]), -math.inf)
     floor = (1 - 1e-9) * f[i]
-    more = ~svd & (f * (1 + 1e-12) >= floor)
-    f[more] = np.linalg.svd(Ms[more], compute_uv=False)[:, 0]
-    rows = np.flatnonzero((f >= floor) & (np.arange(N) != i))
+    # a price that is not a number is refined too
+    rows = np.flatnonzero(~(f < floor) & (np.arange(N) != i))
     if rows.size:
-        f[rows], x[rows] = scaled(rows, floor)
+        f[rows], x[rows] = refine(rows, floor)
     return f, x
 
 
@@ -494,13 +488,9 @@ def _upper_on(sys, ws, x0=None):
     """mu upper bound of M(jw) at each frequency, -inf where jw is a pole,
     the log D that gives it (0 at a pole) and the (N, n, n) stack M(jw);
     descents start from x0 when given.  Only the bounds within 1e-9 of
-    the largest are those of the full descent; others may stop, looser
-    but valid, below _mu_upper's sweep floor: max rho with x0, and without
-    it 1 - 1e-9 times the bound where the unscaled sigma_max is largest,
-    a pruned frequency holding its sigma_max, or its Frobenius norm where
-    the norm screen spared it the SVD, with log D = 0.  Without x0 a
-    two-channel frequency more than 1e-6 below the largest closed-form
-    bound holds that closed form (within about 4e-8 of the SVD)."""
+    the largest are those of the full descent; others may hold, looser
+    but valid, a bound below _mu_upper's sweep floor (max rho with x0,
+    and without it its seed sweep's one rule)."""
     vals, ok = freq_response(sys.M, ws)
     Ms = vals.reshape(-1, sys.n, sys.n)
     out, x = np.full(len(Ms), -math.inf), np.zeros((len(Ms), sys.n))
@@ -527,16 +517,10 @@ def multiloop_margin(sys):
         the dynamics of M, and each pole's frequency), then
         specnorm._climb_peaks, each 3-point stencil descending from the
         scaling of the highest sample so far.  The seed sweep prices every
-        sample before its SVD (_mu_upper's sweep).  With two channels only
-        the samples whose closed-form bound reaches 1 - 1e-6 times the
-        largest get the SVD; a pruned one keeps its closed form.  With
-        more it is branched and bounded: a sample gets the unscaled SVD
-        only where its Frobenius norm can reach the peak, and is descended
-        only where its unscaled sigma_max reaches 1 - 1e-9 times the bound
-        where that is largest; a pruned one keeps its sigma_max, or its
-        Frobenius norm, with log D = 0.  The samples within 1e-9 of the
-        largest bound, the ones the climb and _pick_lowest read, hold
-        their full bound either way.  omega_crit is
+        sample and refines only those that can reach the peak (_mu_upper's
+        sweep); a pruned one keeps a looser, valid bound.  The samples
+        within 1e-9 of the largest bound, the ones the climb and
+        _pick_lowest read, hold their full bound.  omega_crit is
         specnorm._pick_lowest of all samples; mu_diag's lower bound runs
         there with the M, bound and scaling of its first highest sample,
         so no response or descent repeats.  alpha_lower is not
