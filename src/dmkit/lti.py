@@ -9,7 +9,12 @@ ingestion, and stay there.
 
 Each primitive exists once.  _horner, np.polyval's recurrence bit for
 bit, is the one polynomial evaluator.  freq_response evaluates every
-model on the imaginary axis, and eval_freq is its one-point form.  The
+model on the imaginary axis, and eval_freq is its one-point form.  A
+transfer function also has a pointwise form of its kernel, _tf_points,
+with freq_response's values bit for bit: the recurrence per point on
+Python numbers, where a few points do not pay for the array set-up.  It
+evaluates the peak-gain climb's stencils and eval_freq's point, and
+gives way to freq_response where a point is flagged or overflows.  The
 model alone picks one of two state-space kernels.  A real model with at
 least _MODAL_STATES states whose eigenvectors have cond(V) <= _MODAL_COND
 is summed over its modes, sum_k r_k / d_k with d_k = jw - lam_k: a point is
@@ -177,16 +182,17 @@ def poly_roots(p):
 class TransferFunction:
     """Scalar rational function num(s)/den(s).  The coefficients are the
     model's own and are not changed after construction: freq_response
-    keeps their Horner table (num, den and |den|) on the model."""
+    keeps their Horner table (num, den and |den|) on the model, and
+    _tf_points the same coefficients as lists of Python numbers."""
 
-    __slots__ = ("num", "den", "_table")
+    __slots__ = ("num", "den", "_table", "_lists")
 
     def __init__(self, num, den):
         self.num = num if isinstance(num, Polynomial) else Polynomial(num)
         self.den = den if isinstance(den, Polynomial) else Polynomial(den)
         if self.den.is_zero:
             raise InputError("transfer function denominator is identically zero")
-        self._table = None
+        self._table = self._lists = None
 
     @property
     def is_proper(self):
@@ -510,6 +516,32 @@ def _response_tf(r, ws):
     return vals, ok
 
 
+def _tf_points(r, ws):
+    """_response_tf(r, ws)[0] at a list ws of frequencies, bit for bit, or
+    None where some point is flagged, its value is not finite (a
+    non-finite w gives nan) or its recurrence in s overflows, where
+    _response_tf runs it again in 1/s: the climb's evaluator, for stencils
+    too short to pay for the array kernel's set-up.  The recurrence runs
+    per point on Python numbers over coefficient lists r keeps: Python's
+    complex + rounds as numpy's does, and so does its * where one factor
+    is jw or |w| (a product of two general complex numbers need not).
+    The modulus of the pole test and the division are numpy's, whose
+    complex abs and quotient differ from Python's abs and / in the last
+    bit; the test's bound, 1e-12 (|den|(|w|) + 1), is the same float
+    arithmetic in Python."""
+    if r._lists is None:
+        c = r.den.coeffs
+        r._lists = r.num.coeffs.astype(complex).tolist(), c.astype(complex).tolist(), np.abs(c).tolist()
+    num, den, dabs = r._lists
+    d = np.array([_horner(den, 1j * w) for w in ws])
+    bound = [1e-12 * (_horner(dabs, abs(w)) + 1.0) for w in ws]
+    with np.errstate(all="ignore"):
+        out = np.divide([_horner(num, 1j * w) for w in ws], d)
+    # a nan modulus fails the test too, and leaves the point to _response_tf
+    ok = all(a > b for a, b in zip(np.abs(d).tolist(), bound))
+    return out if ok and np.isfinite(out).all() else None
+
+
 def _horner(coeffs, x):
     """np.polyval(coeffs, x) bit for bit, its recurrence y = y x + c from
     y = 0 (zeros_like(x) for an array x) over Python numbers or table
@@ -625,7 +657,8 @@ def _response_ss(r, ws):
 
 def freq_response(m, ws):
     """Frequency response over a whole grid at once: the one evaluator
-    every model goes through (eval_freq is its one-point form).
+    every model goes through (eval_freq is its one-point form, and
+    _tf_points a transfer function's pointwise one).
 
     Parameters
     ----------
@@ -686,7 +719,9 @@ def freq_response(m, ws):
 
 
 def eval_freq(m, w):
-    """Frequency response at one point, s = jw: freq_response at [w].
+    """Frequency response at one point, s = jw: freq_response at [w], bit
+    for bit; a transfer function runs _tf_points at [w], and freq_response
+    only where that returns None.
 
     Parameters
     ----------
@@ -713,7 +748,8 @@ def eval_freq(m, w):
     r = m.representation
     if np.isinf(w) and isinstance(r, TransferFunction) and not r.is_proper:
         raise ImproperModelError("improper transfer function has no value at infinite frequency")
-    vals, ok = freq_response(m, [w])
+    vals = _tf_points(r, [w]) if isinstance(r, TransferFunction) else None
+    vals, ok = freq_response(m, [w]) if vals is None else (vals, [True])
     if not ok[0]:
         raise PoleOnAxisError("evaluation at w = {} hits a pole".format(w))
     return vals[0] if vals.ndim == 3 else complex(vals[0])

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ImproperModelError, InputError, NumericalError, PoleOnAxisError
-from .lti import _EPS, TransferFunction, _as_model, _as_ss, freq_response, poles
+from .lti import _EPS, TransferFunction, _as_model, _as_ss, _tf_points, freq_response, poles
 
 __all__ = ["PeakGain", "FrequencyGrid", "default_grid", "hinf_norm"]
 
@@ -205,7 +205,12 @@ def _peak_gain(m, pole_set, seed=None):
     """hinf_norm of the model m whose poles, pole_set, are already known;
     seed is (ws, (values, ok)), m's _peak_seed frequencies and
     freq_response there, when the caller holds them (multiloop's rows),
-    and every check still runs."""
+    and every check still runs.  The seed is the one freq_response call
+    of a transfer function: the climb's stencils and the level-set
+    candidates go through one gains(ws) closure, which evaluates them by
+    lti._tf_points, freq_response's values bit for bit on Python
+    numbers, and by _gains where that returns None (a flagged,
+    non-finite or overflowing point) and for state space."""
     if not np.all(pole_set.real < 0.0):
         raise DomainError("peak gain is only defined for stable models")
     r = _realization(m)
@@ -218,16 +223,24 @@ def _peak_gain(m, pole_set, seed=None):
     # a zero or static gain is reported at w = 0, the seed's first point
     if lo == 0.0 or r.nstates == 0:
         return PeakGain(lo, 0.0, values[0.0])
+    tf = m.representation if isinstance(m.representation, TransferFunction) else None
+
+    def gains(ws):
+        vals = None if tf is None else _tf_points(tf, ws)
+        if vals is None:
+            return _gains(m, ws, values)
+        values.update(zip(ws, vals))
+        return np.abs(vals)
 
     for _ in range(_MAX_LEVELS):
-        lo = _climb_peaks(lambda ws: _gains(m, ws, values), cand, pole_set)
+        lo = _climb_peaks(gains, cand, pole_set)
         level = lo * (1.0 + 0.5 * _TOL)
         freqs = _axis_crossings(A, B, C, D, level)
         # the gain peaks between paired crossings of a level it exceeds
         ws = [] if freqs is None else [float(w) for w in freqs]
         ws += [0.5 * (a + b) for a, b in zip(ws, ws[1:])]
         if ws:
-            cand.extend(zip(ws, _gains(m, ws, values).tolist()))
+            cand.extend(zip(ws, gains(ws).tolist()))
         best = max(g for _, g in cand)
         # no crossings certify the level as an upper bound; crossings
         # whose gains stay below the level are a near-double crossing
@@ -260,12 +273,13 @@ def _climb(gains, cand, w, h):
     """Climb the gain g = gains(ws) from frequency w to the top of its
     peak; every sample joins the (w, gain) candidates cand.
 
-    Each step samples the stencil [w - h, w, w + h] (one gains call;
-    mirrored at w = 0, as the gain of a real model is even in w), fits a
-    parabola to f = 1/g^2 there and moves w to its vertex, with the next
-    h the length of that step, but at most 16 times narrower.  Next to one
-    lightly damped mode f is exactly such a parabola, ((w - Im p)^2 +
-    (Re p)^2) / |residue|^2, so from the mode's frequency and width the
+    Each step samples the stencil [w - h, w, w + h] (one gains call,
+    which for a transfer function runs lti._tf_points on the three
+    points; mirrored at w = 0, as the gain of a real model is even in w),
+    fits a parabola to f = 1/g^2 there and moves w to its vertex, with the
+    next h the length of that step, but at most 16 times narrower.  Next
+    to one lightly damped mode f is exactly such a parabola, ((w - Im p)^2
+    + (Re p)^2) / |residue|^2, so from the mode's frequency and width the
     steps converge quadratically.  h stays wide enough that the samples
     at w +- h lie sqrt(eps)/4 below the centre, or rounding in g would
     swamp the slope of f.  A stencil is narrow when they lie at most

@@ -305,6 +305,76 @@ def test_tf_response_past_the_overflow_of_its_recurrence_does_not_warn():
         assert_allclose(vals, want, rtol=1e-15, atol=0.0)
 
 
+@st.composite
+def tf_and_points(draw):
+    """A transfer function of order 1-11, real or complex coefficients,
+    and frequencies: negative ones, 0, ones next to a lightly damped
+    resonance whose |den(jw)| nears the pole test, and 1e100-1e300,
+    where the recurrence in s overflows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nd = draw(st.integers(1, 11))
+    den = rng.standard_normal(nd + 1) * 10.0 ** rng.uniform(-3, 3, nd + 1)
+    num = rng.standard_normal(draw(st.integers(1, nd + 2)))
+    if draw(st.booleans()):
+        den = den + 1j * rng.standard_normal(den.size)
+    if draw(st.booleans()):
+        num = num + 1j * rng.standard_normal(num.size)
+    ws = (rng.choice([-1.0, 1.0], 4) * 10.0 ** rng.uniform(-3, 3, 4)).tolist()
+    ws += draw(st.lists(st.sampled_from([0.0, -0.0]), max_size=1))
+    if nd >= 3 and draw(st.booleans()):
+        # damping down to 1e-14: |den(jw0)| crosses 1e-12 (|den|(w0) + 1)
+        w0, zeta = 10.0 ** rng.uniform(-1, 1), 10.0 ** draw(st.floats(-14, -4))
+        den = np.polymul(den[: nd - 1], [1.0, 2.0 * zeta * w0, w0 * w0])
+        ws += [w0 * (1.0 + k * 1e-13) for k in (-2, 0, 3)]
+    ws += draw(st.lists(st.floats(1e100, 1e300), max_size=2))
+    return TransferFunction(num, den), draw(st.permutations(ws))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tf_and_points())
+def test_tf_points_are_freq_response_bit_for_bit(case):
+    # the pointwise evaluator returns freq_response's values to the last
+    # bit, or None exactly where a point is flagged, not finite or takes
+    # the 1/s recurrence; and a point's value does not depend on the grid
+    r, ws = case
+    got = lti._tf_points(r, ws)
+    with np.errstate(all="ignore"):
+        vals, ok = freq_response(r, ws)
+        w = np.asarray(ws)
+        overflow = ~(np.isfinite(np.polyval(r.num.coeffs, 1j * w))
+                     & np.isfinite(np.polyval(r.den.coeffs, 1j * w))
+                     & np.isfinite(np.polyval(np.abs(r.den.coeffs), np.abs(w))))
+    assert (got is None) == (not ok.all() or not np.isfinite(vals).all() or overflow.any())
+    if got is not None:
+        assert got.tobytes() == vals.tobytes()
+    grid = np.concatenate([[0.0], np.geomspace(1e-2, 1e2, 128), [math.inf], ws[:4]])
+    assert grid.size == 134
+    with np.errstate(all="ignore"):
+        in_grid = freq_response(r, grid)[0]
+    for k, w in enumerate(ws[:4]):
+        one = lti._tf_points(r, [w])
+        if one is not None:
+            assert one.tobytes() == in_grid[130 + k : 131 + k].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(tf_and_points())
+def test_eval_freq_of_a_tf_is_its_freq_response_point(case):
+    # eval_freq runs a transfer function pointwise, with freq_response's
+    # bits and flags, and raises where freq_response flags the point
+    r, ws = case
+    for w in ws + [math.inf]:
+        with np.errstate(all="ignore"):
+            vals, ok = freq_response(r, [w])
+        if not ok[0]:
+            with pytest.raises((PoleOnAxisError, ImproperModelError)):
+                eval_freq(r, w)
+            continue
+        v = eval_freq(r, w)
+        assert type(v) is complex
+        assert np.array([v]).tobytes() == vals.tobytes()
+
+
 def test_eval_freq_conjugate_symmetry():
     rng = np.random.default_rng(11)
     L = tf([25], [1, 10, 10, 10])

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from dmkit import (FrequencyGrid, InputError, PoleOnAxisError, StateSpace, default_grid,
                    disk_margin, freq_response, hinf_norm, poles, sensitivity_pair, ss, tf)
-from dmkit import specnorm
+from dmkit import lti, specnorm
 from dmkit.disk import _shifted_sensitivity
 from dmkit.lti import _modal_form
 
@@ -189,6 +189,40 @@ def test_hinf_certifies_its_climb_with_one_hamiltonian_solve(monkeypatch, name, 
     gamma, freqs = calls[0]
     assert gamma == pk.value * (1.0 + 0.5 * specnorm._TOL)
     assert freqs is not None and freqs.size == 0
+
+
+def _seeded_tf_loop(order, seed):
+    """A loop k / den of the given order with real stable poles drawn from
+    default_rng(seed) and DC gain 0.8, so |L(jw)| <= 0.8 and the closed
+    loop is stable."""
+    den = np.poly(-np.random.default_rng(seed).uniform(0.2, 5.0, order))
+    return tf([0.8 * den[-1]], den)
+
+
+@pytest.mark.parametrize("name", ["ex1_loop", "badl_loop", "resonant_loop", "order 11"])
+def test_disk_margin_of_a_tf_loop_takes_one_array_response(monkeypatch, name):
+    # the seed grid is the one call of the array kernel; the climb and the
+    # level-set candidates evaluate the transfer function pointwise
+    L = _seeded_tf_loop(11, 34) if name == "order 11" else _bundled_loop(name)
+    calls, points = [], []
+    kernel, pointwise = lti._response_tf, lti._tf_points
+
+    def counting(r, ws):
+        calls.append(ws.size)
+        return kernel(r, ws)
+
+    def counting_points(r, ws):
+        points.append(len(ws))
+        return pointwise(r, ws)
+
+    monkeypatch.setattr(lti, "_response_tf", counting)
+    monkeypatch.setattr(specnorm, "_tf_points", counting_points)
+    for sigma in (0.0, 1.0):
+        calls.clear()
+        points.clear()
+        disk_margin(L, sigma)
+        assert len(calls) == 1, (sigma, calls)
+        assert points, sigma
 
 
 def _mp_peak(gain, lo, hi):
