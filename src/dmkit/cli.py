@@ -15,9 +15,12 @@ main is the one driver.  It parses the arguments, loads the model file
 (_load_model_file), builds the SISO loop for every command but mimo, and
 runs the command: a cmd_* function that returns (options, results,
 diagnostics), or the CSV text for trace --format csv.  The driver turns
-the three into the output document (_document), whose encoder (_plain)
-writes every number, and sends it to stdout or to --out.  exclusion's
---out names its samples CSV instead; its document always goes to stdout.
+the three into the output document (_document).  One writer, _json_text,
+walks it once and writes its text: byte for byte what json.dumps(indent=2,
+sort_keys=True) writes of its plain tree, with every non-finite float a
+string and every complex number {"re", "im"}.  The text goes to stdout or
+to --out.  exclusion's --out names its samples CSV instead; its document
+always goes to stdout.
 The document is byte-stable across runs except for its timestamp.
 
 Exit codes, mapped from the DmkitError raised: 0 success, 1 bad input
@@ -27,7 +30,6 @@ other DmkitError).
 """
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -59,21 +61,34 @@ from .specnorm import FrequencyGrid, default_grid
 SCHEMA_VERSION = 1
 
 
-def _plain(x):
-    """x as JSON holds it: a non-finite float as the string "nan", "inf"
-    or "-inf", a complex number as {"re", "im"}, an array or tuple as a
-    list, dicts and lists item by item; anything else as it is."""
-    if isinstance(x, np.ndarray):
-        x = x.tolist()
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(x, pad="\n"):
+    """The JSON text of x, indented from the line start pad: byte for byte
+    json.dumps(plain, indent=2, sort_keys=True, allow_nan=False) of x's
+    plain tree, in which a non-finite float is the string "nan", "inf" or
+    "-inf", a complex number is {"re", "im"}, and an array (by tolist) or a
+    tuple is a list.  Dict keys are str.  Raises TypeError on any other
+    value json.dumps rejects (np.int64, np.bool_, a set)."""
+    if isinstance(x, float):
+        return float.__repr__(x) if math.isfinite(x) else '"%s"' % x
+    inner = pad + "  "
     if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
+        items = [_json_string(k) + ": " + _json_text(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if x else "{}"
+    if isinstance(x, str):
+        return _json_string(x)
     if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
+        items = [_json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if x else "[]"
+    if x is None or isinstance(x, int):  # and bool: null, true, false, int.__repr__
+        return json.dumps(x)
+    if isinstance(x, np.ndarray):
+        return _json_text(x.tolist(), pad)
     if isinstance(x, complex):
-        return {"re": _plain(x.real), "im": _plain(x.imag)}
-    if isinstance(x, float) and not math.isfinite(x):
-        return str(x)
-    return x
+        return _json_text({"re": x.real, "im": x.imag}, pad)
+    raise TypeError("Object of type {} is not JSON serializable".format(type(x).__name__))
 
 
 def _gain_field(x):
@@ -110,7 +125,7 @@ def _disk_fields(prefix, r):
 def _geometry_fields(g):
     if g is None:
         return None
-    return {**dataclasses.asdict(g), "phi_max": _angle_field(g.phi_max)}
+    return {**vars(g), "phi_max": _angle_field(g.phi_max)}
 
 
 def _gamma_m(lo, hi):
@@ -185,7 +200,7 @@ def _load_model_file(path):
 
 def _document(command, path, digest, options, results, diagnostics):
     """The JSON text of a command's output document."""
-    return json.dumps(_plain({
+    return _json_text({
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "dmkit", "version": __version__},
         "command": command,
@@ -194,7 +209,7 @@ def _document(command, path, digest, options, results, diagnostics):
         "options": options,
         "results": results,
         "diagnostics": diagnostics,
-    }), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    }) + "\n"
 
 
 def _emit(text, out_path):

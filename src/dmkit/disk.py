@@ -299,7 +299,11 @@ def guaranteed_gm_pm(x):
 
 def _shifted_sensitivity(L, sigma):
     """S + (sigma - 1)/2 of the loop L: the sensitivity's numerator shifted
-    for a transfer function, lti._sensitivity's one closure in state space."""
+    for a transfer function, lti._sensitivity's one closure in state space;
+    the one place that refuses a non-finite skew, for disk_margin,
+    freq_margin_trace and build_m."""
+    if not math.isfinite(sigma):
+        raise InputError("the skew must be finite, got {}".format(sigma))
     L = _as_model(L).normalized()
     k = (sigma - 1.0) / 2.0
     if isinstance(L.representation, StateSpace):

@@ -10,6 +10,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import dmkit.cli
 import dmkit.errors
@@ -181,16 +184,72 @@ def test_csv_text_matches_per_row_formatting(n, k):
     assert dmkit.cli._csv_text(columns, table) == per_row_csv(columns, table.tolist())
 
 
-def test_plain_encodes_every_value_json_cannot_hold():
+def dumps(plain):
+    return json.dumps(plain, indent=2, sort_keys=True, allow_nan=False)
+
+
+def test_json_text_encodes_every_value_json_cannot_hold():
     doc = {"x": (math.nan, math.inf, -math.inf, 0.5, 2, True, None, "s"),
            "z": [1 + 2j, np.complex128(complex(math.inf, -0.0))],
            "a": np.array([[np.float64(math.nan), 1.0]]), "d": np.float64(-math.inf),
            "r": np.array(3.0)}
-    assert dmkit.cli._plain(doc) == {
+    assert dmkit.cli._json_text(doc) == dumps({
         "x": ["nan", "inf", "-inf", 0.5, 2, True, None, "s"],
         "z": [{"re": 1.0, "im": 2.0}, {"re": "inf", "im": -0.0}],
-        "a": [["nan", 1.0]], "d": "-inf", "r": 3.0}
-    json.dumps(dmkit.cli._plain(doc), allow_nan=False)
+        "a": [["nan", 1.0]], "d": "-inf", "r": 3.0})
+
+
+def reference_plain(x):
+    """The document's plain tree as the CLI built it before its one-pass
+    writer: the oracle that the writer's text is json.dumps of."""
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    if isinstance(x, dict):
+        return {k: reference_plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [reference_plain(v) for v in x]
+    if isinstance(x, complex):
+        return {"re": reference_plain(x.real), "im": reference_plain(x.imag)}
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)
+    return x
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3,
+                  1e16, 1e-5, 0.1, 1.0 / 3.0, 123456789012345.0, 1e300]
+FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
+COMPLEXES = st.builds(complex, FLOATS, FLOATS)
+KEYS = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\\n\t\x00\x1f\x7fé€\u2028😀'),
+               max_size=6)
+SCALARS = (FLOATS | FLOATS.map(np.float64) | COMPLEXES | COMPLEXES.map(np.complex128)
+           | st.integers(-2 ** 80, 2 ** 80) | st.booleans() | st.none() | KEYS)
+ARRAYS = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+               elements=FLOATS),
+    hnp.arrays(np.complex128, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+               elements=COMPLEXES))
+DOCUMENTS = st.recursive(
+    SCALARS | ARRAYS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(KEYS, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS)
+def test_json_text_is_json_dumps_of_the_plain_tree(doc):
+    assert dmkit.cli._json_text(doc) == dumps(reference_plain(doc))
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True), {1.0}, object()],
+                         ids=["int64", "bool_", "set", "object"])
+@pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [1.0, v], lambda v: {"k": (v,)}],
+                         ids=["bare", "listed", "nested"])
+def test_json_text_rejects_what_json_dumps_rejects(value, wrap):
+    with pytest.raises(TypeError):
+        dumps(reference_plain(wrap(value)))
+    with pytest.raises(TypeError):
+        dmkit.cli._json_text(wrap(value))
 
 
 def test_trace_two_point_grid_gives_two_rows(capsys):
@@ -497,6 +556,20 @@ def test_each_error_class_has_its_exit_code(capsys, monkeypatch, name):
     assert documented.get(name, want) == want
     assert main(["classical", "ex1_loop.json"]) == want
     assert capsys.readouterr().err == "error: planted\n"
+
+
+@pytest.mark.parametrize("skew", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, model", [
+    ("diskmargin", "ex1_loop.json"), ("exclusion", "ex1_loop.json"),
+    ("trace", "ex1_loop.json"), ("mimo", "satellite.json"),
+])
+def test_non_finite_skew_is_an_input_error(capsys, command, model, skew):
+    # every skew reaches the analyses through the shifted sensitivity, which
+    # refuses it before a kernel meets the nan
+    assert main([command, model, "--skew=" + skew]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: the skew must be finite, got {}\n".format(skew)
 
 
 @pytest.mark.parametrize("command, model", [

@@ -18,6 +18,7 @@ from numpy.testing import assert_allclose
 from dmkit import (
     ConstructionError,
     DiskSpec,
+    InputError,
     NominalInstabilityError,
     UnsupportedCaseError,
     classical_margins,
@@ -143,6 +144,13 @@ def test_disk_margin_rejects_unstable_nominal():
     # 2/(s-1) closes to s + 1: open-loop instability alone is fine
     d = disk_margin(tf([2], [1, -1]), 0.0)
     assert d.spec.alpha > 0
+
+
+@pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+def test_disk_margin_refuses_a_non_finite_skew(sigma):
+    # the shifted sensitivity S + (sigma - 1)/2 has no finite value there
+    with pytest.raises(InputError, match="skew must be finite"):
+        disk_margin(L1, sigma)
 
 
 def test_critical_factor_closes_to_axis_pole():

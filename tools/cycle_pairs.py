@@ -1,6 +1,6 @@
 """Time whole benchmark cycles of two dmkit source trees in one process.
 
-    python3 tools/cycle_pairs.py PARENT_DIR CHANGE_DIR [--workload W] [--rounds N]
+    python3 tools/cycle_pairs.py PARENT_DIR CHANGE_DIR [--workload W] [--rounds N] [--seed S]
 
 bench/run.py pairs, one process per tree, do not resolve differences under
 about 2% on a small shared host: the host drifts between the runs.  This
@@ -8,9 +8,10 @@ runs both trees in one process instead.  Each tree's src/dmkit is loaded
 as its own package (dmkit_parent, dmkit_change), and sys.modules["dmkit"]
 is the parent's, so that resources.files("dmkit") finds the bundled
 examples for both (a change to the examples is not seen).  The parent's
-bench/workloads.py generates the seed-1 commands of the workload
-(siso-margins by default) into a temporary directory; nothing is written
-under either tree.
+bench/workloads.py generates the commands of the workload (siso-margins
+by default) for seed S (1 by default) into a temporary directory; nothing
+is written under either tree.  A seed other than the one a change was
+tuned on checks that its gain is not fitted to that seed's commands.
 
 Every command first runs once in each tree, and their exit codes, stdout
 without the "generated_at" timestamp, and stderr must be identical; the
@@ -44,7 +45,6 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 
-SEED = 1
 TIMESTAMP = re.compile(r'"generated_at": "[^"]*"')
 
 
@@ -59,8 +59,8 @@ def load_tree(tree, name):
     return importlib.import_module(name + ".cli")
 
 
-def generate(tree, workload, workdir):
-    """The seed-1 commands of workload from tree's bench/workloads.py,
+def generate(tree, workload, seed, workdir):
+    """The seed's commands of workload from tree's bench/workloads.py,
     which reads the bundled examples relative to the tree."""
     sys.path.insert(0, os.path.join(os.path.abspath(tree), "bench"))
     import workloads
@@ -68,7 +68,7 @@ def generate(tree, workload, workdir):
     cwd = os.getcwd()
     os.chdir(tree)
     try:
-        return workloads.generate(workload, SEED, workdir)
+        return workloads.generate(workload, seed, workdir)
     finally:
         os.chdir(cwd)
 
@@ -102,6 +102,7 @@ def main(argv):
     parser.add_argument("change")
     parser.add_argument("--workload", default="siso-margins")
     parser.add_argument("--rounds", type=int, default=30)
+    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2, for quartiles")
@@ -109,10 +110,10 @@ def main(argv):
     clis = load_tree(args.parent, "dmkit_parent"), load_tree(args.change, "dmkit_change")
     sys.modules["dmkit"] = sys.modules["dmkit_parent"]
     with tempfile.TemporaryDirectory() as work:
-        cmds = generate(args.parent, args.workload, work)
+        cmds = generate(args.parent, args.workload, args.seed, work)
         differ = [c.key for c in cmds if call(clis[0], c)[1:] != call(clis[1], c)[1:]]
         print("workload {}, seed {}: {} commands, {} with outputs that differ".format(
-            args.workload, SEED, len(cmds), len(differ)))
+            args.workload, args.seed, len(cmds), len(differ)))
         for key in differ:
             print("  " + key.replace(work, "<work>"))
         if differ:
