@@ -467,6 +467,10 @@ def _build_parser():
 
 
 def main(argv=None):
+    # argparse reads "-1e-3" or "-inf" as an option: join --skew (or its prefix) to it
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed([i for i, a in enumerate(argv[:-1]) if a.startswith("--s") and "--skew".startswith(a)]):
+        argv[i:i + 2] = ["--skew=" + argv[i + 1]]
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:

@@ -174,6 +174,11 @@ class NyquistExclusion:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Outcome of verify_destabilizing: its verdict ("pass", "fail" or
+    "ill-posed"), the closed-loop pole nearest j omega0 and its distance from
+    j omega0 (None and nan when ill posed, None and inf when no pole is
+    compared), and messages, the notes behind the verdict."""
+
     verdict: str
     pole: object
     distance: float
@@ -513,8 +518,8 @@ def _allpass(value, omega, what):
         v = complex(value)
     except (TypeError, ValueError) as e:
         raise InputError("{} must be a number".format(what)) from e
-    if abs(v) == 0.0:
-        raise InputError("{} must be nonzero".format(what))
+    if not 0.0 < abs(v) < math.inf:
+        raise InputError("{} must be finite and nonzero".format(what))
     if abs(v.imag) <= 1e-12 * abs(v):
         return TransferFunction([v.real], [1.0]), None
     if not (omega is not None and 0.0 < float(omega) < math.inf):
@@ -540,7 +545,7 @@ def worst_perturbation_lti(delta0, omega0, sigma):
 
     Parameters
     ----------
-    delta0 : complex boundary perturbation (nonzero).
+    delta0 : complex boundary perturbation (finite and nonzero).
     omega0 : frequency where delta_hat(j omega0) must equal delta0.
         Required finite and positive when delta0 is complex.
     sigma : skew, used to map delta_hat into f_hat.
@@ -578,6 +583,35 @@ def worst_perturbation_lti(delta0, omega0, sigma):
     return PerturbationLti(delta_hat=dhat, f_hat=f_hat, beta=beta)
 
 
+def _perturbed_poles(L, f, omega):
+    """(poles, None) of the loop L closed through f, one perturbation or a
+    list of one per channel, or (None, why) when that closure is ill posed.
+    A PerturbationLti closes as its f_hat, a model as given, a real scalar
+    (|Im f| <= 1e-12 max(1, |f|)) as f, a complex one as the all-pass through
+    f at omega; an infinite one switches its loop off, a nan one is refused."""
+    many = isinstance(f, list)
+    factors = []
+    for x in f if many else [f]:
+        if isinstance(x, PerturbationLti):
+            x = x.f_hat
+        elif not isinstance(x, (TransferFunction, LtiModel)):
+            x = complex(x)
+            if cmath.isnan(x):
+                return None, "a nan perturbation closes no loop"
+            if cmath.isinf(x):
+                return None, "an infinite perturbation switches its loop off"
+            if abs(x.imag) <= 1e-12 * max(1.0, abs(x)):
+                x = TransferFunction([x.real], [1.0])
+            else:
+                x = _allpass(x, omega, "perturbation")[0]
+        factors.append(x)
+    try:
+        closed = scalar_close(L, factors if many else factors[0])
+    except (AlgebraicLoopError, WellPosednessError) as e:
+        return None, str(e)
+    return poles(closed), None
+
+
 def verify_destabilizing(L, f, omega0):
     """Close the loop with a perturbation and check for the promised pole.
 
@@ -594,38 +628,21 @@ def verify_destabilizing(L, f, omega0):
         verdict "pass" when some closed-loop pole lies within
         1e-4 * max(1, omega0) of j omega0; "ill-posed" when the closure
         has no proper solution, or none at all (the w = inf form of
-        destabilization);
+        destabilization), or when an infinite f switches the loop off;
         "fail" otherwise, with a note when the closure is in fact stable.
     """
-    L = _as_model(L).normalized()
-    if isinstance(f, PerturbationLti):
-        fsys = f.f_hat
-    elif isinstance(f, (TransferFunction, LtiModel)):
-        fsys = f
-    else:
-        fc = complex(f)
-        if abs(fc.imag) <= 1e-12 * max(1.0, abs(fc)):
-            fsys = TransferFunction([fc.real], [1.0])
-        else:
-            fsys, _ = _allpass(fc, omega0, "perturbation")
-    try:
-        closed = scalar_close(L, fsys)
-    except (AlgebraicLoopError, WellPosednessError) as e:
-        return VerificationReport("ill-posed", None, math.nan, (str(e),))
-    p = poles(closed)
+    p, why = _perturbed_poles(L, f, omega0)
+    if p is None:
+        return VerificationReport("ill-posed", None, math.nan, (why,))
     if math.isinf(omega0):
-        return VerificationReport(
-            "fail", None, math.inf,
-            ("expected an ill-posed closure at w = inf but the closure is proper",),
-        )
+        why = "expected an ill-posed closure at w = inf but the closure is proper"
+        return VerificationReport("fail", None, math.inf, (why,))
     if p.size == 0:
         return VerificationReport("fail", None, math.inf, ("closed loop has no poles",))
-    target = 1j * float(omega0)
-    dist = np.abs(p - target)
+    dist = np.abs(p - 1j * float(omega0))
     k = int(np.argmin(dist))
-    tol = 1e-4 * max(1.0, abs(float(omega0)))
-    messages = []
-    verdict = "pass" if dist[k] <= tol else "fail"
+    verdict = "pass" if dist[k] <= 1e-4 * max(1.0, abs(float(omega0))) else "fail"
+    messages = ()
     if verdict == "fail" and bool(np.all(p.real < 0)):
-        messages.append("closed loop is stable; the perturbation does not destabilize")
-    return VerificationReport(verdict, complex(p[k]), float(dist[k]), tuple(messages))
+        messages = ("closed loop is stable; the perturbation does not destabilize",)
+    return VerificationReport(verdict, complex(p[k]), float(dist[k]), messages)

@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import (_allpass, _disk_report, _disk_result, _shifted_sensitivity, _stable_poles,
+from .disk import (_disk_report, _disk_result, _perturbed_poles, _shifted_sensitivity, _stable_poles,
                    disk_map_inv, worst_perturbation_lti)
 from .classical import _margins
-from .errors import ConstructionError, InputError, WellPosednessError
-from .lti import (LtiModel, StateSpace, TransferFunction, _as_model, _as_ss, _close, _io_loop,
-                  freq_response, poles, scalar_close)
+from .errors import ConstructionError, InputError
+from .lti import LtiModel, StateSpace, _as_model, _as_ss, _close, _io_loop, freq_response
 from .specnorm import _GRID_N, _climb_peaks, _peak_seed, _pick_lowest
 
 _RESTARTS = 5  # uniform and fixed random starts of the mu lower bound's fallback ascent
@@ -110,6 +109,14 @@ class MultiLoopResult:
 
 @dataclass(frozen=True)
 class MultiLoopVerification:
+    """Outcome of verify_multiloop_destabilizing.  stable: every closed-loop
+    pole lies in the open left half plane, which rounding decides at a
+    certificate, whose promised pole lies on the axis: read target_distance
+    there; nearest_pole and axis_distance: the pole nearest the imaginary
+    axis and its distance to it (None and math.nan when the closure is ill
+    posed, None and math.inf with no pole); target_distance: the distance
+    from j omega to the nearest pole, when omega is given; messages: notes."""
+
     stable: bool
     nearest_pole: object
     axis_distance: float
@@ -621,25 +628,19 @@ def loop_at_a_time(P, K, channel, location="input", sigma=0.0):
     return single_loop_margins(build_m(P, K, [offset + int(channel)], sigma))[0]
 
 
-def _realize_f(f, omega, sigma):
-    fc = complex(f)
-    if abs(fc.imag) <= 1e-12 * max(1.0, abs(fc)):
-        return TransferFunction([fc.real], [1.0])
-    d = disk_map_inv(fc, sigma)
-    if d != math.inf:
-        try:
-            return worst_perturbation_lti(d, omega, sigma).f_hat
-        except (ConstructionError, InputError):
-            pass
-    # fall back to an all-pass through f itself; only the value at omega
-    # matters for the pole check (it raises InputError without a finite
-    # positive omega)
-    return _allpass(fc, omega, "perturbation")[0]
+def _disk_family(f, omega, sigma):
+    """f as worst_perturbation_lti's all-pass through f at omega, where its
+    disk point is complex and the all-pass can be built; f itself otherwise."""
+    try:
+        pert = worst_perturbation_lti(disk_map_inv(complex(f), sigma), omega, sigma)
+    except (ConstructionError, InputError):
+        return f
+    return f if pert.beta is None else pert
 
 
 def verify_multiloop_destabilizing(P, K, points, f_list, omega=None, sigma=0.0):
     """Close every selected break point with its scalar perturbation and
-    report what happened to the closed-loop poles.
+    report what happened to the closed-loop poles in a MultiLoopVerification.
 
     Parameters
     ----------
@@ -649,32 +650,17 @@ def verify_multiloop_destabilizing(P, K, points, f_list, omega=None, sigma=0.0):
         value at `omega`.
     omega : expected frequency of the induced axis pole (optional for a
         plain stable/unstable verdict with real perturbations).
-
-    Returns
-    -------
-    MultiLoopVerification
-        stable flag, the pole nearest the imaginary axis, its distance
-        to the axis, and when omega was given the distance from j omega
-        to the nearest pole.
     """
     loop, sel, _ = _broken_loop(P, K, points)
     if len(f_list) != len(sel):
         raise InputError("expected {} perturbations, got {}".format(len(sel), len(f_list)))
-    factors = [_realize_f(f, omega, sigma) for f in f_list]
-    try:
-        closed = scalar_close(LtiModel(loop), factors)
-    except WellPosednessError as e:
-        return MultiLoopVerification(
-            stable=False, nearest_pole=None, axis_distance=math.nan,
-            messages=("closure is ill posed: {}".format(e),),
-        )
-    p = poles(closed)
+    p, why = _perturbed_poles(LtiModel(loop), [_disk_family(f, omega, sigma) for f in f_list], omega)
+    if p is None:
+        return MultiLoopVerification(False, None, math.nan, None, ("closure is ill posed: " + why,))
     if p.size == 0:
         return MultiLoopVerification(True, None, math.inf, None, ("closed loop has no poles",))
     k = int(np.argmin(np.abs(p.real)))
-    target = None
-    if omega is not None:
-        target = float(np.min(np.abs(p - 1j * float(omega))))
+    target = None if omega is None else float(np.min(np.abs(p - 1j * float(omega))))
     return MultiLoopVerification(
         stable=bool(np.all(p.real < 0)),
         nearest_pole=complex(p[k]),

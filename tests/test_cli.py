@@ -308,13 +308,18 @@ def test_mimo_reports_unconverged_lower_bound(capsys, monkeypatch):
     assert doc["diagnostics"] == []
     assert "converged" not in doc["results"]
     real = dmkit.cli.multiloop_margin
-    monkeypatch.setattr(dmkit.cli, "multiloop_margin",
-                        lambda *a, **k: dataclasses.replace(real(*a, **k), converged=False))
-    code, stalled = run_json(capsys, ["mimo", "satellite.json"])
-    assert code == 0
-    assert len(stalled["diagnostics"]) == 1
-    assert "did not converge" in stalled["diagnostics"][0]
-    assert stalled["results"] == doc["results"]
+    # each flag gives its own diagnostic, the gap's first
+    for flags, notes in [({"converged": False}, ["did not converge"]),
+                         ({"inconclusive_gap": True, "converged": False},
+                          ["mu bracket gap exceeds 10 percent", "did not converge"])]:
+        monkeypatch.setattr(dmkit.cli, "multiloop_margin",
+                            lambda *a, **k: dataclasses.replace(real(*a, **k), **flags))
+        code, stalled = run_json(capsys, ["mimo", "satellite.json"])
+        assert code == 0
+        assert len(stalled["diagnostics"]) == len(notes)
+        for text, note in zip(stalled["diagnostics"], notes):
+            assert note in text
+        assert stalled["results"] == doc["results"]
 
 
 def test_mimo_builds_the_peak_seed_twice(capsys, monkeypatch):
@@ -558,18 +563,29 @@ def test_each_error_class_has_its_exit_code(capsys, monkeypatch, name):
     assert capsys.readouterr().err == "error: planted\n"
 
 
-@pytest.mark.parametrize("skew", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("skew", ["nan", "inf", "-inf", pytest.param(["--skew", "-inf"], id="--skew -inf")])
 @pytest.mark.parametrize("command, model", [
     ("diskmargin", "ex1_loop.json"), ("exclusion", "ex1_loop.json"),
     ("trace", "ex1_loop.json"), ("mimo", "satellite.json"),
 ])
 def test_non_finite_skew_is_an_input_error(capsys, command, model, skew):
     # every skew reaches the analyses through the shifted sensitivity, which
-    # refuses it before a kernel meets the nan
-    assert main([command, model, "--skew=" + skew]) == 1
+    # refuses it before a kernel meets the nan; written as its own word, a
+    # negative skew is still the option's value
+    args = skew if isinstance(skew, list) else ["--skew=" + skew]
+    assert main([command, model] + args) == 1
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "error: the skew must be finite, got {}\n".format(skew)
+    assert out.err == "error: the skew must be finite, got {}\n".format(args[-1].split("=")[-1])
+
+
+def test_negative_skew_reads_as_its_own_word(capsys):
+    # argparse takes only -1- and -0.5-shaped words for negative numbers
+    docs = []
+    for args in (["--skew", "-1e-3"], ["--ske", "-1e-3"], ["--skew=-1e-3"]):
+        assert main(["diskmargin", "ex1_loop.json", "--worst-case"] + args) == 0
+        docs.append(re.sub(r'"generated_at": "[^"]*"', "", capsys.readouterr().out))
+    assert docs[0] == docs[1] == docs[2] and '"skew": -0.001' in docs[0]
 
 
 @pytest.mark.parametrize("command, model", [

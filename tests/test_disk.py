@@ -46,7 +46,7 @@ from dmkit import (
 from dmkit.cli import _trace_table
 from dmkit.disk import (EXTERIOR_DISK, HALF_PLANE, INTERIOR_DISK, MarginTrace, _shifted_sensitivity,
                         _trace_margins)
-from dmkit.lti import LtiModel, StateSpace, TransferFunction
+from dmkit.lti import LtiModel, StateSpace, TransferFunction, tf_to_ss
 from dmkit.specnorm import FrequencyGrid
 
 L1 = tf([25], [1, 10, 10, 10])
@@ -217,6 +217,12 @@ def test_worst_perturbation_trivial_point_rejected():
         worst_perturbation_lti(2.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, complex(math.nan, 1.0)])
+def test_worst_perturbation_non_finite_delta_rejected(delta):
+    with pytest.raises(InputError, match="finite"):
+        worst_perturbation_lti(delta, 1.0, 0.0)
+
+
 def test_verify_destabilizing_example_a1():
     d = disk_margin(L1, 0.0)
     pert = worst_perturbation_lti(d.delta0, d.omega_crit, 0.0)
@@ -233,12 +239,22 @@ def test_verify_flags_wrong_frequency():
     assert rep.verdict == "fail"
 
 
-@pytest.mark.parametrize("f", [-0.5, -0.5 * (1 - 1e-13)])
+@pytest.mark.parametrize("f", [-0.5, -0.5 * (1 - 1e-13), math.inf])
 def test_verify_ill_posed_closure(f):
-    # f L = -1 identically, and 1 + f L(inf) singular to rounding: both are
-    # the w = inf form of destabilization, not an error
-    rep = verify_destabilizing(tf([2.0], [1.0]), f, math.inf)
-    assert rep.verdict == "ill-posed"
+    # f L = -1 identically, 1 + f L(inf) singular to rounding, and an
+    # infinite f that switches the loop off: each is the w = inf form of
+    # destabilization, not an error, on either form of the loop
+    L = tf([2.0], [1.0])
+    for loop in (L, LtiModel(tf_to_ss(L.representation))):
+        rep = verify_destabilizing(loop, f, math.inf)
+        assert rep.verdict == "ill-posed"
+
+
+@pytest.mark.parametrize("f", [math.nan, complex(math.nan, 1.0)])
+def test_verify_nan_perturbation_closes_no_loop(f):
+    rep = verify_destabilizing(L1, f, 1.0)
+    assert rep.verdict == "ill-posed" and rep.pole is None
+    assert rep.messages == ("a nan perturbation closes no loop",)
 
 
 def test_trace_resonant_loop():

@@ -26,6 +26,8 @@ from dmkit import (
     StateSpace,
     WellPosednessError,
     build_m,
+    disk_map,
+    disk_map_inv,
     disk_margin,
     eval_freq,
     freq_response,
@@ -402,6 +404,44 @@ def test_multiloop_worst_case_closes_to_axis():
     rep = verify_multiloop_destabilizing(P, K, "input", fs, omega=res.omega_crit)
     assert rep.axis_distance <= 1e-4 * max(1.0, res.omega_crit)
     assert rep.target_distance <= 1e-3
+
+
+@pytest.mark.parametrize("w, disk_family", [(2.0, True), (0.5, False)])
+def test_complex_factor_closes_through_its_value(w, disk_family):
+    # f = -1/L(jw) puts a closed-loop pole at jw.  With Re f > 0 its disk
+    # point at skew 0 lies inside |d| < 2 and the disk family's all-pass
+    # realizes f; with Re f <= 0 none does, and f closes as the plain
+    # all-pass through f at w
+    P = tf([25], [1, 10, 10, 10])
+    f = -1.0 / complex(eval_freq(P, w))
+    assert (f.real > 0) == disk_family and abs(f.imag) > 0.1
+    rep = verify_multiloop_destabilizing(P, None, "input", [f], omega=w)
+    assert rep.target_distance <= 1e-9 * max(1.0, w)
+
+
+def test_real_factor_off_the_disk_family_closes_as_a_constant():
+    # f = -1 at skew 0 has no disk point (disk_map_inv gives inf), so the
+    # disk family builds nothing and f closes as the constant -1
+    P = tf([25], [1, 10, 10, 10])
+    assert disk_map_inv(-1.0, 0.0) == math.inf
+    rep = verify_multiloop_destabilizing(P, None, "input", [-1.0])
+    p = poles(scalar_close(P, tf([-1.0], [1.0])))
+    assert rep.stable is False
+    assert rep.nearest_pole == pytest.approx(p[np.argmin(np.abs(p.real))], rel=1e-9)
+
+
+def test_switch_off_certificate_is_an_ill_posed_closure():
+    # seed 1 mimo_06.json of bench/workloads.generate("mimo-margins", 1, dir):
+    # its certificate at the input is delta = diag(2, 2) at omega_crit = inf,
+    # where f = inf switches both loops off, so no closure realizes it
+    P, K, _, _ = cli._load_model_file(str(DATA / "mimo_06.json"))
+    res = multiloop_margin(build_m(P, K, "input", 0.0))
+    assert res.omega_crit == math.inf
+    fs = [disk_map(d, 0.0) for d in np.diag(res.delta_worst)]
+    assert fs == [math.inf, math.inf]
+    rep = verify_multiloop_destabilizing(P, K, "input", fs, res.omega_crit)
+    assert rep.stable is False and rep.nearest_pole is None
+    assert rep.messages[0].startswith("closure is ill posed")
 
 
 def test_siso_plant_reduces_to_disk_margin():
